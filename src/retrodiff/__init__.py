@@ -63,14 +63,12 @@ from .models import (
     check_ellipticity,
     estimate_lipschitz,
     make_model,
-    sigma_sigma_T,
 )
 from .ou_analytic import (
     AmplificationWindowError,
     FourierSolution,
     OUAnalytic,
     consistency_triangle,
-    fourier_forward,
     fourier_invert_terminal,
     fourier_ode_solve,
     gaussian_bound_check,

@@ -56,7 +56,7 @@ def _parse_matrix(text):
 
 
 def _parse_distribution(text):
-    """dirac:<coords> or gaussian:<mean coords>,<variance> or empirical:<csv>."""
+    """dirac:<coords> or gaussian:<mean coords>,<variance>."""
     import numpy as np
 
     from .distributions import DiracMixture, gaussian
@@ -169,6 +169,13 @@ def build_model(cfg, horizon):
     raise ConfigError(f"unknown model.family {family!r}")
 
 
+def _diffusion(model):
+    """The model as a DiffusionModel; OU and piecewise models convert."""
+    if hasattr(model, "as_diffusion_model"):
+        return model.as_diffusion_model()
+    return model
+
+
 class _Emitter:
     """Writes every artifact under the output directory, refusing clobbers."""
 
@@ -229,19 +236,17 @@ def _report(passed, failures, payload):
 
 def cmd_forward(cfg, emitter):
     from .forward import empirical_moments, euler_maruyama_path, export_snapshots_csv, sample_initial
-    from .models import OUModel, PiecewiseHomogeneousModel
 
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
-    if isinstance(model, (OUModel, PiecewiseHomogeneousModel)):
-        model = model.as_diffusion_model()
+    model = _diffusion(build_model(cfg, grid.t_end))
     seed = _seed(cfg)
     n = int(_positive(cfg, "run", "particles", default=10000, integer=True))
     if "init" not in cfg["run"]:
         raise ConfigError("forward needs run.init")
     init = sample_initial(_parse_distribution(cfg["run"]["init"]), n, seed)
     full = cfg["run"].get("store_full", "false").lower() in ("1", "true", "yes")
-    path = euler_maruyama_path(model, init, grid, seed, full_store=full)
+    path = euler_maruyama_path(model, init, grid, seed,
+                               store_every=1 if full else None)
     with open(emitter.path("snapshots.csv"), "w") as fh:
         export_snapshots_csv(path, fh)
     mean, cov = empirical_moments(path.terminal)
@@ -327,7 +332,9 @@ def cmd_reverse(cfg, emitter):
     failures = []
     if is_ou and nu is not None:
         ks_max = _threshold(cfg, "ks_max", 0.02)
-        ref = lambda t: ou_marginal(model, nu, grid.t_end - t)  # noqa: E731
+        # the run's own grid, so the cached OUAnalytic of the run is reused
+        ref = lambda t: ou_marginal(model, nu, grid.t_end - t,  # noqa: E731
+                                    n_steps=grid.n_steps)
         rep = verify_representation(run, ref, threshold=ks_max)
         payload["representation_max_stat"] = rep.max_stat
         payload["representation_threshold"] = ks_max
@@ -356,6 +363,10 @@ def cmd_ou_verify(cfg, emitter):
         xi = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     else:
         raise ConfigError("ou-verify supports d <= 2")
+    if grid.n_steps % 10:
+        raise ConfigError("ou-verify checks t = 0.1 T, 0.2 T, ..., T, which "
+                          "must be grid nodes: grid.n_steps must be a "
+                          "multiple of 10")
     ts = np.linspace(0.1 * grid.t_end, grid.t_end, 10)
     rep = consistency_triangle(model, nu, xi, ts, n_steps=grid.n_steps)
     tol = _threshold(cfg, "triangle_max_error", 1e-6)
@@ -410,10 +421,10 @@ def cmd_invert(cfg, emitter):
             raise ConfigError("mean-ode-mc route needs run.x0 (data generator)")
         x0 = np.array(_parse_vector(run_cfg["x0"]))
         n = int(_positive(cfg, "run", "particles", default=100000, integer=True))
-        diff = model.as_diffusion_model() if isinstance(model, OUModel) else model
+        drift = affine_of(model)
         init = sample_initial(DiracMixture([x0]), n, seed)
-        term = euler_maruyama_path(diff, init, grid, seed).terminal
-        x_hat, se = reconstruct_dirac_affine_mc(affine_of(model), None, term, grid)
+        term = euler_maruyama_path(_diffusion(model), init, grid, seed).terminal
+        x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
         err = float(np.linalg.norm(x_hat - x0))
         if err > k_sig * se + 1e-12:
@@ -426,7 +437,7 @@ def cmd_invert(cfg, emitter):
         x0 = np.array(_parse_vector(run_cfg["x0"]))
         cands = [[v] for v in _parse_vector(run_cfg["candidates"])]
         n = int(_positive(cfg, "run", "particles", default=20000, integer=True))
-        diff = model.as_diffusion_model() if isinstance(model, OUModel) else model
+        diff = _diffusion(model)
         init = sample_initial(DiracMixture([x0]), n, seed)
         target = euler_maruyama_path(diff, init, grid, seed,
                                      store_every=grid.n_steps).terminal
@@ -467,12 +478,9 @@ def cmd_moment_check(cfg, emitter):
     import numpy as np
 
     from .forward import check_moment_bound
-    from .models import OUModel
 
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
-    if isinstance(model, OUModel):
-        model = model.as_diffusion_model()
+    model = _diffusion(build_model(cfg, grid.t_end))
     run_cfg = cfg["run"]
     seed = _seed(cfg)
     n = int(_positive(cfg, "run", "particles", default=10000, integer=True))
@@ -496,12 +504,9 @@ def cmd_injectivity(cfg, emitter):
 
     from .distributions import DiracMixture
     from .inverse import injectivity_probe
-    from .models import OUModel
 
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
-    if isinstance(model, OUModel):
-        model = model.as_diffusion_model()
+    model = _diffusion(build_model(cfg, grid.t_end))
     run_cfg = cfg["run"]
     seed = _seed(cfg)
     n = int(_positive(cfg, "run", "particles", default=4000, integer=True))

@@ -50,14 +50,9 @@ def score_bandwidth(ens):
 
 
 class KdeField:
-    """Gaussian-kernel estimate over a particle cloud.
+    """Gaussian-kernel estimate over a particle cloud."""
 
-    ``truncation_radius`` (in bandwidth units) switches to a kd-tree
-    neighbour cutoff; each dropped neighbour contributes at most
-    exp(-radius^2/2) relative mass.  Exact evaluation is the default.
-    """
-
-    def __init__(self, positions, bandwidth, truncation_radius=None):
+    def __init__(self, positions, bandwidth):
         X = np.atleast_2d(np.asarray(positions, dtype=float))
         h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (X.shape[1],))
         if (h <= 0).any():
@@ -68,12 +63,6 @@ class KdeField:
         self._log_norm = -math.log(X.shape[0]) - float(
             np.sum(np.log(h * math.sqrt(2.0 * math.pi)))
         )
-        self._tree = None
-        self.truncation_radius = truncation_radius
-        if truncation_radius is not None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self._scaled)
 
     @property
     def n(self):
@@ -114,16 +103,7 @@ class KdeField:
         for a in range(0, M, chunk):
             b = min(a + chunk, M)
             q = xs[a:b]
-            if self._tree is not None:
-                lw = np.full((b - a, self.n), -np.inf)
-                idx = self._tree.query_ball_point(
-                    q / self.bandwidth, self.truncation_radius
-                )
-                full = self._log_weights(q)
-                for r, cols in enumerate(idx):
-                    lw[r, cols] = full[r, cols]
-            else:
-                lw = self._log_weights(q)
+            lw = self._log_weights(q)
             if exclude_self:
                 lw[np.arange(b - a), np.arange(a, b)] = -np.inf
             m = lw.max(axis=1)
@@ -237,18 +217,28 @@ def kde_score(field, x):
     return score
 
 
+def _reversal_drift_from_score(model, t_reversed, x, score):
+    """div_x Sigma_i.(T - t, x) + <Sigma_i.(T - t, x), score> for each i.
+
+    The product-rule expansion of div(Sigma_i. p) / p under the time flip,
+    for any score estimate; rows of x and score are paired.
+    """
+    S = model.sigma_sigma_T_flipped(t_reversed, x)
+    if S.ndim == 2:
+        drift = score @ S.T
+    else:
+        drift = np.einsum("...ij,...j->...i", S, score)
+    return model.div_sigma_rows_flipped(t_reversed, x) + drift
+
+
 def reversal_drift(model, field, t_reversed, x):
     """Density-dependent drift of the reversed dynamics.
 
-    Component i is div_x Sigma_i.(T - t, x) + <Sigma_i.(T - t, x), score(x)>,
-    the product-rule expansion of div(Sigma_i. p) / p under the time flip.
+    Component i is div_x Sigma_i.(T - t, x) + <Sigma_i.(T - t, x), score(x)>
+    with the field's score (see :func:`_reversal_drift_from_score`).
     Vacuum queries propagate as :class:`VacuumError`.
     """
-    score = kde_score(field, x)
-    div_rows = model.div_sigma_rows_flipped(t_reversed, x)
-    if not np.isfinite(div_rows).all():
-        raise ValueError("non-finite dispersion divergence")
-    S = model.sigma_sigma_T_flipped(t_reversed, x)
-    if S.ndim == 2 and np.ndim(score) == 2:
-        return div_rows + score @ S.T
-    return div_rows + np.einsum("...ij,...j->...i", S, score)
+    out = _reversal_drift_from_score(model, t_reversed, x, kde_score(field, x))
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite dispersion or dispersion divergence")
+    return out

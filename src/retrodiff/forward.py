@@ -67,35 +67,34 @@ def sample_initial(dist, n, seed, time=0.0):
                             seed=(seed, INIT_SAMPLE))
 
 
-def _step_noise(seed, k, n, m):
-    return substream(seed, FORWARD_STEP, k).standard_normal((n, m))
+def _em_step(X, b, s, xi, dt):
+    """One Euler-Maruyama update X + b dt + sqrt(dt) sigma xi.
 
-
-def euler_maruyama_path(model, init, grid, seed, store_every=None,
-                        full_store=False):
-    """Euler-Maruyama path X_{k+1} = X_k + b dt + sigma sqrt(dt) xi_k.
-
-    Noise row i at step k is particle i's draw from the (seed, step) stream,
-    so particles evolve on independent streams and the result is identical
-    however the particle loop is executed.  Snapshots are thinned to roughly
-    200 along the grid unless ``full_store`` (or an explicit ``store_every``)
-    says otherwise; the first and last nodes are always stored.
+    ``s`` is one (d, m) dispersion shared by all rows or one per row,
+    (n, d, m); ``xi`` holds the (n, m) standard normal draws.
     """
-    stride = 1 if full_store else (store_every or max(1, math.ceil(grid.n_steps / 200)))
-    X = init.positions.copy()
-    n, d = X.shape
+    noise = xi @ s.T if s.ndim == 2 else np.einsum("nij,nj->ni", s, xi)
+    return X + b * dt + math.sqrt(dt) * noise
+
+
+def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
+    """Euler-Maruyama loop shared by the forward and the reversed dynamics.
+
+    ``drift(k, t, X)`` and ``sigma(t, X)`` give the coefficients at step k.
+    Noise row i at step k is particle i's draw from the (seed, kind, k)
+    stream, so particles evolve on independent streams and the result is
+    identical however the particle loop is executed.  Snapshots are thinned
+    to roughly 200 along the grid unless ``store_every`` says otherwise;
+    the first and last nodes are always stored.
+    """
+    stride = store_every or max(1, math.ceil(grid.n_steps / 200))
     snaps = [ParticleEnsemble(time=grid.node(0), positions=X.copy(), seed=(seed,))]
-    dt = grid.dt
-    sq = math.sqrt(dt)
     for k in range(grid.n_steps):
         t = grid.node(k)
-        xi = _step_noise(seed, k, n, model.dim_m)
-        s = model.sigma(t, X)
-        if s.ndim == 2:
-            noise = xi @ s.T
-        else:
-            noise = np.einsum("nij,nj->ni", s, xi)
-        X = X + np.asarray(model.drift(t, X), dtype=float) * dt + sq * noise
+        b = drift(k, t, X)
+        s = sigma(t, X)
+        xi = substream(seed, kind, k).standard_normal((X.shape[0], s.shape[-1]))
+        X = _em_step(X, b, s, xi, grid.dt)
         if not np.isfinite(X).all():
             bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
             raise RuntimeError(
@@ -104,9 +103,23 @@ def euler_maruyama_path(model, init, grid, seed, store_every=None,
         if (k + 1) % stride == 0 or k + 1 == grid.n_steps:
             snaps.append(
                 ParticleEnsemble(time=grid.node(k + 1), positions=X.copy(),
-                                 seed=(seed, FORWARD_STEP, k))
+                                 seed=(seed, kind, k))
             )
     return EnsemblePath(grid, snaps)
+
+
+def euler_maruyama_path(model, init, grid, seed, store_every=None):
+    """Euler-Maruyama path X_{k+1} = X_k + b dt + sigma sqrt(dt) xi_k.
+
+    Noise comes from the (seed, FORWARD_STEP, k) streams; snapshots are
+    thinned to roughly 200 unless ``store_every`` is given (1 stores every
+    node).  See :func:`_em_loop`.
+    """
+    return _em_loop(
+        init.positions.copy(), grid, seed, FORWARD_STEP,
+        lambda k, t, X: np.asarray(model.drift(t, X), dtype=float),
+        model.sigma, store_every,
+    )
 
 
 def empirical_moments(ens):
@@ -154,17 +167,18 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None,
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Xx = np.tile(x, (n, 1))
     Xy = np.tile(y, (n, 1))
-    dt, sq = grid.dt, math.sqrt(grid.dt)
     sup_val, sup_k, sup_std = float(np.sum((y - x) ** 2)), 0, 0.0
     z2 = np.sum((Xy - Xx) ** 2, axis=1)
     sup_std = float(z2.std(ddof=1)) if n > 1 else 0.0
+
+    def step(X, t, xi):
+        b = np.asarray(model.drift(t, X), dtype=float)
+        return _em_step(X, b, model.sigma(t, X), xi, grid.dt)
+
     for k in range(grid.n_steps):
         t = grid.node(k)
-        xi = _step_noise(seed, k, n, model.dim_m)
-        for X in (Xx, Xy):
-            s = model.sigma(t, X)
-            noise = xi @ s.T if s.ndim == 2 else np.einsum("nij,nj->ni", s, xi)
-            X += np.asarray(model.drift(t, X), dtype=float) * dt + sq * noise
+        xi = substream(seed, FORWARD_STEP, k).standard_normal((n, model.dim_m))
+        Xx, Xy = step(Xx, t, xi), step(Xy, t, xi)
         z2 = np.sum((Xy - Xx) ** 2, axis=1)
         m = float(z2.mean())
         if m > sup_val:

@@ -21,6 +21,7 @@ from .forward import euler_maruyama_path, sample_initial
 from .grids import TimeGrid
 from .metrics import sliced_wasserstein1, wasserstein1
 from .ou_analytic import AmplificationWindowError
+from .resolvents import _rk4_path
 from .streams import CANDIDATE_SIM, substream
 
 
@@ -46,19 +47,6 @@ class AffineDrift:
         return v0, v1
 
 
-def _rk4_back(rhs, yT, grid):
-    h = -grid.dt
-    y = yT
-    for k in range(grid.n_steps, 0, -1):
-        t = grid.node(k)
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
 def reconstruct_dirac_affine(drift, terminal_mean, grid):
     """Source location from the terminal mean under an affine drift.
 
@@ -75,7 +63,7 @@ def reconstruct_dirac_affine(drift, terminal_mean, grid):
         v0, v1 = drift.eval(t)
         return v0 + v1 @ y
 
-    return _rk4_back(rhs, m, grid)
+    return _rk4_path(rhs, m, grid, backward=True)[0]
 
 
 def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):
@@ -97,7 +85,7 @@ def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):
         _, v1 = drift.eval(t)
         return v1 @ M
 
-    M0 = _rk4_back(rhs, np.eye(drift.dim), grid)
+    M0 = _rk4_path(rhs, np.eye(drift.dim), grid, backward=True)[0]
     se_vec = X.std(axis=0, ddof=1) / math.sqrt(n)
     stderr = float(np.linalg.norm(M0, 2) * np.linalg.norm(se_vec))
     return x_hat, stderr

@@ -210,11 +210,6 @@ class PiecewiseHomogeneousModel:
         )
 
 
-def sigma_sigma_T(model, t, x):
-    """sigma sigma^T evaluated at (t, x); symmetric PSD by construction."""
-    return model.sigma_sigma_T(t, x)
-
-
 @dataclass
 class EllipticityReport:
     epsilon: float

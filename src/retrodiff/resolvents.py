@@ -1,7 +1,10 @@
 """Matrix-valued ODEs behind the affine-drift Gaussian machinery.
 
-Three fundamental-solution paths are integrated with classical RK4 on a
-uniform grid:
+This module hosts the package's single RK4 integrator, ``_rk4_path``,
+which steps forwards from the start of a grid or backwards from its end;
+the per-frequency transform ODE and the backward mean ODE of the inverse
+routes run through it too.  Three fundamental-solution paths are
+integrated with it on a uniform grid:
 
 * the state resolvent   R(t) = I + integral_0^t C(s) R(s) ds,
 * its adjoint decay     D(t) = I - integral_0^t C(s)^T D(s) ds,
@@ -31,20 +34,26 @@ def _checked(fn, what):
     return wrapped
 
 
-def _rk4_path(rhs, y0, grid):
-    """Integrate Y' = rhs(t, Y) with RK4; returns values at every node."""
-    h = grid.dt
-    out = np.empty((grid.n_steps + 1,) + y0.shape)
-    out[0] = y0
+def _rk4_path(rhs, y0, grid, backward=False):
+    """Integrate Y' = rhs(t, Y) with RK4; returns values at every node.
+
+    ``y0`` is the value at ``t_start``, or at ``t_end`` when ``backward``
+    (then the steps run from node n down to node 0 with step -dt).  Entry k
+    of the result is the value at node k in either direction.
+    """
+    n = grid.n_steps
+    h, step, start = (-grid.dt, -1, n) if backward else (grid.dt, 1, 0)
+    out = np.empty((n + 1,) + y0.shape)
+    out[start] = y0
     y = y0
-    for k in range(grid.n_steps):
+    for k in range(start, start + step * n, step):
         t = grid.node(k)
         k1 = rhs(t, y)
         k2 = rhs(t + h / 2, y + (h / 2) * k1)
         k3 = rhs(t + h / 2, y + (h / 2) * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y
+        out[k + step] = y
     return out
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import KdeField
-from .forward import EnsemblePath, ParticleEnsemble
+from .density import KdeField, _reversal_drift_from_score
+from .forward import EnsemblePath, _em_loop
 from .grids import TimeGrid
 from .metrics import energy_distance_nd, ks_statistic, ks_two_sample
 from .models import OUModel, check_ellipticity
@@ -90,21 +90,17 @@ def _clip_rows(v, cap):
 
 
 def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip, store_every):
-    """Shared Euler loop.
+    """The shared Euler loop (``forward._em_loop``) on the reversed clock.
 
-    ``drift_fn`` returns (density_drift, base_drift, vacuum_count); the
-    clip applies to the density-dependent part only (kernel tails are what
-    misbehave), never to the -b term.
+    ``drift_fn(k, s, Y)`` returns (density_drift, base_drift,
+    vacuum_count); the clip applies to the density-dependent part only
+    (kernel tails are what misbehave), never to the -b term.  The per-step
+    diagnostics are recorded inside the drift callback.
     """
-    n, d = Y.shape
-    stride = store_every or max(1, math.ceil(grid.n_steps / 200))
-    snaps = [ParticleEnsemble(time=0.0, positions=Y.copy(), seed=(seed,))]
     rows = {k: [] for k in ("step", "t", "max_drift", "clips", "vacuums")}
-    dt, sq = grid.dt, math.sqrt(grid.dt)
-    t0 = time.perf_counter()
-    for k in range(grid.n_steps):
-        s = grid.node(k)
-        dens, base, n_vac = drift_fn(s, Y)
+
+    def drift(k, s, Y):
+        dens, base, n_vac = drift_fn(k, s, Y)
         n_clip = 0
         if drift_clip is not None:
             dens, n_clip = _clip_rows(dens, drift_clip)
@@ -112,27 +108,16 @@ def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip, store_every):
         if not np.isfinite(total).all():
             bad = int(np.argwhere(~np.isfinite(total).all(axis=1))[0, 0])
             raise RuntimeError(f"non-finite drift for particle {bad} at step {k}")
-        sg = sigma_fn(s, Y)
-        xi = substream(seed, REVERSAL_STEP, k).standard_normal((n, sg.shape[-1]))
-        noise = xi @ sg.T if sg.ndim == 2 else np.einsum("nij,nj->ni", sg, xi)
-        Y = Y + total * dt + sq * noise
-        rows["step"].append(k)
-        rows["t"].append(s)
-        rows["max_drift"].append(float(np.linalg.norm(total, axis=1).max()))
-        rows["clips"].append(n_clip)
-        rows["vacuums"].append(n_vac)
-        if (k + 1) % stride == 0 or k + 1 == grid.n_steps:
-            snaps.append(ParticleEnsemble(time=grid.node(k + 1),
-                                          positions=Y.copy(), seed=(seed, k)))
-    diag = StepDiagnostics(
-        step=np.array(rows["step"]),
-        t=np.array(rows["t"]),
-        max_drift=np.array(rows["max_drift"]),
-        clips=np.array(rows["clips"]),
-        vacuums=np.array(rows["vacuums"]),
-        wall_time=time.perf_counter() - t0,
-    )
-    return EnsemblePath(grid, snaps), diag
+        max_drift = float(np.linalg.norm(total, axis=1).max())
+        for key, v in zip(rows, (k, s, max_drift, n_clip, n_vac)):
+            rows[key].append(v)
+        return total
+
+    t0 = time.perf_counter()
+    path = _em_loop(Y, grid, seed, REVERSAL_STEP, drift, sigma_fn, store_every)
+    diag = StepDiagnostics(**{key: np.array(v) for key, v in rows.items()},
+                           wall_time=time.perf_counter() - t0)
+    return path, diag
 
 
 def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
@@ -166,10 +151,8 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
                 stacklevel=2,
             )
 
-    def drift_fn(s, X):
-        mix = cache.marginal(nu, T - s)
-        dens = mix.score(X) @ ou.Sigma(T - s).T
-        return dens, -(X @ ou.C(T - s).T), 0
+    def drift_fn(k, s, X):
+        return cache.reversal_drift(nu, s, X), -(X @ ou.C(T - s).T), 0
 
     def sigma_fn(s, X):
         return ou.sigma(T - s)
@@ -183,19 +166,16 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
 
 def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
                                      drift_clip=1e3, seed=0, bandwidth=None,
-                                     bias_correction=True, kde_stride=1,
-                                     store_every=None, kde_method="auto",
-                                     truncation_radius=None,
-                                     ellipticity_eps=1e-8):
+                                     bias_correction=True, store_every=None,
+                                     kde_method="auto", ellipticity_eps=1e-8):
     """Reversed run with the drift estimated from the live cloud.
 
-    Every ``kde_stride`` steps (default: every step) a Gaussian-kernel
-    field is rebuilt from the current ensemble, evaluated at the particles
-    with the self-kernel left out.  The density drift is clipped in norm
-    at ``drift_clip``; particles in estimation vacuum (essentially no
-    neighbour mass inside the kernel) keep only the -b drift for that
-    step, and more than 10% vacuum in one step aborts the run as too
-    sparse.
+    At every step a Gaussian-kernel field is rebuilt from the current
+    ensemble, evaluated at the particles with the self-kernel left out.
+    The density drift is clipped in norm at ``drift_clip``; particles in
+    estimation vacuum (essentially no neighbour mass inside the kernel)
+    keep only the -b drift for that step, and more than 10% vacuum in one
+    step aborts the run as too sparse.
 
     The reversed dynamics is an anti-diffusion: density ripples at
     wavenumber k grow like k^2 (K_h(k) - 1/2), so narrow kernels clump the
@@ -236,24 +216,14 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         raise ValueError(f"unknown kde_method {kde_method!r}")
     binned = kde_method == "binned" or (kde_method == "auto" and d == 1
                                         and n >= 256)
-    state = {"field": None, "own": False}
 
-    def drift_fn(s, X):
-        k = int(round(s / run_grid.dt))
-        if state["field"] is None or k % kde_stride == 0:
-            h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
-            state["field"] = KdeField(X, h, truncation_radius=truncation_radius)
-            state["own"] = True  # self-exclusion only valid on this cloud
-        field = state["field"]
+    def drift_fn(k, s, X):
+        h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
+        field = KdeField(X, h)
         if binned:
-            logp, score = field.binned_log_density_and_score(
-                X, exclude_self=state["own"]
-            )
+            logp, score = field.binned_log_density_and_score(X, exclude_self=True)
         else:
-            logp, score = field.log_density_and_score(
-                X, exclude_self=state["own"]
-            )
-        state["own"] = False
+            logp, score = field.log_density_and_score(X, exclude_self=True)
         # vacuum: less than ~half a neighbour's mass inside the kernel
         floor = (math.log(0.5) - math.log(field.n)
                  - np.log(field.bandwidth * math.sqrt(2 * math.pi)).sum())
@@ -268,16 +238,11 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         if bias_correction:
             v = X.var(axis=0, ddof=1)
             score = score * ((v + field.bandwidth**2) / v)[None, :]
-        S = model.sigma_sigma_T_flipped(s, X)
-        dens = score @ S.T if S.ndim == 2 else np.einsum("nij,nj->ni", S, score)
-        dens = dens + model.div_sigma_rows_flipped(s, X)
+        dens = _reversal_drift_from_score(model, s, X, score)
         dens[vac] = 0.0
         return dens, -model.drift_flipped(s, X), n_vac
 
-    def sigma_fn(s, X):
-        return model.sigma_flipped(s, X)
-
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn,
+    path, diag = _run_loop(run_grid, Y, seed, drift_fn, model.sigma_flipped,
                            drift_clip, store_every)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
                        epsilon_stop=eps, drift_clip=drift_clip, path=path,

@@ -1,0 +1,137 @@
+"""Bitwise pins of seeded outputs.
+
+Each case hashes the raw bytes of a seeded run's outputs with SHA-256 and
+compares against a digest recorded before the Euler loops, the RK4 loops
+and the reversal-drift assemblies were merged into one of each.  A change
+that moves any bit of these outputs fails here, so refactors of the
+numerical kernels must keep the arithmetic (and its order) unchanged.
+
+The digests hold for one floating-point environment (CPU, numpy, BLAS);
+on another one, recompute them with ``python tests/test_bits.py`` at a
+known-good commit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import retrodiff as rd
+from retrodiff.models import affine_model
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _diag(run):
+    d = run.diagnostics
+    return (run.terminal.positions, d.step, d.t, d.max_drift, d.clips,
+            d.vacuums)
+
+
+def em_ou_2d():
+    C = [[-0.5, 1.0], [-1.0, -0.2]]
+    m = rd.make_model("ou", C=C, sigma=[[1.0, 0.3], [0.0, 0.8]])
+    init = rd.sample_initial(rd.gaussian([0.5, -0.5], 0.2 * np.eye(2)), 400,
+                             seed=11)
+    path = rd.euler_maruyama_path(m.as_diffusion_model(), init,
+                                  rd.TimeGrid(0.0, 1.0, 100), seed=11)
+    return (path.terminal.positions,)
+
+
+def em_sqrt1px2():
+    m = affine_model(0.3, -0.7, sigma_spec=("sqrt1px2", 3.0))
+    init = rd.sample_initial(rd.gaussian([0.2], 0.5), 400, seed=12)
+    path = rd.euler_maruyama_path(m, init, rd.TimeGrid(0.0, 1.0, 100), seed=12)
+    return (path.terminal.positions,)
+
+
+def reversal_analytic_1d():
+    heat = rd.make_model("heat", dim=1, scale=0.9)
+    run = rd.simulate_reversal_analytic(
+        heat, rd.dirac([0.4]), rd.gaussian([0.4], 0.81), rd.TimeGrid(0.0, 1.0, 60),
+        500, epsilon_stop=0.05, seed=13, drift_clip=2.0)
+    return _diag(run)
+
+
+def reversal_analytic_2d():
+    ou = rd.make_model("ou", C=[[0.0, 1.0], [-1.0, -0.3]], sigma=np.eye(2))
+    nu = rd.gaussian([0.3, -0.2], 0.1 * np.eye(2))
+    mu = rd.ou_marginal(ou, nu, 1.0, n_steps=40)
+    run = rd.simulate_reversal_analytic(ou, nu, mu, rd.TimeGrid(0.0, 1.0, 40),
+                                        300, epsilon_stop=0.1, seed=14)
+    return _diag(run)
+
+
+def reversal_selfconsistent_1d_binned():
+    heat = rd.make_model("heat", dim=1)
+    run = rd.simulate_reversal_selfconsistent(
+        heat, rd.gaussian([0.1], 1.0), rd.TimeGrid(0.0, 1.0, 20), 400,
+        epsilon_stop=0.1, seed=15, kde_method="binned")
+    return _diag(run)
+
+
+def reversal_selfconsistent_2d_exact():
+    rot = rd.make_model("ou", C=[[0.0, 1.0], [-1.0, 0.0]], sigma=np.eye(2))
+    run = rd.simulate_reversal_selfconsistent(
+        rot, rd.gaussian([0.2, 0.1], np.eye(2)), rd.TimeGrid(0.0, 1.0, 10), 200,
+        epsilon_stop=0.2, seed=16)
+    return _diag(run)
+
+
+def dirac_affine_mc():
+    drift = rd.AffineDrift(b0=lambda t: np.array([0.2 * t, -0.1]),
+                           b1=lambda t: np.array([[-1.0, 0.5 * t], [0.0, -0.3]]),
+                           dim=2)
+    X = rd.substream(17, 1).standard_normal((1000, 2)) + [1.0, -2.0]
+    ens = rd.ParticleEnsemble(time=1.0, positions=X)
+    x_hat, stderr = rd.reconstruct_dirac_affine_mc(drift, None, ens,
+                                                   rd.TimeGrid(0.0, 1.0, 50))
+    return x_hat, np.array(stderr)
+
+
+def fourier_ode():
+    ou = rd.OUModel(lambda t: np.array([[-0.4, t], [-1.0, 0.1]]),
+                    lambda t: np.array([[1.0, 0.2 * t], [0.0, 0.7]]), dim_d=2)
+    nu = rd.gaussian([0.2, -0.1], 0.3 * np.eye(2))
+    xi = np.array([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.0], [3.0, -2.5]])
+    return (rd.fourier_ode_solve(ou, nu, xi, rd.TimeGrid(0.0, 1.0, 100)),)
+
+
+CASES = {
+    "em_ou_2d": em_ou_2d,
+    "em_sqrt1px2": em_sqrt1px2,
+    "reversal_analytic_1d": reversal_analytic_1d,
+    "reversal_analytic_2d": reversal_analytic_2d,
+    "reversal_selfconsistent_1d_binned": reversal_selfconsistent_1d_binned,
+    "reversal_selfconsistent_2d_exact": reversal_selfconsistent_2d_exact,
+    "dirac_affine_mc": dirac_affine_mc,
+    "fourier_ode": fourier_ode,
+}
+
+DIGESTS = {
+    "em_ou_2d": "51f1637ac40ccdf5802d0a9529f77a48cabd98903e1817fea5e091b26b0256a8",
+    "em_sqrt1px2": "dbb9556f8a201de74064bb24f4f4e59af50b995ba1b93f76e4694eedd197d410",
+    "reversal_analytic_1d": "2c386d92b7933bad7566ab0c5721c0e14f3809a202039587d1c460e19a56d3d2",
+    "reversal_analytic_2d": "86c51887f435c8cc063a57a5daee8b781820de20237af113f3c7feae53e715b4",
+    "reversal_selfconsistent_1d_binned": "951a170d6183f07cb791861293610fa9890d63424f38903907b5c344dc9824a3",
+    "reversal_selfconsistent_2d_exact": "f4157fc5e62b55ef619bd24c76bd57c7f52abf7db990964580afad167263ff42",
+    "dirac_affine_mc": "9f0a99ce4d42981cfff402d2ae8079715333c349def5360d082feb3c4438e33c",
+    "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_seeded_output_bits_are_pinned(name):
+    assert _digest(*CASES[name]()) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for name, case in CASES.items():
+        print(f'    "{name}": "{_digest(*case())}",')

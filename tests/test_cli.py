@@ -339,3 +339,41 @@ directory = {tmp_path / "out"}
     assert main(["forward", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(rep["terminal_cov"][0][0] - 0.625) < 0.05
+
+
+def test_piecewise_family_runs_every_command(tmp_path, capsys):
+    body = """
+[model]
+family = piecewise
+breakpoints = 0 0.5 1.0
+rates = -1 -0.5
+sigmas = 1 0.5
+
+[grid]
+t_end = 1.0
+n_steps = 50
+
+[run]
+seed = 4
+particles = 1000
+{run}
+
+[output]
+directory = {out}
+"""
+    runs = {
+        "moment-check": "x = 0\ny = 1",
+        "injectivity": "candidates = 0 1",
+        "invert": "route = search\nx0 = 0.5\ncandidates = -1 0 0.5 1",
+    }
+    for command, run in runs.items():
+        out = tmp_path / command
+        cfg = write_config(tmp_path / f"{command}.ini",
+                           body.format(run=run, out=out))
+        assert main([command, "--config", cfg]) in (0, 1)
+        assert (out / "report.json").exists()
+    # a piecewise model has no affine drift: a configuration error, exit 2
+    cfg = write_config(tmp_path / "mc.ini", body.format(
+        run="route = mean-ode-mc\nx0 = 0.5", out=tmp_path / "mc"))
+    assert main(["invert", "--config", cfg]) == 2
+    assert "affine-drift model" in capsys.readouterr().err

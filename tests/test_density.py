@@ -118,19 +118,6 @@ def test_scale_equivariance_of_score():
     assert np.allclose(s2, s1 / lam, rtol=1e-12)
 
 
-def test_truncated_mode_agrees_with_exact():
-    rng = substream(5, 55)
-    X = rng.standard_normal((5000, 1))
-    h = silverman_bandwidth(X)
-    exact = KdeField(X, h)
-    trunc = KdeField(X, h, truncation_radius=8.0)
-    xs = np.linspace(-2, 2, 11)[:, None]
-    pe, se = exact.log_density_and_score(xs)
-    pt, st = trunc.log_density_and_score(xs)
-    assert np.abs(pe - pt).max() < 1e-10
-    assert np.abs(se - st).max() < 1e-8
-
-
 def test_reversal_drift_constant_diffusion_is_score():
     m = heat_model(dim=1).as_diffusion_model()
     f = AnalyticField(gaussian(0.0, 1.0))

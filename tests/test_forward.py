@@ -112,7 +112,7 @@ def test_thinning_and_full_store():
     g = TimeGrid(0.0, 1.0, 1000)
     thin = euler_maruyama_path(m, init, g, seed=0)
     assert len(thin) <= 202
-    full = euler_maruyama_path(m, init, g, seed=0, full_store=True)
+    full = euler_maruyama_path(m, init, g, seed=0, store_every=1)
     assert len(full) == 1001
     assert np.array_equal(thin.terminal.positions, full.terminal.positions)
 
@@ -177,7 +177,7 @@ def test_snapshot_csv_format():
     m = heat_model(dim=2).as_diffusion_model()
     init = sample_initial(DiracMixture([[0.0, 0.0]]), 3, seed=0)
     path = euler_maruyama_path(m, init, TimeGrid(0.0, 1.0, 4), seed=0,
-                               full_store=True)
+                               store_every=1)
     buf = io.StringIO()
     export_snapshots_csv(path, buf)
     lines = buf.getvalue().strip().split("\n")

@@ -7,7 +7,6 @@ from retrodiff import (
     check_ellipticity,
     estimate_lipschitz,
     make_model,
-    sigma_sigma_T,
 )
 from retrodiff.models import (
     DiffusionModel,
@@ -20,7 +19,7 @@ from retrodiff.models import (
 
 def test_sigma_sigma_T_identity():
     m = heat_model(dim=2).as_diffusion_model()
-    S = sigma_sigma_T(m, 0.0, np.zeros(2))
+    S = m.sigma_sigma_T(0.0, np.zeros(2))
     assert np.array_equal(S, np.eye(2))
 
 
@@ -31,7 +30,7 @@ def test_sigma_sigma_T_rank_one():
         drift=lambda t, x: np.zeros_like(np.atleast_2d(x)),
         dispersion=lambda t, x: np.array([[1.0], [1.0]]),
     )
-    S = sigma_sigma_T(m, 0.0, np.zeros(2))
+    S = m.sigma_sigma_T(0.0, np.zeros(2))
     assert np.allclose(S, np.ones((2, 2)))
     assert np.linalg.matrix_rank(S) == 1
 
@@ -45,7 +44,7 @@ def test_sigma_sigma_T_psd_random():
             drift=lambda t, x: np.zeros(3),
             dispersion=lambda t, x, s=sig: s,
         )
-        S = sigma_sigma_T(m, 0.0, np.zeros(3))
+        S = m.sigma_sigma_T(0.0, np.zeros(3))
         assert np.linalg.eigvalsh(S).min() >= -1e-12  # eigensolver oracle
 
 

@@ -15,7 +15,6 @@ from retrodiff import (
     TimeGrid,
     consistency_triangle,
     dirac,
-    fourier_forward,
     fourier_invert_terminal,
     fourier_ode_solve,
     gaussian,
@@ -70,7 +69,7 @@ def test_fourier_forward_heat():
     for t in (0.2, 0.7, 1.0):
         for xi in (-2.0, 0.5, 3.0):
             oracle = np.exp(-t * xi * xi / 2.0)
-            assert abs(fourier_forward(sol, t, np.array([xi])) - oracle) < 1e-12
+            assert abs(sol(t, np.array([xi])) - oracle) < 1e-12
 
 
 def test_fourier_forward_translation_phase():
@@ -78,17 +77,17 @@ def test_fourier_forward_translation_phase():
     sol = make_fourier_solution(HEAT, dirac([x0]))
     xi = np.array([0.8])
     oracle = np.exp(-0.5 * 0.5 * 0.64) * np.exp(-1j * 0.8 * x0)
-    assert abs(fourier_forward(sol, 0.5, xi) - oracle) < 1e-12
+    assert abs(sol(0.5, xi) - oracle) < 1e-12
 
 
 def test_fourier_forward_normalization_and_modulus():
     sol = make_fourier_solution(OU1, gaussian(0.3, 0.4))
-    assert fourier_forward(sol, 0.5, np.zeros(1)) == 1.0
+    assert sol(0.5, np.zeros(1)) == 1.0
     rng = np.random.default_rng(3)
     for _ in range(20):
         t = rng.uniform(0.0, 1.0)
         xi = rng.uniform(-5.0, 5.0, size=1)
-        assert abs(fourier_forward(sol, t, xi)) <= 1.0 + 1e-12
+        assert abs(sol(t, xi)) <= 1.0 + 1e-12
 
 
 def test_fourier_forward_matches_marginal_charfn():
@@ -96,11 +95,11 @@ def test_fourier_forward_matches_marginal_charfn():
     sol = make_fourier_solution(OU1, dirac([0.0]))
     mix = ou_marginal(OU1, dirac([0.0]), 1.0)
     for xi in (0.5, 1.0, 2.0):
-        a = fourier_forward(sol, 1.0, np.array([xi]))
+        a = sol(1.0, np.array([xi]))
         b = mix.char_transform(np.array([xi]))
         assert abs(a - b) < 1e-8
     # concrete value at xi = 1: exp(-(e^2-1)/4)
-    assert abs(fourier_forward(sol, 1.0, np.ones(1))
+    assert abs(sol(1.0, np.ones(1))
                - np.exp(-(np.e**2 - 1.0) / 4.0)) < 1e-8
 
 
@@ -129,7 +128,7 @@ def test_fourier_ode_matches_closed_form_random_2d():
             xi = np.array(xi)
             eta = cache.D_inv(t) @ xi
             ode_val = fourier_ode_solve(ou, tr, eta, TimeGrid(0.0, t, 500))[-1]
-            closed = fourier_forward(sol, t, xi)
+            closed = sol(t, xi)
             assert abs(ode_val - closed) < 1e-8
 
 
@@ -260,5 +259,5 @@ def test_invert_then_forward_recovers_terminal():
 
     sol = make_fourier_solution(HEAT, init_transform)
     for xi in np.linspace(-2.0, 2.0, 7):
-        a = fourier_forward(sol, 1.0, np.array([xi]))
+        a = sol(1.0, np.array([xi]))
         assert abs(a - mu_hat(np.array([xi]))) < 1e-6

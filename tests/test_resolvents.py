@@ -15,6 +15,7 @@ from retrodiff import (
     solve_adjoint_resolvent_inverse,
     solve_resolvent,
 )
+from retrodiff.resolvents import _rk4_path
 
 
 def grid(T=1.0, n=1000):
@@ -114,6 +115,20 @@ def test_rk4_order_on_step_halving():
         path = solve_resolvent(lambda t: C, grid(n=n))
         errs.append(np.linalg.norm(path.at(1.0) - oracle))
     assert errs[0] / errs[1] >= 8.0
+
+
+def test_rk4_backward_direction_matches_expm():
+    # M' = C M from M(T) = I backwards: M(t) = expm(C (t - T)) at every node
+    rng = np.random.default_rng(9)
+    C = rng.uniform(-2.0, 2.0, size=(3, 3))
+    g = TimeGrid(0.0, 1.5, 300)
+    values = _rk4_path(lambda t, y: C @ y, np.eye(3), g, backward=True)
+    assert np.array_equal(values[-1], np.eye(3))
+    rel = []
+    for k in range(g.n_steps + 1):
+        oracle = expm(C * (g.node(k) - g.t_end))
+        rel.append(np.linalg.norm(values[k] - oracle) / np.linalg.norm(oracle))
+    assert max(rel) < 1e-8
 
 
 def test_integral_defect_order():
