@@ -7,18 +7,20 @@ Subcommands bind the library modules to INI-style config files:
 
 with subcommands ``forward``, ``reverse``, ``ou-verify``, ``invert``,
 ``moment-check`` and ``injectivity``.  Reports are JSON with deterministic
-bytes (reruns of the same config are byte-identical); timestamps live in a
-separate metadata file; bulk particle data goes to CSV.  The exit code is
-0 iff every configured threshold passes, 1 on a threshold failure and 2 on
-usage or configuration errors.  All randomness derives from the mandatory
-``seed`` key.
+bytes (reruns of the same config are byte-identical); timestamps and the
+wall seconds of each phase live in a separate metadata file; bulk particle
+data goes to CSV.  The exit code is 0 iff every configured threshold
+passes, 1 on a threshold failure and 2 on usage or configuration errors.
+All randomness derives from the mandatory ``seed`` key.
 """
 
 import argparse
 import configparser
+import contextlib
 import json
 import os
 import sys
+import time
 
 SPEC_VERSION = "0.1.0"
 
@@ -182,6 +184,7 @@ class _Emitter:
     def __init__(self, directory, force):
         self.dir = directory
         self.force = force
+        self.phase_seconds = {}
         os.makedirs(directory, exist_ok=True)
 
     def path(self, name):
@@ -197,9 +200,14 @@ class _Emitter:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def metadata(self, command, config_path):
-        import time
+    @contextlib.contextmanager
+    def phase(self, name):
+        """Record the wall seconds of the enclosed block in metadata.json."""
+        t0 = time.perf_counter()
+        yield
+        self.phase_seconds[name] = time.perf_counter() - t0
 
+    def metadata(self, command, config_path):
         from . import __version__
 
         with open(os.path.join(self.dir, "metadata.json"), "w") as fh:
@@ -207,6 +215,7 @@ class _Emitter:
                 {
                     "command": command,
                     "config": os.path.abspath(config_path),
+                    "phase_seconds": self.phase_seconds,
                     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                     "version": __version__,
                 },
@@ -243,13 +252,16 @@ def cmd_forward(cfg, emitter):
     n = int(_positive(cfg, "run", "particles", default=10000, integer=True))
     if "init" not in cfg["run"]:
         raise ConfigError("forward needs run.init")
-    init = sample_initial(_parse_distribution(cfg["run"]["init"]), n, seed)
+    init_dist = _parse_distribution(cfg["run"]["init"])
     full = cfg["run"].get("store_full", "false").lower() in ("1", "true", "yes")
-    path = euler_maruyama_path(model, init, grid, seed,
-                               store_every=1 if full else None)
-    with open(emitter.path("snapshots.csv"), "w") as fh:
+    with emitter.phase("simulate"):
+        init = sample_initial(init_dist, n, seed)
+        path = euler_maruyama_path(model, init, grid, seed,
+                                   store_every=1 if full else None)
+    with emitter.phase("export"), open(emitter.path("snapshots.csv"), "w") as fh:
         export_snapshots_csv(path, fh)
-    mean, cov = empirical_moments(path.terminal)
+    with emitter.phase("verify"):
+        mean, cov = empirical_moments(path.terminal)
     return _report(True, [], {
         "terminal_mean": mean.tolist(),
         "terminal_cov": cov.tolist(),
@@ -287,59 +299,64 @@ def cmd_reverse(cfg, emitter):
     nu = _parse_distribution(run_cfg["nu"]) if "nu" in run_cfg else None
     is_ou = isinstance(model, OUModel)
 
-    terminal_warning = False
-    if mode == "analytic":
-        if not is_ou or nu is None:
-            raise ConfigError("analytic mode needs an ou/heat model and run.nu")
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run = simulate_reversal_analytic(
-                model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
-                drift_clip=clip,
-            )
-        terminal_warning = any("no consistent solution" in str(w.message)
-                               for w in caught)
-    elif mode == "self-consistent":
-        bw = run_cfg.get("bandwidth", "none")
-        bw = None if bw == "none" else float(bw)
-        run = simulate_reversal_selfconsistent(
-            model, mu, grid, n, epsilon_stop=eps,
-            drift_clip=1e3 if clip is None else clip, seed=seed, bandwidth=bw,
-        )
-    else:
+    if mode not in ("analytic", "self-consistent"):
         raise ConfigError(f"unknown run.mode {mode!r}")
+    if mode == "analytic" and (not is_ou or nu is None):
+        raise ConfigError("analytic mode needs an ou/heat model and run.nu")
 
-    with open(emitter.path("snapshots.csv"), "w") as fh:
-        export_snapshots_csv(run.path, fh)
-    with open(emitter.path("diagnostics.csv"), "w") as fh:
-        export_diagnostics_csv(run, fh)
+    terminal_warning = False
+    with emitter.phase("simulate"):
+        if mode == "analytic":
+            import warnings
 
-    X = run.terminal.positions
-    proxy = check_integrability_proxy(run)
-    payload = {
-        "mode": run.mode,
-        "terminal_mean": X.mean(axis=0).tolist(),
-        "terminal_std": X.std(axis=0, ddof=1).tolist(),
-        "epsilon_stop": run.epsilon_stop,
-        "drift_integral": proxy.drift_integral,
-        "drift_growth_exponent": proxy.growth_exponent,
-        "clip_events": proxy.clip_events,
-        "vacuum_events": proxy.vacuum_events,
-        "terminal_consistency_warning": terminal_warning,
-    }
-    failures = []
-    if is_ou and nu is not None:
-        ks_max = _threshold(cfg, "ks_max", 0.02)
-        # the run's own grid, so the cached OUAnalytic of the run is reused
-        ref = lambda t: ou_marginal(model, nu, grid.t_end - t,  # noqa: E731
-                                    n_steps=grid.n_steps)
-        rep = verify_representation(run, ref, threshold=ks_max)
-        payload["representation_max_stat"] = rep.max_stat
-        payload["representation_threshold"] = ks_max
-        if not rep.passed:
-            failures.append("representation_max_stat")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run = simulate_reversal_analytic(
+                    model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
+                    drift_clip=clip,
+                )
+            terminal_warning = any("no consistent solution" in str(w.message)
+                                   for w in caught)
+        else:
+            bw = run_cfg.get("bandwidth", "none")
+            bw = None if bw == "none" else float(bw)
+            run = simulate_reversal_selfconsistent(
+                model, mu, grid, n, epsilon_stop=eps,
+                drift_clip=1e3 if clip is None else clip, seed=seed,
+                bandwidth=bw,
+            )
+
+    with emitter.phase("export"):
+        with open(emitter.path("snapshots.csv"), "w") as fh:
+            export_snapshots_csv(run.path, fh)
+        with open(emitter.path("diagnostics.csv"), "w") as fh:
+            export_diagnostics_csv(run, fh)
+
+    with emitter.phase("verify"):
+        X = run.terminal.positions
+        proxy = check_integrability_proxy(run)
+        payload = {
+            "mode": run.mode,
+            "terminal_mean": X.mean(axis=0).tolist(),
+            "terminal_std": X.std(axis=0, ddof=1).tolist(),
+            "epsilon_stop": run.epsilon_stop,
+            "drift_integral": proxy.drift_integral,
+            "drift_growth_exponent": proxy.growth_exponent,
+            "clip_events": proxy.clip_events,
+            "vacuum_events": proxy.vacuum_events,
+            "terminal_consistency_warning": terminal_warning,
+        }
+        failures = []
+        if is_ou and nu is not None:
+            ks_max = _threshold(cfg, "ks_max", 0.02)
+            # the run's own grid, so the cached OUAnalytic of the run is reused
+            ref = lambda t: ou_marginal(model, nu, grid.t_end - t,  # noqa: E731
+                                        n_steps=grid.n_steps)
+            rep = verify_representation(run, ref, threshold=ks_max)
+            payload["representation_max_stat"] = rep.max_stat
+            payload["representation_threshold"] = ks_max
+            if not rep.passed:
+                failures.append("representation_max_stat")
     return _report(not failures, failures, payload)
 
 

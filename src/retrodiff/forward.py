@@ -212,13 +212,48 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None,
     )
 
 
+# Rows per formatting call in the CSV exports; bounds their transient memory.
+_CSV_BLOCK = 16384
+
+
+def _write_csv_rows(fileobj, row_format, columns):
+    """Write ``row_format % row`` for each row of ``columns``, a block at a time.
+
+    ``columns`` are equal-length 1-D numpy arrays or ranges (a range
+    keeps a row counter from costing memory per row), one per conversion
+    in ``row_format``.  Each block of ``_CSV_BLOCK`` rows is one flat
+    argument tuple and one C-level ``%``, which gives the same bytes as
+    formatting row by row while the transient memory stays bounded by the
+    block size.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    for a in range(0, n, _CSV_BLOCK):
+        b = min(a + _CSV_BLOCK, n)
+        args = [None] * ((b - a) * width)
+        for j, col in enumerate(columns):
+            part = col[a:b]
+            args[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        fileobj.write(row_format * (b - a) % tuple(args))
+
+
 def export_snapshots_csv(path, fileobj):
-    """Write snapshots as CSV rows ``t,particle_id,x1..xd`` (17 sig digits)."""
+    """Write every snapshot of ``path`` to ``fileobj`` as CSV.
+
+    The header is ``t,particle_id,x1,...,xd``.  Snapshots follow in time
+    order, and within each snapshot particles follow in index order, one
+    row ``t,particle_id,x1,...,xd`` each.  ``t`` and the coordinates are
+    written with ``%.17g`` (17 significant digits, so every float64 reads
+    back bitwise; ``-0``, ``nan`` and ``inf`` as Python prints them) and
+    ``particle_id`` runs 0..n-1 as a decimal integer.  Rows are formatted
+    ``_CSV_BLOCK`` at a time, so the memory the export needs beyond the
+    path itself is bounded by that block size, not by n.
+    """
     d = path.snapshots[0].dim
     header = "t,particle_id," + ",".join(f"x{i + 1}" for i in range(d))
     fileobj.write(header + "\n")
+    coords = ",".join(["%.17g"] * d)
     for snap in path.snapshots:
-        t = f"{snap.time:.17g}"
-        for pid, row in enumerate(snap.positions):
-            coords = ",".join(f"{v:.17g}" for v in row)
-            fileobj.write(f"{t},{pid},{coords}\n")
+        X = snap.positions
+        _write_csv_rows(fileobj, f"{snap.time:.17g},%d,{coords}\n",
+                        [range(snap.n), *(X[:, j] for j in range(d))])

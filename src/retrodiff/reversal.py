@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import KdeField, _reversal_drift_from_score
-from .forward import EnsemblePath, _em_loop
+from .forward import EnsemblePath, _em_loop, _write_csv_rows
 from .grids import TimeGrid
 from .metrics import energy_distance_nd, ks_statistic, ks_two_sample
 from .models import OUModel, check_ellipticity
@@ -36,9 +36,6 @@ class StepDiagnostics:
     clips: np.ndarray
     vacuums: np.ndarray
     wall_time: float = 0.0
-
-    def rows(self):
-        return zip(self.step, self.t, self.max_drift, self.clips, self.vacuums)
 
 
 @dataclass
@@ -357,7 +354,12 @@ def check_integrability_proxy(run):
 
 
 def export_diagnostics_csv(run, fileobj):
-    """Write per-step diagnostics as ``step,t,max_drift,clips,vacuums``."""
+    """Write per-step diagnostics as ``step,t,max_drift,clips,vacuums``.
+
+    One row per step in step order; ``t`` and ``max_drift`` use ``%.17g``
+    like :func:`retrodiff.forward.export_snapshots_csv`.
+    """
+    d = run.diagnostics
     fileobj.write("step,t,max_drift,clips,vacuums\n")
-    for k, t, md, c, v in run.diagnostics.rows():
-        fileobj.write(f"{k},{t:.17g},{md:.17g},{c},{v}\n")
+    _write_csv_rows(fileobj, "%d,%.17g,%.17g,%d,%d\n",
+                    [d.step, d.t, d.max_drift, d.clips, d.vacuums])

@@ -6,17 +6,26 @@ and the reversal-drift assemblies were merged into one of each.  A change
 that moves any bit of these outputs fails here, so refactors of the
 numerical kernels must keep the arithmetic (and its order) unchanged.
 
+The CLI cases hash the CSV files that ``retrodiff reverse`` and
+``retrodiff forward`` write, byte for byte, as recorded while the CSV
+exports still formatted one row at a time.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 import retrodiff as rd
+from retrodiff.cli import main
 from retrodiff.models import affine_model
 
 
@@ -115,6 +124,90 @@ CASES = {
     "fourier_ode": fourier_ode,
 }
 
+CLI_REVERSE_2D = """
+[model]
+family = heat
+dim = 2
+scale = 0.9
+
+[grid]
+t_end = 1.0
+n_steps = 40
+
+[run]
+seed = 18
+particles = 300
+mode = analytic
+nu = dirac:0.3,-0.2
+mu = gaussian:0.3,-0.2,0.81
+epsilon_stop = 0.1
+"""
+
+CLI_FORWARD_FULL = """
+[model]
+family = ou
+c = -0.5,1.0;-1.0,-0.2
+sigma = 1.0,0.3;0.0,0.8
+
+[grid]
+t_end = 1.0
+n_steps = 20
+
+[run]
+seed = 19
+particles = 200
+init = gaussian:0.5,-0.5,0.2
+store_full = true
+"""
+
+
+def _cli_files(command, config, names):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w") as fh:
+            fh.write(config)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg, "--output", out])
+        assert code in (0, 1)
+        files = []
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(fh.read())
+    return files
+
+
+def _bytes_digest(*blobs):
+    h = hashlib.sha256()
+    for b in blobs:
+        h.update(b)
+    return h.hexdigest()
+
+
+def cli_reverse_snapshots():
+    return _cli_files("reverse", CLI_REVERSE_2D, ["snapshots.csv"])
+
+
+def cli_reverse_diagnostics():
+    return _cli_files("reverse", CLI_REVERSE_2D, ["diagnostics.csv"])
+
+
+def cli_forward_full_snapshots():
+    return _cli_files("forward", CLI_FORWARD_FULL, ["snapshots.csv"])
+
+
+CLI_CASES = {
+    "cli_reverse_snapshots": cli_reverse_snapshots,
+    "cli_reverse_diagnostics": cli_reverse_diagnostics,
+    "cli_forward_full_snapshots": cli_forward_full_snapshots,
+}
+
+CLI_DIGESTS = {
+    "cli_reverse_snapshots": "53fe64ee93f1f6bc139bf0a1dd2694fae4ddcd4e2c723566b517206e5f31a7f0",
+    "cli_reverse_diagnostics": "e158fdabbbeff03df6da3c826ab4f3bea512cfa367b74c52da05c18c2cd4e02e",
+    "cli_forward_full_snapshots": "d49aab69898e4a2fdff71634de681ccddeb4eaf1bd44d2bf38790bbe0593e0a2",
+}
+
 DIGESTS = {
     "em_ou_2d": "51f1637ac40ccdf5802d0a9529f77a48cabd98903e1817fea5e091b26b0256a8",
     "em_sqrt1px2": "dbb9556f8a201de74064bb24f4f4e59af50b995ba1b93f76e4694eedd197d410",
@@ -132,6 +225,13 @@ def test_seeded_output_bits_are_pinned(name):
     assert _digest(*CASES[name]()) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_bytes_are_pinned(name):
+    assert _bytes_digest(*CLI_CASES[name]()) == CLI_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name, case in CASES.items():
         print(f'    "{name}": "{_digest(*case())}",')
+    for name, case in CLI_CASES.items():
+        print(f'    "{name}": "{_bytes_digest(*case())}",')

@@ -30,13 +30,20 @@ directory = {out}
 """
 
 
+def assert_phase_seconds(out):
+    phases = json.loads((out / "metadata.json").read_text())["phase_seconds"]
+    assert sorted(phases) == ["export", "simulate", "verify"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+    assert "phase_seconds" not in (out / "report.json").read_text()
+
+
 def test_forward_emits_files_and_passes(tmp_path):
     cfg = write_config(tmp_path / "c.ini",
                        HEAT_FORWARD.format(out=tmp_path / "out"))
     assert main(["forward", "--config", cfg]) == 0
     out = tmp_path / "out"
     assert (out / "snapshots.csv").exists()
-    assert (out / "metadata.json").exists()
+    assert_phase_seconds(out)
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert report["spec_version"]
@@ -154,6 +161,7 @@ directory = {out}
     assert rep["representation_max_stat"] < 0.02
     assert rep["terminal_consistency_warning"] is False
     assert (tmp_path / "good" / "diagnostics.csv").exists()
+    assert_phase_seconds(tmp_path / "good")
 
     # terminal datum not reachable from the point-source class: nonzero exit
     bad = write_config(tmp_path / "bad.ini",
@@ -187,6 +195,7 @@ directory = {tmp_path / "out"}
     assert main(["reverse", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["terminal_std"][0] < 0.35  # small-n smoke; tight bound in acceptance
+    assert_phase_seconds(tmp_path / "out")
 
 
 def test_invert_routes(tmp_path):

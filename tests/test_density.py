@@ -162,3 +162,37 @@ def test_reversal_drift_matches_ou_closed_form():
     a = reversal_drift(m, f, t, xs)
     b = ou_reversal_drift(ou, nu, t, xs)
     assert np.abs(a - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("n", [500, 5000])
+def test_binned_matches_exact_on_the_cloud(n, exclude_self):
+    # bimodal cloud, queried at its own particles as the reversal loop does
+    rng = substream(n, 51)
+    X = np.concatenate([rng.standard_normal((n // 2, 1)) - 1.5,
+                        0.5 * rng.standard_normal((n - n // 2, 1)) + 1.0])
+    f = KdeField(X, score_bandwidth(X))
+    logp_e, score_e = f.log_density_and_score(X, exclude_self=exclude_self)
+    logp_b, score_b = f.binned_log_density_and_score(X, exclude_self=exclude_self)
+    assert np.isfinite(logp_e).all() and np.isfinite(score_e).all()
+    assert np.max(np.abs(np.expm1(logp_b - logp_e))) <= 1e-4
+    assert np.max(np.abs(score_b - score_e)) <= 1e-3
+
+
+def test_binned_is_vacuum_outside_its_grid():
+    X = substream(1, 52).standard_normal((200, 1))
+    f = KdeField(X, 0.3)
+    lo, hi = X.min() - 8 * 0.3, X.max() + 8 * 0.3
+    q = np.array([[lo - 0.01], [hi + 0.01], [0.0]])
+    logp, score = f.binned_log_density_and_score(q)
+    assert np.array_equal(logp[:2], [-np.inf, -np.inf])
+    assert np.isnan(score[:2]).all()
+    assert np.isfinite(logp[2]) and np.isfinite(score[2]).all()
+    # the exact evaluator still resolves those tails
+    assert np.isfinite(f.log_density_and_score(q)[0]).all()
+
+
+def test_binned_rejects_multi_d():
+    f = KdeField(np.zeros((3, 2)), 1.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        f.binned_log_density_and_score(np.zeros((1, 2)))

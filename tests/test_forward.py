@@ -1,13 +1,19 @@
 """Forward simulation: frozen-cloud cases, CLT/chi^2 oracles, coupling."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     DiracMixture,
+    EnsemblePath,
     Empirical,
+    ParticleEnsemble,
     TimeGrid,
     check_moment_bound,
     compute_ou_covariance,
@@ -18,6 +24,7 @@ from retrodiff import (
     sample_initial,
     substream,
 )
+from retrodiff import forward
 from retrodiff.models import DiffusionModel, affine_model, heat_model, ou_model
 
 
@@ -188,6 +195,74 @@ def test_snapshot_csv_format():
     # 17 significant digits are representable round-trip
     val = path.terminal.positions[2, 1]
     assert float(lines[-1].split(",")[3]) == val
+
+
+def _oracle_snapshots_csv(path):
+    """The row-at-a-time writer the block writer replaced: the byte contract."""
+    d = path.snapshots[0].dim
+    out = ["t,particle_id," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"]
+    for snap in path.snapshots:
+        t = f"{snap.time:.17g}"
+        for pid, row in enumerate(snap.positions):
+            coords = ",".join(f"{v:.17g}" for v in row)
+            out.append(f"{t},{pid},{coords}\n")
+    return "".join(out)
+
+
+def _path(times, clouds):
+    snaps = [ParticleEnsemble(time=t, positions=X) for t, X in zip(times, clouds)]
+    return EnsemblePath(TimeGrid(0.0, 1.0, 1), snaps)
+
+
+def _export(path):
+    buf = io.StringIO()
+    export_snapshots_csv(path, buf)
+    return buf.getvalue()
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
+                    -1e-300, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, forward._CSV_BLOCK + 3])
+def test_snapshot_csv_bytes_match_row_writer(d, n):
+    rng = np.random.default_rng(d * 7 + n)
+    clouds = []
+    for shift in range(2):
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 5, (n, d))
+        flat = X.reshape(-1)
+        k = min(flat.size, SPECIAL.size)
+        flat[:k] = np.roll(SPECIAL, -shift)[:k]
+        clouds.append(X)
+    path = _path([0.0, 1.0 / 3.0], clouds)
+    # compared as lines, so a failure names the first differing row quickly
+    assert (_export(path).split("\n")
+            == _oracle_snapshots_csv(path).split("\n"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), block=st.integers(1, 8))
+def test_snapshot_csv_round_trips_bitwise(data, d, block):
+    n = data.draw(st.integers(1, 3 * block + 2), label="n")
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    clouds = [data.draw(arrays(np.float64, (n, d), elements=floats),
+                        label=f"cloud{i}") for i in range(2)]
+    path = _path([0.0, 0.5], clouds)
+    with mock.patch.object(forward, "_CSV_BLOCK", block):
+        text = _export(path)
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert lines[0] == "t,particle_id," + ",".join(f"x{i + 1}" for i in range(d))
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2 * n
+    for k, X in enumerate(clouds):
+        snap = rows[k * n:(k + 1) * n]
+        assert [float(r[0]) for r in snap] == [path.times[k]] * n
+        assert [int(r[1]) for r in snap] == list(range(n))
+        parsed = np.array([[float(v) for v in r[2:]] for r in snap])
+        assert parsed.shape == (n, d)
+        assert np.array_equal(parsed.view(np.uint64), X.view(np.uint64))
 
 
 def test_piecewise_dispersion_variance_composition():

@@ -6,6 +6,7 @@ itself for the self-consistent mode.
 """
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from retrodiff import (
     verify_representation,
     export_diagnostics_csv,
 )
+from retrodiff import forward
 from retrodiff.metrics import wasserstein1
+from retrodiff.reversal import StepDiagnostics
 from retrodiff.models import heat_model, ou_model
 
 HEAT = heat_model(dim=1)
@@ -215,3 +218,28 @@ def test_diagnostics_csv_format():
     assert len(lines) == 1 + run.grid.n_steps
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def _oracle_diagnostics_csv(diag):
+    """The row-at-a-time writer the block writer replaced: the byte contract."""
+    out = ["step,t,max_drift,clips,vacuums\n"]
+    for k, t, md, c, v in zip(diag.step, diag.t, diag.max_drift, diag.clips,
+                              diag.vacuums):
+        out.append(f"{k},{t:.17g},{md:.17g},{c},{v}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("n", [1, 5, forward._CSV_BLOCK + 3])
+def test_diagnostics_csv_bytes_match_row_writer(n):
+    rng = np.random.default_rng(n)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300,
+                        3.0, 2.0**53])
+    max_drift = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 8, n)
+    max_drift[:min(n, special.size)] = special[:n]
+    diag = StepDiagnostics(
+        step=np.arange(n), t=np.linspace(0.0, 0.99, n) ** 3,
+        max_drift=max_drift, clips=rng.integers(0, 10**6, n),
+        vacuums=np.zeros(n, dtype=int))
+    buf = io.StringIO()
+    export_diagnostics_csv(SimpleNamespace(diagnostics=diag), buf)
+    assert buf.getvalue().split("\n") == _oracle_diagnostics_csv(diag).split("\n")
