@@ -130,8 +130,13 @@ class KdeField:
 
         Sources are linearly binned, the kernel and its derivative are
         applied by FFT convolution, and queries are linearly interpolated.
-        Relative accuracy is ~1e-5 at the default grid size, far below the
-        estimator's statistical error; cost is O(G log G + N) instead of
+        At the default grid size the error against the exact evaluation is
+        about 1e-5 at the particles (relative density and absolute score
+        errors of 1-4e-5 on bimodal clouds of 500 and 5000 points) and
+        grows away from them: a few bandwidths past the cloud the relative
+        density error reaches 1-2e-4 and the score error 4e-4.  Both are
+        far below the estimator's statistical error, and the reversal loop
+        queries the particles only.  Cost is O(G log G + N) instead of
         O(N M), which is what makes kernel drifts affordable inside the
         reversal loop.  Semantics (floor, exclude_self) match the exact
         evaluation.

@@ -19,7 +19,12 @@ import numpy as np
 
 from .forward import euler_maruyama_path, sample_initial
 from .grids import TimeGrid
-from .metrics import sliced_wasserstein1, wasserstein1
+from .metrics import (
+    sliced_wasserstein1,
+    sliced_wasserstein1_sorted,
+    sorted_projections,
+    wasserstein1,
+)
 from .ou_analytic import AmplificationWindowError
 from .resolvents import _rk4_path
 from .streams import CANDIDATE_SIM, substream
@@ -180,11 +185,20 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     for cl in clouds:
         half = cl.shape[0] // 2
         floor = max(floor, _cloud_distance(cl[:half], cl[half:], met, seed))
+    if met == "mean":
+        keys = clouds
+
+        def distance(A, B):
+            return _cloud_distance(A, B, met, seed)
+    else:
+        # each cloud's projections are sorted once, for all of its pairs
+        keys = [sorted_projections(cl, seed=seed) for cl in clouds]
+        distance = sliced_wasserstein1_sorted
     K = len(clouds)
     D = np.zeros((K, K))
     for i in range(K):
         for j in range(i + 1, K):
-            D[i, j] = D[j, i] = _cloud_distance(clouds[i], clouds[j], met, seed)
+            D[i, j] = D[j, i] = distance(keys[i], keys[j])
     off = D[~np.eye(K, dtype=bool)]
     verdict = "injective" if off.min() > 3.0 * floor else "ambiguous"
     descr = [getattr(c, "points", getattr(c, "means", None)) for c in candidates]

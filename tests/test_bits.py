@@ -6,6 +6,11 @@ and the reversal-drift assemblies were merged into one of each.  A change
 that moves any bit of these outputs fails here, so refactors of the
 numerical kernels must keep the arithmetic (and its order) unchanged.
 
+The probe and search cases hash the pairwise distance matrix of
+``injectivity_probe`` and the scores of ``reconstruct_dirac_search``, as
+recorded while every sliced distance still called
+``scipy.stats.wasserstein_distance`` once per projection.
+
 The CLI cases hash the CSV files that ``retrodiff reverse`` and
 ``retrodiff forward`` write, byte for byte, as recorded while the CSV
 exports still formatted one row at a time.
@@ -113,6 +118,41 @@ def fourier_ode():
     return (rd.fourier_ode_solve(ou, nu, xi, rd.TimeGrid(0.0, 1.0, 100)),)
 
 
+def injectivity_probe_2d():
+    rot = rd.make_model("affine", b0=[0.0, 0.0], b1=[[0.0, 1.0], [-1.0, 0.0]])
+    axis = np.linspace(-1.0, 1.0, 3)
+    grid = [rd.dirac([a, b]) for a in axis for b in axis]
+    rep = rd.injectivity_probe(rot, grid, T=0.0625, n=100, seed=21,
+                               n_steps=20)
+    return rep.distances, np.array(rep.noise_floor)
+
+
+def _search_scores(res):
+    return (np.array([d for _, d, _ in res.table]), res.x_hat,
+            np.array(res.noise_floor))
+
+
+def dirac_search_1d():
+    heat = rd.make_model("heat", dim=1).as_diffusion_model()
+    init = rd.sample_initial(rd.dirac([0.3]), 300, seed=22)
+    target = rd.euler_maruyama_path(heat, init, rd.TimeGrid(0.0, 1.0, 20),
+                                    seed=22, store_every=20).terminal
+    res = rd.reconstruct_dirac_search(heat, target, [[-0.5], [0.0], [0.5]],
+                                      T=1.0, n=300, seed=23, n_steps=20)
+    return _search_scores(res)
+
+
+def dirac_search_2d():
+    heat = rd.make_model("heat", dim=2).as_diffusion_model()
+    init = rd.sample_initial(rd.dirac([0.2, -0.1]), 200, seed=24)
+    target = rd.euler_maruyama_path(heat, init, rd.TimeGrid(0.0, 0.5, 20),
+                                    seed=24, store_every=20).terminal
+    cands = [[0.0, 0.0], [0.5, 0.0], [0.0, -0.5], [0.5, -0.5]]
+    res = rd.reconstruct_dirac_search(heat, target, cands, T=0.5, n=200,
+                                      seed=25, n_steps=20)
+    return _search_scores(res)
+
+
 CASES = {
     "em_ou_2d": em_ou_2d,
     "em_sqrt1px2": em_sqrt1px2,
@@ -122,6 +162,9 @@ CASES = {
     "reversal_selfconsistent_2d_exact": reversal_selfconsistent_2d_exact,
     "dirac_affine_mc": dirac_affine_mc,
     "fourier_ode": fourier_ode,
+    "injectivity_probe_2d": injectivity_probe_2d,
+    "dirac_search_1d": dirac_search_1d,
+    "dirac_search_2d": dirac_search_2d,
 }
 
 CLI_REVERSE_2D = """
@@ -217,6 +260,9 @@ DIGESTS = {
     "reversal_selfconsistent_2d_exact": "f4157fc5e62b55ef619bd24c76bd57c7f52abf7db990964580afad167263ff42",
     "dirac_affine_mc": "9f0a99ce4d42981cfff402d2ae8079715333c349def5360d082feb3c4438e33c",
     "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
+    "injectivity_probe_2d": "a07680def8c1e5483eefd3c1ba0e94a9011800d316a262f4e1bb6f6f4ebe3248",
+    "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",
+    "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",
 }
 
 

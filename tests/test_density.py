@@ -179,6 +179,21 @@ def test_binned_matches_exact_on_the_cloud(n, exclude_self):
     assert np.max(np.abs(score_b - score_e)) <= 1e-3
 
 
+def test_binned_error_past_the_cloud():
+    # the interpolation error grows away from the particles, to ~2e-4 in
+    # the density and ~4e-4 in the score a few bandwidths past the cloud
+    rng = substream(5000, 51)
+    X = np.concatenate([rng.standard_normal((2500, 1)) - 1.5,
+                        0.5 * rng.standard_normal((2500, 1)) + 1.0])
+    h = float(silverman_bandwidth(X)[0])
+    f = KdeField(X, h)
+    q = np.linspace(X.min() - 3 * h, X.max() + 3 * h, 2001)[:, None]
+    logp_e, score_e = f.log_density_and_score(q)
+    logp_b, score_b = f.binned_log_density_and_score(q)
+    assert np.max(np.abs(np.expm1(logp_b - logp_e))) <= 5e-4
+    assert np.max(np.abs(score_b - score_e)) <= 1e-3
+
+
 def test_binned_is_vacuum_outside_its_grid():
     X = substream(1, 52).standard_normal((200, 1))
     f = KdeField(X, 0.3)

@@ -1,0 +1,152 @@
+"""Wasserstein-1 distances against scipy, compared bit for bit.
+
+``scipy.stats.wasserstein_distance`` is the oracle for ``wasserstein1``, and
+the per-direction scipy loop that ``sliced_wasserstein1`` used to run is
+kept here as the oracle for the sliced distance.  Floats are compared with
+``float.hex``, so a single differing bit fails.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import wasserstein_distance
+
+from retrodiff.metrics import (
+    sliced_wasserstein1,
+    sliced_wasserstein1_sorted,
+    sorted_projections,
+    wasserstein1,
+)
+from retrodiff.streams import PROJECTIONS, substream
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# plain floats, values rounded to one decimal (ties), and signed zeros
+VALUES = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+SAMPLES = st.lists(VALUES, min_size=1, max_size=60)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _scipy_sliced(X, Y, n_projections=32, seed=0):
+    """The per-direction loop that sliced_wasserstein1 ran before."""
+    X = np.atleast_2d(X)
+    Y = np.atleast_2d(Y)
+    rng = substream(seed, PROJECTIONS)
+    dirs = rng.standard_normal((n_projections, X.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vals = [float(wasserstein_distance(X @ u, Y @ u)) for u in dirs]
+    return float(np.mean(vals))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SAMPLES, b=SAMPLES)
+@example(a=[0.5], b=[-2.0])
+@example(a=[0.0, -0.0, 0.0], b=[-0.0, 0.0])
+@example(a=[1.0, 1.0, 2.0], b=[1.0, 2.0, 2.0, 2.0])
+def test_w1_is_scipy_bit_for_bit(a, b):
+    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60))
+def test_w1_equal_sizes_is_scipy_bit_for_bit(data, n):
+    a = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    b = data.draw(st.lists(VALUES, min_size=n, max_size=n))
+    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+
+
+@pytest.mark.parametrize("n, m", [(20000, 20000), (20000, 15001), (1, 5000)])
+def test_w1_large_samples_with_ties(n, m):
+    # long rows take BLAS's vectorised dot product, as scipy's do
+    rng = substream(31, n, m)
+    a = np.round(rng.standard_normal(n), 2)
+    b = rng.standard_normal(m) * 1.3 + 0.1
+    b[::7] = np.round(b[::7], 1)
+    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([math.nan], [0.0]),
+    ([1.0, math.nan, 2.0], [0.0, 3.0]),
+    ([1.0], [math.nan, math.nan]),
+])
+def test_nan_gives_nan_as_scipy_does(a, b):
+    assert math.isnan(wasserstein_distance(a, b))
+    assert math.isnan(wasserstein1(a, b))
+
+
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0, 2.0], [])])
+def test_empty_sample_raises(a, b):
+    with pytest.raises(ValueError):
+        wasserstein1(a, b)
+
+
+def test_empty_cloud_raises():
+    with pytest.raises(ValueError):
+        sliced_wasserstein1(np.empty((0, 2)), np.ones((3, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=SAMPLES, b=SAMPLES)
+def test_w1_is_symmetric_and_zero_on_itself(a, b):
+    assert _bits(wasserstein1(a, b)) == _bits(wasserstein1(b, a))
+    assert wasserstein1(a, a) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40),
+       m=st.integers(1, 40), seed=st.integers(0, 2**16),
+       n_projections=st.integers(1, 40))
+def test_sliced_is_the_scipy_loop_bit_for_bit(data, d, n, m, seed,
+                                              n_projections):
+    coords = st.one_of(st.floats(-100.0, 100.0),
+                       st.sampled_from([0.0, -0.0, 1.0]))
+    X = data.draw(arrays(np.float64, (n, d), elements=coords))
+    Y = data.draw(arrays(np.float64, (m, d), elements=coords))
+    got = sliced_wasserstein1(X, Y, n_projections=n_projections, seed=seed)
+    want = _scipy_sliced(X, Y, n_projections=n_projections, seed=seed)
+    assert _bits(got) == _bits(want)
+
+
+def test_sliced_from_sorted_projections_reuses_the_sort():
+    X = substream(32, 0).standard_normal((300, 2))
+    Y = substream(32, 1).standard_normal((200, 2)) + 0.5
+    PX, PY = sorted_projections(X, seed=4), sorted_projections(Y, seed=4)
+    assert PX.shape == (32, 300)
+    assert np.all(np.diff(PX, axis=1) >= 0)
+    got = sliced_wasserstein1_sorted(PX, PY)
+    assert _bits(got) == _bits(_scipy_sliced(X, Y, seed=4))
+    assert _bits(got) == _bits(sliced_wasserstein1(X, Y, seed=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=SAMPLES, b=SAMPLES, seed=st.integers(0, 100))
+def test_sliced_in_one_dimension_is_w1(a, b, seed):
+    X, Y = np.array(a)[:, None], np.array(b)[:, None]
+    assert _bits(sliced_wasserstein1(X, Y, seed=seed)) == \
+        _bits(wasserstein1(a, b))
+
+
+def test_import_leaves_scipy_stats_out():
+    code = ("import sys, retrodiff; "
+            "print('scipy.stats' in sys.modules)")
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
