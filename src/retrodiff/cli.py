@@ -3,7 +3,6 @@
 Subcommands bind the library modules to INI-style config files:
 
     retrodiff <subcommand> --config exp.ini [--output DIR] [--force]
-              [--threads K]
 
 with subcommands ``forward``, ``reverse``, ``ou-verify``, ``invert``,
 ``moment-check`` and ``injectivity``.  Reports are JSON with deterministic
@@ -11,7 +10,9 @@ bytes (reruns of the same config are byte-identical); timestamps and the
 wall seconds of each phase live in a separate metadata file; bulk particle
 data goes to CSV.  The exit code is 0 iff every configured threshold
 passes, 1 on a threshold failure and 2 on usage or configuration errors.
-All randomness derives from the mandatory ``seed`` key.
+All randomness derives from the mandatory ``seed`` key.  BLAS threads
+follow the standard ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``
+variables, which take effect only when set before launch.
 """
 
 import argparse
@@ -38,7 +39,7 @@ _ALLOWED_KEYS = {
     "output": {"directory"},
     "thresholds": {"ks_max", "triangle_max_error", "mc_sigmas",
                    "search_tolerance", "fourier_tolerance",
-                   "expected_verdict", "recovery_tolerance"},
+                   "expected_verdict"},
 }
 
 
@@ -101,12 +102,12 @@ def load_config(path):
     return cfg
 
 
-def _positive(cfg, section, key, default=None, integer=False, optional=False):
+def _positive(cfg, section, key, default=None, integer=False):
     import math
 
     raw = cfg.get(section, {}).get(key)
     if raw is None:
-        if default is None and not optional:
+        if default is None:
             raise ConfigError(f"missing required key {section}.{key}")
         return default
     try:
@@ -573,21 +574,7 @@ def main(argv=None):
                         help="output directory (overrides config)")
     parser.add_argument("--force", action="store_true",
                         help="allow overwriting existing outputs")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap; 0 means auto "
-                             "(env RETRO_THREADS is the fallback)")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("RETRO_THREADS")
-        threads = int(env) if env else 0
-    if threads < 0:
-        parser.error("--threads must be >= 0")
-    if threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
     try:
         cfg = load_config(args.config)

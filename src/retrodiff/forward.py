@@ -154,11 +154,12 @@ class MomentBoundReport:
                 f"{self.bound:.6g} + margin {self.margin:.3g} [{state}]")
 
 
-def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None,
-                       domain_box=None, n_probes=200):
+def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     """Empirical sup_t E|X^x_t - X^y_t|^2 against |y-x|^2 e^{K T}.
 
     Both trajectories consume the same noise streams (synchronous coupling).
+    Without ``lipschitz``, K is estimated from 200 probes over a box that
+    spans both terminal clouds plus 1, and at least [-5, 5], on each axis.
     The Monte Carlo margin is 3 * std(|Z|^2) / sqrt(n) at the supremum node.
     ``small_horizon_margin`` reports K T / 2 * exp(K T / 2), the quantity
     that must stay below ~0.567 for the small-horizon uniqueness regime.
@@ -185,13 +186,11 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None,
             sup_val, sup_k = m, k + 1
             sup_std = float(z2.std(ddof=1)) if n > 1 else 0.0
     if lipschitz is None:
-        box = domain_box
-        if box is None:
-            lo = np.minimum(Xx.min(axis=0), Xy.min(axis=0)) - 1.0
-            hi = np.maximum(Xx.max(axis=0), Xy.max(axis=0)) + 1.0
-            box = (np.minimum(lo, -5.0), np.maximum(hi, 5.0))
+        lo = np.minimum(Xx.min(axis=0), Xy.min(axis=0)) - 1.0
+        hi = np.maximum(Xx.max(axis=0), Xy.max(axis=0)) + 1.0
+        box = (np.minimum(lo, -5.0), np.maximum(hi, 5.0))
         t_samples = np.linspace(grid.t_start, grid.t_end, 5)
-        lipschitz = estimate_lipschitz(model, box, t_samples, n_probes, seed)
+        lipschitz = estimate_lipschitz(model, box, t_samples, 200, seed)
     K = lipschitz.K
     T = grid.t_end - grid.t_start
     sep = float(np.sum((y - x) ** 2))

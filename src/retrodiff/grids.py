@@ -38,10 +38,13 @@ class TimeGrid:
             raise IndexError(f"node index {k} outside [0, {self.n_steps}]")
         return self.t_start + k * self.dt
 
-    def node_index(self, t, tol=1e-9):
-        """Index of the grid node at time t; error if t is off-grid."""
+    def node_index(self, t):
+        """Index of the grid node at time t; error if t is off-grid.
+
+        t matches node k when they differ by at most 1e-9 * max(1, |t|).
+        """
         k = int(round((t - self.t_start) / self.dt))
-        if not 0 <= k <= self.n_steps or abs(self.node(k) - t) > tol * max(1.0, abs(t)):
+        if not 0 <= k <= self.n_steps or abs(self.node(k) - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a node of {self}")
         return k
 
@@ -67,12 +70,9 @@ class MatrixPath:
     def dim(self):
         return self.values.shape[1]
 
-    def at_node(self, k):
-        return self.values[k]
-
-    def at(self, t, tol=1e-9):
+    def at(self, t):
         """Matrix at the grid node closest to t (t must be on-grid)."""
-        return self.values[self.grid.node_index(t, tol=tol)]
+        return self.values[self.grid.node_index(t)]
 
     def __len__(self):
         return self.values.shape[0]

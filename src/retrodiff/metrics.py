@@ -1,11 +1,11 @@
 """Statistical distances between ensembles and reference laws.
 
 Every Wasserstein-1 distance runs through one kernel on sorted rows,
-``_w1_sorted_rows``.  It is scipy-exact: it repeats the arithmetic of
+``_w1_sorted_rows``.  It is scipy-exact: it returns the bits of
 ``scipy.stats.wasserstein_distance`` (scipy's ``_cdf_distance`` with p = 1)
-step for step, so it returns the same bits for equal and unequal sample
-sizes, ties, signed zeros and nan.  Sliced distances sort each direction's
-projections once (Rabin, Peyre, Delon & Bernot, SSVM 2011), so a caller
+for equal and unequal sample sizes, ties, signed zeros and nan, because
+every product that reaches its final dot product is scipy's.  Sliced
+distances sort each direction's projections once (Rabin, Peyre, Delon & Bernot, SSVM 2011), so a caller
 that compares one cloud with many can sort it once with
 ``sorted_projections`` and pass the rows to ``sliced_wasserstein1_sorted``.
 """
@@ -37,12 +37,13 @@ def _w1_sorted_rows(A, B):
     """Wasserstein-1 distance between row i of A (p, n) and row i of B (p, m).
 
     Every row must be sorted ascending.  Per row this is scipy's
-    ``_cdf_distance(1, a, b)``: the stably merged values, the right-side
-    CDF of each sample at every merged value but the last, ``np.diff`` of
-    the merged values and one ``np.vecdot``.  A sample's right-side count
-    at a value is its number of elements merged at or before the end of
-    that value's group of ties, which is what ``searchsorted(..., "right")``
-    counts.
+    ``_cdf_distance(1, a, b)``: the stably merged values, the CDF of each
+    sample at every merged value but the last, ``np.diff`` of the merged
+    values and one ``np.vecdot``.  scipy counts a sample's elements at or
+    below each value (``searchsorted(..., "right")``); here the count runs
+    to each merged position.  The two differ only at a value tied with the
+    next one, whose delta is zero (nan for tied infinities) whatever the
+    count multiplying it, so the result has scipy's bits.
     """
     n, m = A.shape[1], B.shape[1]
     if n == 0 or m == 0:
@@ -50,13 +51,8 @@ def _w1_sorted_rows(A, B):
     merged = np.concatenate((A, B), axis=1)
     order = np.argsort(merged, axis=1, kind="stable")
     values = np.take_along_axis(merged, order, axis=1)
-    # index of the last merged value of each value's tie group
-    k = np.arange(n + m - 1)
-    ends = np.where(values[:, 1:] != values[:, :-1], k, n + m - 1)
-    ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
-    a_seen = np.cumsum((order < n).astype(np.intp), axis=1)
-    a_count = np.take_along_axis(a_seen, ends, axis=1)
-    b_count = ends + 1 - a_count
+    a_count = np.cumsum(order < n, axis=1)[:, :-1]
+    b_count = np.arange(1, n + m) - a_count
     deltas = np.diff(values, axis=1)
     return np.vecdot(np.abs(a_count / n - b_count / m), deltas)
 
@@ -101,15 +97,22 @@ def sliced_wasserstein1(X, Y, n_projections=32, seed=0):
         sorted_projections(Y, n_projections, seed))
 
 
-def energy_distance_nd(X, Y, max_points=2000, seed=0):
-    """Energy distance between two clouds (subsampled for O(n^2) cost)."""
+_ENERGY_MAX_POINTS = 2000
+
+
+def energy_distance_nd(X, Y, seed=0):
+    """Energy distance between two clouds.
+
+    A cloud of more than ``_ENERGY_MAX_POINTS`` (2000) points is replaced
+    by a seeded subsample of that size, which bounds the O(n^2) cost.
+    """
     rng = substream(seed, PROJECTIONS, 1)
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
-    if X.shape[0] > max_points:
-        X = X[rng.choice(X.shape[0], max_points, replace=False)]
-    if Y.shape[0] > max_points:
-        Y = Y[rng.choice(Y.shape[0], max_points, replace=False)]
+    if X.shape[0] > _ENERGY_MAX_POINTS:
+        X = X[rng.choice(X.shape[0], _ENERGY_MAX_POINTS, replace=False)]
+    if Y.shape[0] > _ENERGY_MAX_POINTS:
+        Y = Y[rng.choice(Y.shape[0], _ENERGY_MAX_POINTS, replace=False)]
 
     def mean_dist(A, B):
         d2 = (

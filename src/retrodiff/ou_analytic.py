@@ -36,7 +36,6 @@ from .resolvents import (
     _rk4_path,
     compute_ou_covariance,
     solve_adjoint_resolvent,
-    solve_adjoint_resolvent_inverse,
     solve_resolvent,
 )
 
@@ -60,12 +59,10 @@ class OUAnalytic:
         self.grid = TimeGrid(0.0, ou.horizon, n_steps)
         self.resolvent = solve_resolvent(ou.C, self.grid)
         self.adjoint = solve_adjoint_resolvent(ou.C, self.grid)
-        self.adjoint_inverse = solve_adjoint_resolvent_inverse(ou.C, self.grid)
         self.covariance = compute_ou_covariance(ou.C, ou.Sigma, self.grid)
         ts = self.grid.nodes
         self._sp_resolvent = CubicSpline(ts, self.resolvent.values, axis=0)
         self._sp_adjoint = CubicSpline(ts, self.adjoint.values, axis=0)
-        self._sp_adjoint_inv = CubicSpline(ts, self.adjoint_inverse.values, axis=0)
         self._sp_cov = CubicSpline(ts, self.covariance.values, axis=0)
 
     def _node_or_none(self, t):
@@ -88,7 +85,13 @@ class OUAnalytic:
         return self._eval(self.adjoint, self._sp_adjoint, t)
 
     def D_inv(self, t):
-        return self._eval(self.adjoint_inverse, self._sp_adjoint_inv, t)
+        """Inverse of D(t), which is R(t)^T.
+
+        (R^T)' = R^T C^T is the equation of
+        :func:`~retrodiff.resolvents.solve_adjoint_resolvent_inverse`, and
+        RK4 takes the same steps on it as on R' = C R, transposed.
+        """
+        return self.R(t).T
 
     def Q(self, t):
         q = self._eval(self.covariance, self._sp_cov, t)
@@ -164,23 +167,23 @@ class OUAnalytic:
         score = mix.score(x)
         return score @ self.ou.Sigma(T - t_reversed).T
 
-    def gaussian_bound_check(self, nu, t_range, space_box, n_time=7,
-                             n_space=41, safety=1.1):
+    def gaussian_bound_check(self, nu, t_range, space_box):
         """Two-sided density bounds and a gradient bound on a compact box.
 
-        Grid extrema of p and |grad p| over [t_lo, t_hi] x box, inflated /
-        deflated by the safety factor.  Passes when the lower constant is a
-        strictly positive finite number (degenerate dispersions fail).
+        Extrema of p and |grad p| over 7 times spanning [t_lo, t_hi] and a
+        grid of 41 points per axis of the box, inflated / deflated by a
+        safety factor of 1.1.  Passes when the lower constant is a strictly
+        positive finite number (degenerate dispersions fail).
         """
         t_lo, t_hi = t_range
         if not 0.0 < t_lo <= t_hi <= self.ou.horizon:
             raise ValueError("time range must sit inside ]0, horizon]")
         lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in space_box)
-        axes = [np.linspace(a, b, n_space) for a, b in zip(lo, hi)]
+        axes = [np.linspace(a, b, 41) for a, b in zip(lo, hi)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
         p_min, p_max, g_max = math.inf, 0.0, 0.0
         ok = True
-        for t in np.linspace(t_lo, t_hi, n_time):
+        for t in np.linspace(t_lo, t_hi, 7):
             try:
                 mix = self.marginal(nu, t)
                 p = mix.pdf(mesh)
@@ -194,7 +197,7 @@ class OUAnalytic:
         if not ok:
             return GaussianBoundReport(float("nan"), float("nan"), float("nan"),
                                        passed=False)
-        c1, c2, c3 = p_min / safety, p_max * safety, g_max * safety
+        c1, c2, c3 = p_min / 1.1, p_max * 1.1, g_max * 1.1
         passed = math.isfinite(c2) and c1 > 0.0
         return GaussianBoundReport(c1, c2, c3, passed=passed)
 
@@ -290,8 +293,8 @@ def ou_reversal_drift(ou, nu, t_reversed, x, n_steps=1000):
     return analytic(ou, n_steps).reversal_drift(nu, t_reversed, x)
 
 
-def gaussian_bound_check(ou, nu, t_range, space_box, n_steps=1000, **kw):
-    return analytic(ou, n_steps).gaussian_bound_check(nu, t_range, space_box, **kw)
+def gaussian_bound_check(ou, nu, t_range, space_box, n_steps=1000):
+    return analytic(ou, n_steps).gaussian_bound_check(nu, t_range, space_box)
 
 
 def consistency_triangle(ou, nu, xi_values, t_values, n_steps=1000):

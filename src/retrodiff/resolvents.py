@@ -8,7 +8,7 @@ integrated with it on a uniform grid:
 
 * the state resolvent   R(t) = I + integral_0^t C(s) R(s) ds,
 * its adjoint decay     D(t) = I - integral_0^t C(s)^T D(s) ds,
-* the adjoint inverse   E(t) = I + integral_0^t C(s)^T E(s) ds,
+* the adjoint inverse   E(t) = I + integral_0^t E(s) C(s)^T ds = R(t)^T,
 
 together with the Gaussian covariance accumulated along the flow,
 

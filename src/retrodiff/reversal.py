@@ -163,8 +163,7 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
 
 def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
                                      drift_clip=1e3, seed=0, bandwidth=None,
-                                     bias_correction=True, store_every=None,
-                                     kde_method="auto", ellipticity_eps=1e-8):
+                                     store_every=None):
     """Reversed run with the drift estimated from the live cloud.
 
     At every step a Gaussian-kernel field is rebuilt from the current
@@ -178,14 +177,15 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     wavenumber k grow like k^2 (K_h(k) - 1/2), so narrow kernels clump the
     cloud while wide kernels stall the collapse through smoothing bias.
     The default policy therefore oversmooths (h_i = half the cloud's
-    per-dimension spread) and cancels the known first-order bias by the
-    moment-matched rescale (v_i + h_i^2) / v_i of the estimated score,
-    which is exact for Gaussian clouds (``bias_correction``; v is the
-    cloud variance, which the kernel does not smooth).  Pass an explicit
-    ``bandwidth`` (or :func:`silverman_bandwidth` output) to override.
+    per-dimension spread), and the estimated score is always rescaled by
+    the moment-matched factor (v_i + h_i^2) / v_i, which cancels the known
+    first-order bias and is exact for Gaussian clouds (v is the cloud
+    variance, which the kernel does not smooth).  Pass an explicit
+    ``bandwidth`` (or :func:`silverman_bandwidth` output) to override the
+    policy.  The dispersion must be elliptic to 1e-8 at probe particles.
 
-    ``kde_method``: "exact" pairwise sums, "binned" FFT convolution
-    (d = 1), or "auto" (binned for large one-dimensional clouds).
+    One-dimensional clouds of 256 or more particles use the binned FFT
+    evaluation, all others the exact pairwise sums.
     """
     if isinstance(model, OUModel):
         model = model.as_diffusion_model()
@@ -198,7 +198,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     d = Y.shape[1]
     probe = Y[: min(64, n)]
     pts = [(t, x) for t in (0.0, T / 2, T) for x in probe]
-    rep = check_ellipticity(model, pts, ellipticity_eps)
+    rep = check_ellipticity(model, pts, 1e-8)
     if not rep.passed:
         raise ValueError(
             f"dispersion is not elliptic (min eigenvalue "
@@ -209,10 +209,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         if (h_fixed >= Y.std(axis=0, ddof=1)).any():
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
-    if kde_method not in ("auto", "exact", "binned"):
-        raise ValueError(f"unknown kde_method {kde_method!r}")
-    binned = kde_method == "binned" or (kde_method == "auto" and d == 1
-                                        and n >= 256)
+    binned = d == 1 and n >= 256
 
     def drift_fn(k, s, X):
         h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
@@ -232,9 +229,8 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
                 f"the ensemble is too sparse for self-consistent estimation"
             )
         score = np.where(vac[:, None], 0.0, score)
-        if bias_correction:
-            v = X.var(axis=0, ddof=1)
-            score = score * ((v + field.bandwidth**2) / v)[None, :]
+        v = X.var(axis=0, ddof=1)
+        score = score * ((v + field.bandwidth**2) / v)[None, :]
         dens = _reversal_drift_from_score(model, s, X, score)
         dens[vac] = 0.0
         return dens, -model.drift_flipped(s, X), n_vac

@@ -87,7 +87,7 @@ def reversal_selfconsistent_1d_binned():
     heat = rd.make_model("heat", dim=1)
     run = rd.simulate_reversal_selfconsistent(
         heat, rd.gaussian([0.1], 1.0), rd.TimeGrid(0.0, 1.0, 20), 400,
-        epsilon_stop=0.1, seed=15, kde_method="binned")
+        epsilon_stop=0.1, seed=15)
     return _diag(run)
 
 

@@ -1,7 +1,8 @@
 """Batch runner: config validation, emitted files, exit codes, rerun bytes."""
 
 import json
-import os
+
+import pytest
 
 from retrodiff.cli import main
 
@@ -62,7 +63,14 @@ init = dirac:0
     assert main(["forward", "--config", cfg]) == 2
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("key, extra", [
+    pytest.param("run.walrus", "walrus = 3\n", id="run.walrus"),
+    # accepted once, but no command ever read it
+    pytest.param("thresholds.recovery_tolerance",
+                 "\n[thresholds]\nrecovery_tolerance = 0.05\n",
+                 id="thresholds.recovery_tolerance"),
+])
+def test_unknown_key_rejected(tmp_path, capsys, key, extra):
     cfg = write_config(tmp_path / "c.ini", """
 [model]
 family = heat
@@ -70,10 +78,9 @@ family = heat
 [run]
 seed = 1
 init = dirac:0
-walrus = 3
-""")
+""" + extra)
     assert main(["forward", "--config", cfg]) == 2
-    assert "run.walrus" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_malformed_config_reports_parse_error(tmp_path, capsys):
@@ -99,15 +106,25 @@ def test_reports_byte_identical_across_reruns(tmp_path):
     assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
-def test_output_override_and_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RETRO_THREADS", "1")
+def test_output_override(tmp_path):
     cfg = write_config(tmp_path / "c.ini",
                        HEAT_FORWARD.format(out=tmp_path / "ignored"))
     alt = tmp_path / "elsewhere"
     assert main(["forward", "--config", cfg, "--output", str(alt)]) == 0
     assert (alt / "report.json").exists()
     assert not (tmp_path / "ignored").exists()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_threads_flag_rejected(tmp_path, capsys):
+    # BLAS threads follow the standard variables set before launch; a flag
+    # read after numpy is loaded could only be ignored
+    cfg = write_config(tmp_path / "c.ini",
+                       HEAT_FORWARD.format(out=tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--config", cfg, "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ou_verify_heat(tmp_path):

@@ -7,6 +7,9 @@ and grid extrema.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     AmplificationWindowError,
@@ -22,10 +25,11 @@ from retrodiff import (
     make_fourier_solution,
     ou_marginal,
     ou_reversal_drift,
+    solve_adjoint_resolvent_inverse,
 )
 from retrodiff.distributions import GaussianMixture
-from retrodiff.models import heat_model, ou_model
-from retrodiff.ou_analytic import analytic
+from retrodiff.models import OUModel, heat_model, ou_model
+from retrodiff.ou_analytic import OUAnalytic, analytic
 
 
 HEAT = heat_model(dim=1)
@@ -130,6 +134,27 @@ def test_fourier_ode_matches_closed_form_random_2d():
             ode_val = fourier_ode_solve(ou, tr, eta, TimeGrid(0.0, t, 500))[-1]
             closed = sol(t, xi)
             assert abs(ode_val - closed) < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), varying=st.booleans())
+def test_adjoint_inverse_is_the_transposed_resolvent(data, d, varying):
+    entries = st.floats(-1.5, 1.5)
+    C0 = data.draw(arrays(float, (d, d), elements=entries))
+    C1 = data.draw(arrays(float, (d, d), elements=entries)) if varying \
+        else np.zeros((d, d))
+    ou = OUModel(lambda t: C0 + np.sin(3.0 * t) * C1, lambda t: np.eye(d), d)
+    cache = OUAnalytic(ou, n_steps=1000)
+    nodes = cache.grid.nodes
+    E = solve_adjoint_resolvent_inverse(ou.C, cache.grid).values
+    assert np.array_equal(np.stack([cache.D_inv(t) for t in nodes]), E)
+    # (k + u) dt with 0 < u < 1 lies strictly between nodes k and k + 1
+    between = data.draw(st.lists(
+        st.tuples(st.integers(0, 999), st.floats(0.05, 0.95)),
+        min_size=1, max_size=5))
+    off = [(k + u) * cache.grid.dt for k, u in between]
+    for t in [*nodes[::100], *off]:
+        assert np.abs(cache.D(t) @ cache.D_inv(t) - np.eye(d)).max() <= 1e-8
 
 
 def test_invert_terminal_heat_round_trip():
