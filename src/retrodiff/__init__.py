@@ -59,7 +59,6 @@ from .models import (
     EllipticityReport,
     LipschitzEstimate,
     OUModel,
-    PiecewiseHomogeneousModel,
     check_ellipticity,
     estimate_lipschitz,
     make_model,

@@ -19,9 +19,42 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import os
 import sys
 import time
+import warnings
+
+import numpy as np
+
+from . import __version__
+from .distributions import DiracMixture, gaussian
+from .forward import (
+    check_moment_bound,
+    empirical_moments,
+    euler_maruyama_path,
+    export_snapshots_csv,
+    sample_initial,
+)
+from .grids import TimeGrid
+from .inverse import (
+    AffineDrift,
+    extract_source_location,
+    heat_initial_transform,
+    injectivity_probe,
+    reconstruct_dirac_affine,
+    reconstruct_dirac_affine_mc,
+    reconstruct_dirac_search,
+)
+from .models import OUModel, make_model
+from .ou_analytic import consistency_triangle, ou_marginal
+from .reversal import (
+    check_integrability_proxy,
+    export_diagnostics_csv,
+    simulate_reversal_analytic,
+    simulate_reversal_selfconsistent,
+    verify_representation,
+)
 
 SPEC_VERSION = "0.1.0"
 
@@ -47,32 +80,35 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_vector(text):
-    return [float(v) for v in text.replace(",", " ").split()]
+def _parse_vector(text, key):
+    try:
+        return [float(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"{key} is not a list of numbers: {text!r}") from exc
 
 
-def _parse_matrix(text):
-    rows = [_parse_vector(r) for r in text.split(";")]
+def _parse_matrix(text, key):
+    rows = [_parse_vector(r, key) for r in text.split(";")]
     if len({len(r) for r in rows}) != 1:
-        raise ConfigError(f"ragged matrix literal {text!r}")
+        raise ConfigError(f"{key}: ragged matrix literal {text!r}")
     return rows
 
 
-def _parse_distribution(text):
+def _parse_distribution(text, key):
     """dirac:<coords> or gaussian:<mean coords>,<variance>."""
-    import numpy as np
-
-    from .distributions import DiracMixture, gaussian
-
     kind, _, rest = text.partition(":")
     if kind == "dirac":
-        return DiracMixture([_parse_vector(rest)])
+        return DiracMixture([_parse_vector(rest, key)])
     if kind == "gaussian":
         mean_s, _, var_s = rest.rpartition(",")
         if not mean_s:
             raise ConfigError(f"gaussian spec {text!r} needs mean,variance")
-        mean = _parse_vector(mean_s)
-        var = float(var_s)
+        mean = _parse_vector(mean_s, key)
+        try:
+            var = float(var_s)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: gaussian variance is not a number: "
+                              f"{var_s!r}") from exc
         if var <= 0 or not np.isfinite(var):
             raise ConfigError(f"gaussian variance must be finite positive, got {var}")
         return gaussian(mean, var)
@@ -102,20 +138,20 @@ def load_config(path):
     return cfg
 
 
-def _positive(cfg, section, key, default=None, integer=False):
-    import math
-
+def _number(cfg, section, key, default, integer=False):
     raw = cfg.get(section, {}).get(key)
     if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {section}.{key}")
         return default
     try:
-        v = int(raw) if integer else float(raw)
+        return int(raw) if integer else float(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key} is not a number: {raw!r}") from exc
+
+
+def _positive(cfg, section, key, default, integer=False):
+    v = _number(cfg, section, key, default, integer)
     if v <= 0 or not math.isfinite(v):
-        raise ConfigError(f"{section}.{key} must be positive finite, got {raw}")
+        raise ConfigError(f"{section}.{key} must be positive finite, got {v}")
     return v
 
 
@@ -131,52 +167,46 @@ def _seed(cfg):
 
 
 def build_model(cfg, horizon):
-    from .models import make_model
-
     m = cfg.get("model", {})
     family = m.get("family")
     if family is None:
         raise ConfigError("model.family is required")
     if family == "heat":
-        return make_model("heat", dim=int(m.get("dim", 1)),
-                          scale=float(m.get("scale", 1.0)), horizon=horizon)
-    if family == "ou":
+        params = {"dim": _number(cfg, "model", "dim", 1, integer=True),
+                  "scale": _number(cfg, "model", "scale", 1.0)}
+    elif family == "ou":
         if "c" not in m or "sigma" not in m:
             raise ConfigError("ou family needs model.c and model.sigma")
-        return make_model("ou", C=_parse_matrix(m["c"]),
-                          sigma=_parse_matrix(m["sigma"]), horizon=horizon)
-    if family in ("affine", "sin-drift"):
+        params = {"C": _parse_matrix(m["c"], "model.c"),
+                  "sigma": _parse_matrix(m["sigma"], "model.sigma")}
+    elif family in ("affine", "sin-drift"):
         kind = m.get("sigma_kind", "const")
         if kind == "const":
-            spec = float(m.get("sigma_value", 1.0))
+            spec = _number(cfg, "model", "sigma_value", 1.0)
         elif kind == "sqrt1px2":
-            spec = ("sqrt1px2", float(m.get("sigma_clip", 10.0)))
+            spec = ("sqrt1px2", _number(cfg, "model", "sigma_clip", 10.0))
         else:
             raise ConfigError(f"unknown model.sigma_kind {kind!r}")
+        params = {"sigma_spec": spec}
         if family == "affine":
             if "b0" not in m or "b1" not in m:
                 raise ConfigError("affine family needs model.b0 and model.b1")
-            return make_model("affine", b0=_parse_vector(m["b0"]),
-                              b1=_parse_matrix(m["b1"]), sigma_spec=spec,
-                              horizon=horizon)
-        return make_model("sin-drift", amplitude=float(m.get("amplitude", 1.0)),
-                          sigma_spec=spec, horizon=horizon)
-    if family == "piecewise":
+            params["b0"] = _parse_vector(m["b0"], "model.b0")
+            params["b1"] = _parse_matrix(m["b1"], "model.b1")
+        else:
+            params["amplitude"] = _number(cfg, "model", "amplitude", 1.0)
+    elif family == "piecewise":
         for key in ("breakpoints", "rates", "sigmas"):
             if key not in m:
                 raise ConfigError(f"piecewise family needs model.{key}")
-        return make_model("piecewise",
-                          breakpoints=_parse_vector(m["breakpoints"]),
-                          rates=_parse_vector(m["rates"]),
-                          sigmas=_parse_vector(m["sigmas"]))
-    raise ConfigError(f"unknown model.family {family!r}")
-
-
-def _diffusion(model):
-    """The model as a DiffusionModel; OU and piecewise models convert."""
-    if hasattr(model, "as_diffusion_model"):
-        return model.as_diffusion_model()
-    return model
+        params = {key: _parse_vector(m[key], f"model.{key}")
+                  for key in ("breakpoints", "rates", "sigmas")}
+    else:
+        raise ConfigError(f"unknown model.family {family!r}")
+    try:
+        return make_model(family, horizon=horizon, **params)
+    except ValueError as exc:
+        raise ConfigError(f"{family} family: {exc}") from exc
 
 
 class _Emitter:
@@ -209,8 +239,6 @@ class _Emitter:
         self.phase_seconds[name] = time.perf_counter() - t0
 
     def metadata(self, command, config_path):
-        from . import __version__
-
         with open(os.path.join(self.dir, "metadata.json"), "w") as fh:
             json.dump(
                 {
@@ -226,10 +254,8 @@ class _Emitter:
 
 
 def _grid(cfg):
-    from .grids import TimeGrid
-
     t_end = _positive(cfg, "grid", "t_end", default=1.0)
-    n_steps = int(_positive(cfg, "grid", "n_steps", default=1000, integer=True))
+    n_steps = _positive(cfg, "grid", "n_steps", default=1000, integer=True)
     return TimeGrid(0.0, t_end, n_steps)
 
 
@@ -245,15 +271,13 @@ def _report(passed, failures, payload):
 
 
 def cmd_forward(cfg, emitter):
-    from .forward import empirical_moments, euler_maruyama_path, export_snapshots_csv, sample_initial
-
     grid = _grid(cfg)
-    model = _diffusion(build_model(cfg, grid.t_end))
+    model = build_model(cfg, grid.t_end).as_diffusion_model()
     seed = _seed(cfg)
-    n = int(_positive(cfg, "run", "particles", default=10000, integer=True))
+    n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "init" not in cfg["run"]:
         raise ConfigError("forward needs run.init")
-    init_dist = _parse_distribution(cfg["run"]["init"])
+    init_dist = _parse_distribution(cfg["run"]["init"], "run.init")
     full = cfg["run"].get("store_full", "false").lower() in ("1", "true", "yes")
     with emitter.phase("simulate"):
         init = sample_initial(init_dist, n, seed)
@@ -272,32 +296,20 @@ def cmd_forward(cfg, emitter):
 
 
 def cmd_reverse(cfg, emitter):
-    import numpy as np
-
-    from .forward import export_snapshots_csv
-    from .models import OUModel
-    from .ou_analytic import ou_marginal
-    from .reversal import (
-        check_integrability_proxy,
-        export_diagnostics_csv,
-        simulate_reversal_analytic,
-        simulate_reversal_selfconsistent,
-        verify_representation,
-    )
-
     grid = _grid(cfg)
     model = build_model(cfg, grid.t_end)
     run_cfg = cfg["run"]
     seed = _seed(cfg)
-    n = int(_positive(cfg, "run", "particles", default=20000, integer=True))
+    n = _positive(cfg, "run", "particles", default=20000, integer=True)
     eps = _positive(cfg, "run", "epsilon_stop", default=0.01 * grid.t_end)
-    clip_raw = run_cfg.get("drift_clip", "none")
-    clip = None if clip_raw == "none" else float(clip_raw)
+    clip = (None if run_cfg.get("drift_clip") == "none"
+            else _number(cfg, "run", "drift_clip", None))
     mode = run_cfg.get("mode", "analytic")
     if "mu" not in run_cfg:
         raise ConfigError("reverse needs run.mu (terminal sampler)")
-    mu = _parse_distribution(run_cfg["mu"])
-    nu = _parse_distribution(run_cfg["nu"]) if "nu" in run_cfg else None
+    mu = _parse_distribution(run_cfg["mu"], "run.mu")
+    nu = (_parse_distribution(run_cfg["nu"], "run.nu") if "nu" in run_cfg
+          else None)
     is_ou = isinstance(model, OUModel)
 
     if mode not in ("analytic", "self-consistent"):
@@ -308,8 +320,6 @@ def cmd_reverse(cfg, emitter):
     terminal_warning = False
     with emitter.phase("simulate"):
         if mode == "analytic":
-            import warnings
-
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 run = simulate_reversal_analytic(
@@ -319,8 +329,8 @@ def cmd_reverse(cfg, emitter):
             terminal_warning = any("no consistent solution" in str(w.message)
                                    for w in caught)
         else:
-            bw = run_cfg.get("bandwidth", "none")
-            bw = None if bw == "none" else float(bw)
+            bw = (None if run_cfg.get("bandwidth") == "none"
+                  else _number(cfg, "run", "bandwidth", None))
             run = simulate_reversal_selfconsistent(
                 model, mu, grid, n, epsilon_stop=eps,
                 drift_clip=1e3 if clip is None else clip, seed=seed,
@@ -362,17 +372,12 @@ def cmd_reverse(cfg, emitter):
 
 
 def cmd_ou_verify(cfg, emitter):
-    import numpy as np
-
-    from .models import OUModel
-    from .ou_analytic import consistency_triangle
-
     grid = _grid(cfg)
     model = build_model(cfg, grid.t_end)
     if not isinstance(model, OUModel):
         raise ConfigError("ou-verify needs the heat or ou family")
     seed = _seed(cfg)
-    nu = _parse_distribution(cfg["run"].get("nu", "dirac:0"))
+    nu = _parse_distribution(cfg["run"].get("nu", "dirac:0"), "run.nu")
     d = model.dim_d
     axis = np.linspace(-5.0, 5.0, 9)
     if d == 1:
@@ -396,21 +401,6 @@ def cmd_ou_verify(cfg, emitter):
 
 
 def cmd_invert(cfg, emitter):
-    import numpy as np
-
-    from .distributions import DiracMixture, gaussian
-    from .forward import euler_maruyama_path, sample_initial
-    from .grids import TimeGrid
-    from .inverse import (
-        AffineDrift,
-        extract_source_location,
-        heat_initial_transform,
-        reconstruct_dirac_affine,
-        reconstruct_dirac_affine_mc,
-        reconstruct_dirac_search,
-    )
-    from .models import OUModel
-
     grid = _grid(cfg)
     model = build_model(cfg, grid.t_end)
     run_cfg = cfg["run"]
@@ -431,17 +421,18 @@ def cmd_invert(cfg, emitter):
     if route == "mean-ode":
         if "terminal_mean" not in run_cfg:
             raise ConfigError("mean-ode route needs run.terminal_mean")
-        m = np.array(_parse_vector(run_cfg["terminal_mean"]))
+        m = np.array(_parse_vector(run_cfg["terminal_mean"], "run.terminal_mean"))
         x_hat = reconstruct_dirac_affine(affine_of(model), m, grid)
         payload = {"route": route, "x_hat": x_hat.tolist()}
     elif route == "mean-ode-mc":
         if "x0" not in run_cfg:
             raise ConfigError("mean-ode-mc route needs run.x0 (data generator)")
-        x0 = np.array(_parse_vector(run_cfg["x0"]))
-        n = int(_positive(cfg, "run", "particles", default=100000, integer=True))
+        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
+        n = _positive(cfg, "run", "particles", default=100000, integer=True)
         drift = affine_of(model)
         init = sample_initial(DiracMixture([x0]), n, seed)
-        term = euler_maruyama_path(_diffusion(model), init, grid, seed).terminal
+        term = euler_maruyama_path(model.as_diffusion_model(), init, grid,
+                                   seed).terminal
         x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
         err = float(np.linalg.norm(x_hat - x0))
@@ -452,10 +443,11 @@ def cmd_invert(cfg, emitter):
     elif route == "search":
         if "x0" not in run_cfg or "candidates" not in run_cfg:
             raise ConfigError("search route needs run.x0 and run.candidates")
-        x0 = np.array(_parse_vector(run_cfg["x0"]))
-        cands = [[v] for v in _parse_vector(run_cfg["candidates"])]
-        n = int(_positive(cfg, "run", "particles", default=20000, integer=True))
-        diff = _diffusion(model)
+        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
+        cands = [[v] for v in _parse_vector(run_cfg["candidates"],
+                                            "run.candidates")]
+        n = _positive(cfg, "run", "particles", default=20000, integer=True)
+        diff = model.as_diffusion_model()
         init = sample_initial(DiracMixture([x0]), n, seed)
         target = euler_maruyama_path(diff, init, grid, seed,
                                      store_every=grid.n_steps).terminal
@@ -471,9 +463,9 @@ def cmd_invert(cfg, emitter):
         payload = {"route": route, "x_hat": res.x_hat.tolist(),
                    "true_x0": x0.tolist(), "error": err, "tolerance": tol}
     elif route == "fourier":
-        if getattr(model, "dim_m", None) is None or "x0" not in run_cfg:
+        if cfg["model"]["family"] != "heat" or "x0" not in run_cfg:
             raise ConfigError("fourier route needs the heat family and run.x0")
-        x0 = np.array(_parse_vector(run_cfg["x0"]))
+        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
         T = grid.t_end
         mu_hat = gaussian(x0, 2.0 * T * np.eye(len(x0))).char_transform
 
@@ -493,19 +485,16 @@ def cmd_invert(cfg, emitter):
 
 
 def cmd_moment_check(cfg, emitter):
-    import numpy as np
-
-    from .forward import check_moment_bound
-
     grid = _grid(cfg)
-    model = _diffusion(build_model(cfg, grid.t_end))
+    model = build_model(cfg, grid.t_end).as_diffusion_model()
     run_cfg = cfg["run"]
     seed = _seed(cfg)
-    n = int(_positive(cfg, "run", "particles", default=10000, integer=True))
+    n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "x" not in run_cfg or "y" not in run_cfg:
         raise ConfigError("moment-check needs run.x and run.y")
-    rep = check_moment_bound(model, _parse_vector(run_cfg["x"]),
-                             _parse_vector(run_cfg["y"]), grid, n, seed)
+    rep = check_moment_bound(model, _parse_vector(run_cfg["x"], "run.x"),
+                             _parse_vector(run_cfg["y"], "run.y"), grid, n,
+                             seed)
     failures = [] if rep.passed else ["moment_bound"]
     return _report(not failures, failures, {
         "sup_empirical": rep.sup_empirical,
@@ -518,20 +507,19 @@ def cmd_moment_check(cfg, emitter):
 
 
 def cmd_injectivity(cfg, emitter):
-    import numpy as np
-
-    from .distributions import DiracMixture
-    from .inverse import injectivity_probe
-
     grid = _grid(cfg)
-    model = _diffusion(build_model(cfg, grid.t_end))
+    model = build_model(cfg, grid.t_end).as_diffusion_model()
     run_cfg = cfg["run"]
     seed = _seed(cfg)
-    n = int(_positive(cfg, "run", "particles", default=4000, integer=True))
+    n = _positive(cfg, "run", "particles", default=4000, integer=True)
     if "candidates" in run_cfg:
-        pts = [[v] for v in _parse_vector(run_cfg["candidates"])]
+        pts = [[v] for v in _parse_vector(run_cfg["candidates"],
+                                          "run.candidates")]
     elif "candidate_box" in run_cfg:
-        lo, hi, count = _parse_vector(run_cfg["candidate_box"])
+        box = _parse_vector(run_cfg["candidate_box"], "run.candidate_box")
+        if len(box) != 3:
+            raise ConfigError("run.candidate_box needs lo, hi and a count")
+        lo, hi, count = box
         axis = np.linspace(lo, hi, int(count))
         if model.dim_d == 2:
             pts = [[a, b] for a in axis for b in axis]

@@ -224,18 +224,18 @@ def kde_score(field, x):
     return score
 
 
-def _reversal_drift_from_score(model, t_reversed, x, score):
-    """div_x Sigma_i.(T - t, x) + <Sigma_i.(T - t, x), score> for each i.
+def _reversal_drift_from_score(model, t, x, score):
+    """div_x Sigma_i.(t, x) + <Sigma_i.(t, x), score> for each i.
 
-    The product-rule expansion of div(Sigma_i. p) / p under the time flip,
+    The product-rule expansion of div(Sigma_i. p) / p at forward time t,
     for any score estimate; rows of x and score are paired.
     """
-    S = model.sigma_sigma_T_flipped(t_reversed, x)
+    S = model.sigma_sigma_T(t, x)
     if S.ndim == 2:
         drift = score @ S.T
     else:
         drift = np.einsum("...ij,...j->...i", S, score)
-    return model.div_sigma_rows_flipped(t_reversed, x) + drift
+    return model.div_sigma_rows_at(t, x) + drift
 
 
 def reversal_drift(model, field, t_reversed, x):
@@ -245,7 +245,8 @@ def reversal_drift(model, field, t_reversed, x):
     with the field's score (see :func:`_reversal_drift_from_score`).
     Vacuum queries propagate as :class:`VacuumError`.
     """
-    out = _reversal_drift_from_score(model, t_reversed, x, kde_score(field, x))
+    out = _reversal_drift_from_score(model, model.horizon - t_reversed, x,
+                                     kde_score(field, x))
     if not np.isfinite(out).all():
         raise ValueError("non-finite dispersion or dispersion divergence")
     return out

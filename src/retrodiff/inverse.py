@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import DiracMixture
 from .forward import euler_maruyama_path, sample_initial
 from .grids import TimeGrid
 from .metrics import (
@@ -241,12 +242,21 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
     target = mu_ensemble.positions
     half = target.shape[0] // 2
     floor = _cloud_distance(target[:half], target[half:], "wasserstein1", seed)
-    from .distributions import DiracMixture
+    if target.shape[1] == 1:
+        def score(cloud):
+            return wasserstein1(cloud, target)
+    else:
+        # the target's projections are sorted once, for every candidate
+        key = sorted_projections(target, seed=seed)
+
+        def score(cloud):
+            return sliced_wasserstein1_sorted(
+                sorted_projections(cloud, seed=seed), key)
 
     scores = []
     for i, p in enumerate(pts):
         cloud = _terminal_cloud(model, DiracMixture([p]), T, n, n_steps, seed, i)
-        scores.append(_cloud_distance(cloud, target, "wasserstein1", seed))
+        scores.append(score(cloud))
     best = min(scores)
     tied = [s <= best + floor for s in scores]
     winners = sorted(tuple(p) for p, t in zip(pts, tied) if t)

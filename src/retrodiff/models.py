@@ -47,19 +47,9 @@ class DiffusionModel:
         s = self.sigma(t, x)
         return np.einsum("...ik,...jk->...ij", s, s)
 
-    # --- time-flipped views (reversed clock r corresponds to horizon - r) ---
-
-    def drift_flipped(self, r, x):
-        return np.asarray(self.drift(self.horizon - r, x), dtype=float)
-
-    def sigma_flipped(self, r, x):
-        return self.sigma(self.horizon - r, x)
-
-    def sigma_sigma_T_flipped(self, r, x):
-        return self.sigma_sigma_T(self.horizon - r, x)
-
-    def div_sigma_rows_flipped(self, r, x):
-        return self.div_sigma_rows_at(self.horizon - r, x)
+    def as_diffusion_model(self):
+        """The model itself; :class:`OUModel` converts to one."""
+        return self
 
     # --- derivatives, analytic when given, central differences otherwise ---
 
@@ -155,58 +145,6 @@ class OUModel:
             jac_dispersion=lambda t, x: np.zeros((d, m, d)),
             div_sigma_rows=div_rows,
             name="ou",
-        )
-
-
-class PiecewiseHomogeneousModel:
-    """Time-homogeneous coefficients on each interval of a partition.
-
-    Intervals are left-open/right-closed, ]t_{k-1}, t_k], except the first
-    which is [t_0, t_1]; at a breakpoint the left interval applies.
-    """
-
-    def __init__(self, breakpoints, drifts, dispersions, dim_d=1, dim_m=None):
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or len(bp) < 2:
-            raise ValueError("need at least two breakpoints (0 and T)")
-        if not (np.diff(bp) > 0).all():
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(drifts) != len(bp) - 1 or len(dispersions) != len(bp) - 1:
-            raise ValueError("one coefficient pair per interval is required")
-        self.breakpoints = bp
-        self.drifts = list(drifts)
-        self.dispersions = list(dispersions)
-        self.dim_d = dim_d
-        self.dim_m = dim_d if dim_m is None else dim_m
-
-    @property
-    def horizon(self):
-        return float(self.breakpoints[-1])
-
-    def interval_index(self, t):
-        bp = self.breakpoints
-        if not bp[0] <= t <= bp[-1]:
-            raise ValueError(f"t={t} outside [{bp[0]}, {bp[-1]}]")
-        if t <= bp[1]:
-            return 0
-        return int(np.searchsorted(bp[1:], t, side="left"))
-
-    def as_diffusion_model(self):
-        def drift(t, x):
-            return np.asarray(self.drifts[self.interval_index(t)](x), dtype=float)
-
-        def dispersion(t, x):
-            return np.asarray(
-                self.dispersions[self.interval_index(t)](x), dtype=float
-            )
-
-        return DiffusionModel(
-            dim_d=self.dim_d,
-            dim_m=self.dim_m,
-            drift=drift,
-            dispersion=dispersion,
-            horizon=self.horizon,
-            name="piecewise",
         )
 
 
@@ -401,17 +339,42 @@ def sin_drift_model(amplitude=1.0, sigma_spec=1.0, horizon=1.0):
 
 
 def piecewise_model(breakpoints, rates, sigmas, horizon=None):
-    """Scalar piecewise family: b = rate_k * x, sigma = const_k per interval."""
-    bp = list(breakpoints)
+    """Scalar piecewise-homogeneous family: b = rate_k x, sigma = sigma_k.
+
+    Interval k is ]t_{k-1}, t_k], except the first, which is [t_0, t_1]: at
+    a breakpoint the left interval applies.  The horizon is the last
+    breakpoint.  No analytic derivatives are supplied.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.ndim != 1 or len(bp) < 2:
+        raise ValueError("need at least two breakpoints (0 and T)")
+    if not (np.diff(bp) > 0).all():
+        raise ValueError("breakpoints must be strictly increasing")
+    if len(rates) != len(bp) - 1 or len(sigmas) != len(bp) - 1:
+        raise ValueError("one coefficient pair per interval is required")
     if horizon is not None and abs(bp[-1] - horizon) > 1e-12:
         raise ValueError("last breakpoint must equal the horizon")
-    drifts = [(lambda c: (lambda x: c * np.asarray(x, float)))(c) for c in rates]
-    disps = [
-        (lambda s: (lambda x: np.full(np.shape(np.atleast_2d(x))[:1] + (1, 1), s)
-                    if np.ndim(x) > 1 else np.array([[s]])))(float(s))
-        for s in sigmas
-    ]
-    return PiecewiseHomogeneousModel(bp, drifts, disps, dim_d=1)
+    rates = list(rates)
+    sigmas = [float(s) for s in sigmas]
+
+    def interval(t):
+        if not bp[0] <= t <= bp[-1]:
+            raise ValueError(f"t={t} outside [{bp[0]}, {bp[-1]}]")
+        if t <= bp[1]:
+            return 0
+        return int(np.searchsorted(bp[1:], t, side="left"))
+
+    def drift(t, x):
+        return rates[interval(t)] * np.asarray(x, dtype=float)
+
+    def dispersion(t, x):
+        s = sigmas[interval(t)]
+        if np.ndim(x) > 1:
+            return np.full(np.shape(x)[:1] + (1, 1), s)
+        return np.array([[s]])
+
+    return DiffusionModel(dim_d=1, dim_m=1, drift=drift, dispersion=dispersion,
+                          horizon=float(bp[-1]), name="piecewise")
 
 
 def make_model(family, **params):

@@ -187,8 +187,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     One-dimensional clouds of 256 or more particles use the binned FFT
     evaluation, all others the exact pairwise sums.
     """
-    if isinstance(model, OUModel):
-        model = model.as_diffusion_model()
+    model = model.as_diffusion_model()
     if abs(grid.t_end - model.horizon) > 1e-12:
         raise ValueError("grid horizon must match the model horizon")
     run_grid, eps = _effective_grid(grid, epsilon_stop)
@@ -212,6 +211,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     binned = d == 1 and n >= 256
 
     def drift_fn(k, s, X):
+        t = model.horizon - s
         h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
         field = KdeField(X, h)
         if binned:
@@ -231,11 +231,14 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         score = np.where(vac[:, None], 0.0, score)
         v = X.var(axis=0, ddof=1)
         score = score * ((v + field.bandwidth**2) / v)[None, :]
-        dens = _reversal_drift_from_score(model, s, X, score)
+        dens = _reversal_drift_from_score(model, t, X, score)
         dens[vac] = 0.0
-        return dens, -model.drift_flipped(s, X), n_vac
+        return dens, -np.asarray(model.drift(t, X), dtype=float), n_vac
 
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, model.sigma_flipped,
+    def sigma_fn(s, X):
+        return model.sigma(model.horizon - s, X)
+
+    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn,
                            drift_clip, store_every)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
                        epsilon_stop=eps, drift_clip=drift_clip, path=path,
@@ -260,41 +263,29 @@ class RepresentationReport:
 def verify_representation(run, reference, threshold=0.02, seed=0):
     """Compare reversed marginals against a reference family.
 
-    ``reference`` is a callable mapping a reversed time to a Gaussian
-    mixture (the forward marginal at T - t), a list of mixtures matching
-    the stored snapshots, or another ensemble path (then compared sample
-    to sample).  d = 1 uses the Kolmogorov-Smirnov statistic, d >= 2 the
-    energy distance.
+    ``reference`` is either a callable mapping a reversed time to a
+    Gaussian mixture (the forward marginal at T - t), or another ensemble
+    path, which is then compared sample to sample.  d = 1 uses the
+    Kolmogorov-Smirnov statistic, d >= 2 the energy distance.
     """
     snaps = run.path.snapshots
-    if isinstance(reference, EnsemblePath):
-        if len(reference.snapshots) != len(snaps) or np.abs(
-            reference.times - run.path.times
-        ).max() > 1e-9:
-            raise ValueError("snapshot/reference time mismatch")
-        refs = reference.snapshots
-        getter = lambda i, t: refs[i]  # noqa: E731
-        kind = "ensemble"
-    elif callable(reference):
-        getter = lambda i, t: reference(t)  # noqa: E731
-        kind = "mixture"
-    else:
-        refs = list(reference)
-        if len(refs) != len(snaps):
-            raise ValueError("snapshot/reference time mismatch")
-        getter = lambda i, t: refs[i]  # noqa: E731
-        kind = "mixture"
+    ensemble = isinstance(reference, EnsemblePath)
+    if ensemble and (len(reference.snapshots) != len(snaps) or np.abs(
+            reference.times - run.path.times).max() > 1e-9):
+        raise ValueError("snapshot/reference time mismatch")
     d = snaps[0].dim
     stats = []
     for i, snap in enumerate(snaps):
-        ref = getter(i, snap.time)
-        if kind == "ensemble":
+        if ensemble:
+            ref = reference.snapshots[i]
             if d == 1:
                 stats.append(ks_two_sample(snap.positions, ref.positions))
             else:
                 stats.append(energy_distance_nd(snap.positions, ref.positions,
                                                 seed=seed))
-        elif d == 1:
+            continue
+        ref = reference(snap.time)
+        if d == 1:
             stats.append(ks_statistic(snap.positions, ref.cdf1d))
         else:
             rng = substream(seed, REFERENCE_SAMPLE, i)

@@ -15,6 +15,13 @@ The CLI cases hash the CSV files that ``retrodiff reverse`` and
 ``retrodiff forward`` write, byte for byte, as recorded while the CSV
 exports still formatted one row at a time.
 
+The piecewise cases (an Euler path across the breakpoint, the moment
+bound with its finite-difference Lipschitz estimate, a self-consistent
+reversal with its finite-difference divergence) were recorded while the
+piecewise family was still a class of its own that had to be converted
+before use.  The unconverted case passes that model straight to the
+reversal and must reproduce the converted run's digest.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
@@ -31,7 +38,7 @@ import pytest
 
 import retrodiff as rd
 from retrodiff.cli import main
-from retrodiff.models import affine_model
+from retrodiff.models import affine_model, piecewise_model
 
 
 def _digest(*arrays):
@@ -153,6 +160,42 @@ def dirac_search_2d():
     return _search_scores(res)
 
 
+def _piecewise():
+    return piecewise_model([0.0, 0.5, 1.0], rates=[-0.8, 0.4],
+                           sigmas=[1.0, 0.6])
+
+
+def em_piecewise():
+    init = rd.sample_initial(rd.gaussian([0.3], 0.4), 400, seed=26)
+    path = rd.euler_maruyama_path(_piecewise().as_diffusion_model(), init,
+                                  rd.TimeGrid(0.0, 1.0, 30), seed=26,
+                                  store_every=1)
+    return tuple(s.positions for s in path.snapshots)
+
+
+def moment_bound_piecewise():
+    rep = rd.check_moment_bound(_piecewise().as_diffusion_model(), [0.0],
+                                [0.5], rd.TimeGrid(0.0, 1.0, 20), 200, seed=27)
+    return np.array([rep.sup_empirical, rep.sup_time, rep.bound, rep.margin,
+                     rep.K, rep.K_b, rep.small_horizon_margin])
+
+
+def _reversal_piecewise(model):
+    run = rd.simulate_reversal_selfconsistent(
+        model, rd.gaussian([0.1], 0.8), rd.TimeGrid(0.0, 1.0, 20), 300,
+        epsilon_stop=0.1, seed=28)
+    return _diag(run)
+
+
+def reversal_selfconsistent_piecewise():
+    return _reversal_piecewise(_piecewise().as_diffusion_model())
+
+
+def reversal_selfconsistent_piecewise_unconverted():
+    # the unconverted model must run the same arithmetic as the converted one
+    return _reversal_piecewise(_piecewise())
+
+
 CASES = {
     "em_ou_2d": em_ou_2d,
     "em_sqrt1px2": em_sqrt1px2,
@@ -165,6 +208,11 @@ CASES = {
     "injectivity_probe_2d": injectivity_probe_2d,
     "dirac_search_1d": dirac_search_1d,
     "dirac_search_2d": dirac_search_2d,
+    "em_piecewise": em_piecewise,
+    "moment_bound_piecewise": moment_bound_piecewise,
+    "reversal_selfconsistent_piecewise": reversal_selfconsistent_piecewise,
+    "reversal_selfconsistent_piecewise_unconverted":
+        reversal_selfconsistent_piecewise_unconverted,
 }
 
 CLI_REVERSE_2D = """
@@ -263,6 +311,10 @@ DIGESTS = {
     "injectivity_probe_2d": "a07680def8c1e5483eefd3c1ba0e94a9011800d316a262f4e1bb6f6f4ebe3248",
     "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",
     "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",
+    "em_piecewise": "508635e3aad5d7041a1d63b17b03c722390ad589f11187694b73544315d94512",
+    "moment_bound_piecewise": "bb13ece8ba7d002fd5a06eaa16619198e188045c37ae66e6dffb0c583ee92bd5",
+    "reversal_selfconsistent_piecewise": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
+    "reversal_selfconsistent_piecewise_unconverted": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
 }
 
 

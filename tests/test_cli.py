@@ -89,6 +89,49 @@ def test_malformed_config_reports_parse_error(tmp_path, capsys):
     assert "malformed config" in capsys.readouterr().err
 
 
+HEAT = "family = heat"
+PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 1"
+
+
+@pytest.mark.parametrize("command, model, t_end, run, message", [
+    pytest.param("invert", HEAT, 1, "route = mean-ode\nterminal_mean = 0 abc",
+                 "run.terminal_mean", id="vector-literal"),
+    pytest.param("forward", "family = heat\ndim = two", 1, "init = dirac:0",
+                 "model.dim", id="integer-literal"),
+    pytest.param("forward", HEAT, 1, "init = gaussian:0,abc", "run.init",
+                 id="variance-literal"),
+    pytest.param("forward", "family = piecewise\nbreakpoints = 0 0.6 0.5 1\n"
+                 "rates = 0 0 0\nsigmas = 1 1 1", 1, "init = dirac:0",
+                 "strictly increasing", id="breakpoints-order"),
+    pytest.param("forward", PIECEWISE, 2, "init = dirac:0", "horizon",
+                 id="breakpoints-horizon"),
+    pytest.param("invert", "family = ou\nc = -1\nsigma = 1", 1,
+                 "route = fourier\nx0 = 0.5", "heat family",
+                 id="fourier-needs-heat"),
+])
+def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
+                                     run, message):
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+{model}
+
+[grid]
+t_end = {t_end}
+n_steps = 10
+
+[run]
+seed = 1
+particles = 100
+{run}
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_refuses_overwrite_without_force(tmp_path):
     cfg = write_config(tmp_path / "c.ini",
                        HEAT_FORWARD.format(out=tmp_path / "out"))
@@ -388,6 +431,7 @@ particles = 1000
 directory = {out}
 """
     runs = {
+        "reverse": "mode = self-consistent\nmu = gaussian:0,0.5",
         "moment-check": "x = 0\ny = 1",
         "injectivity": "candidates = 0 1",
         "invert": "route = search\nx0 = 0.5\ncandidates = -1 0 0.5 1",
