@@ -272,7 +272,7 @@ def _report(passed, failures, payload):
 
 def cmd_forward(cfg, emitter):
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end).as_diffusion_model()
+    model = build_model(cfg, grid.t_end)
     seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "init" not in cfg["run"]:
@@ -431,8 +431,7 @@ def cmd_invert(cfg, emitter):
         n = _positive(cfg, "run", "particles", default=100000, integer=True)
         drift = affine_of(model)
         init = sample_initial(DiracMixture([x0]), n, seed)
-        term = euler_maruyama_path(model.as_diffusion_model(), init, grid,
-                                   seed).terminal
+        term = euler_maruyama_path(model, init, grid, seed).terminal
         x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
         err = float(np.linalg.norm(x_hat - x0))
@@ -447,11 +446,10 @@ def cmd_invert(cfg, emitter):
         cands = [[v] for v in _parse_vector(run_cfg["candidates"],
                                             "run.candidates")]
         n = _positive(cfg, "run", "particles", default=20000, integer=True)
-        diff = model.as_diffusion_model()
         init = sample_initial(DiracMixture([x0]), n, seed)
-        target = euler_maruyama_path(diff, init, grid, seed,
+        target = euler_maruyama_path(model, init, grid, seed,
                                      store_every=grid.n_steps).terminal
-        res = reconstruct_dirac_search(diff, target, cands, grid.t_end, n,
+        res = reconstruct_dirac_search(model, target, cands, grid.t_end, n,
                                        seed + 1, n_steps=grid.n_steps)
         spacings = np.diff(sorted(c[0] for c in cands))
         spacing = float(spacings[spacings > 0].min()) if (spacings > 0).any() else 1.0
@@ -486,7 +484,7 @@ def cmd_invert(cfg, emitter):
 
 def cmd_moment_check(cfg, emitter):
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end).as_diffusion_model()
+    model = build_model(cfg, grid.t_end)
     run_cfg = cfg["run"]
     seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
@@ -508,7 +506,7 @@ def cmd_moment_check(cfg, emitter):
 
 def cmd_injectivity(cfg, emitter):
     grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end).as_diffusion_model()
+    model = build_model(cfg, grid.t_end)
     run_cfg = cfg["run"]
     seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=4000, integer=True)

@@ -245,6 +245,7 @@ def reversal_drift(model, field, t_reversed, x):
     with the field's score (see :func:`_reversal_drift_from_score`).
     Vacuum queries propagate as :class:`VacuumError`.
     """
+    model = model.as_diffusion_model()
     out = _reversal_drift_from_score(model, model.horizon - t_reversed, x,
                                      kde_score(field, x))
     if not np.isfinite(out).all():

@@ -115,6 +115,7 @@ def euler_maruyama_path(model, init, grid, seed, store_every=None):
     thinned to roughly 200 unless ``store_every`` is given (1 stores every
     node).  See :func:`_em_loop`.
     """
+    model = model.as_diffusion_model()
     return _em_loop(
         init.positions.copy(), grid, seed, FORWARD_STEP,
         lambda k, t, X: np.asarray(model.drift(t, X), dtype=float),
@@ -164,6 +165,7 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     ``small_horizon_margin`` reports K T / 2 * exp(K T / 2), the quantity
     that must stay below ~0.567 for the small-horizon uniqueness regime.
     """
+    model = model.as_diffusion_model()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Xx = np.tile(x, (n, 1))

@@ -242,21 +242,11 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
     target = mu_ensemble.positions
     half = target.shape[0] // 2
     floor = _cloud_distance(target[:half], target[half:], "wasserstein1", seed)
-    if target.shape[1] == 1:
-        def score(cloud):
-            return wasserstein1(cloud, target)
-    else:
-        # the target's projections are sorted once, for every candidate
-        key = sorted_projections(target, seed=seed)
-
-        def score(cloud):
-            return sliced_wasserstein1_sorted(
-                sorted_projections(cloud, seed=seed), key)
 
     scores = []
     for i, p in enumerate(pts):
         cloud = _terminal_cloud(model, DiracMixture([p]), T, n, n_steps, seed, i)
-        scores.append(score(cloud))
+        scores.append(_cloud_distance(cloud, target, "wasserstein1", seed))
     best = min(scores)
     tied = [s <= best + floor for s in scores]
     winners = sorted(tuple(p) for p, t in zip(pts, tied) if t)

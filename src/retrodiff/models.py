@@ -5,7 +5,8 @@ optional analytic derivatives.  Evaluation is vectorized over particles:
 ``drift(t, x)`` takes x of shape (..., d) and returns (..., d), and
 ``dispersion(t, x)`` returns (..., d, m) (a constant (d, m) matrix is
 accepted and broadcast).  Models are immutable after construction and all
-evaluation is reentrant.
+evaluation is reentrant.  Every function that evaluates a model's
+coefficients takes either class and converts it with ``as_diffusion_model()``.
 """
 
 import math
@@ -166,6 +167,7 @@ def check_ellipticity(model, sample_points, epsilon):
     Passes when the sampled minimum is >= epsilon.  The sample must be
     non-empty.
     """
+    model = model.as_diffusion_model()
     pts = list(sample_points)
     if not pts:
         raise ValueError("sample_points must be non-empty")
@@ -211,6 +213,7 @@ def estimate_lipschitz(model, domain_box, t_samples, n_probes, seed):
     deterministic stream, so the evaluated set for n probes is a prefix of
     the set for n + k probes and the estimate is monotone in n_probes.
     """
+    model = model.as_diffusion_model()
     lo, hi = (np.asarray(v, dtype=float) for v in domain_box)
     if lo.shape != hi.shape or (hi <= lo).any():
         raise ValueError("domain_box must have positive volume")

@@ -19,8 +19,7 @@ The piecewise cases (an Euler path across the breakpoint, the moment
 bound with its finite-difference Lipschitz estimate, a self-consistent
 reversal with its finite-difference divergence) were recorded while the
 piecewise family was still a class of its own that had to be converted
-before use.  The unconverted case passes that model straight to the
-reversal and must reproduce the converted run's digest.
+before use; they now pass the model as ``piecewise_model`` returns it.
 
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
@@ -167,33 +166,24 @@ def _piecewise():
 
 def em_piecewise():
     init = rd.sample_initial(rd.gaussian([0.3], 0.4), 400, seed=26)
-    path = rd.euler_maruyama_path(_piecewise().as_diffusion_model(), init,
+    path = rd.euler_maruyama_path(_piecewise(), init,
                                   rd.TimeGrid(0.0, 1.0, 30), seed=26,
                                   store_every=1)
     return tuple(s.positions for s in path.snapshots)
 
 
 def moment_bound_piecewise():
-    rep = rd.check_moment_bound(_piecewise().as_diffusion_model(), [0.0],
-                                [0.5], rd.TimeGrid(0.0, 1.0, 20), 200, seed=27)
+    rep = rd.check_moment_bound(_piecewise(), [0.0], [0.5],
+                                rd.TimeGrid(0.0, 1.0, 20), 200, seed=27)
     return np.array([rep.sup_empirical, rep.sup_time, rep.bound, rep.margin,
                      rep.K, rep.K_b, rep.small_horizon_margin])
 
 
-def _reversal_piecewise(model):
+def reversal_selfconsistent_piecewise():
     run = rd.simulate_reversal_selfconsistent(
-        model, rd.gaussian([0.1], 0.8), rd.TimeGrid(0.0, 1.0, 20), 300,
+        _piecewise(), rd.gaussian([0.1], 0.8), rd.TimeGrid(0.0, 1.0, 20), 300,
         epsilon_stop=0.1, seed=28)
     return _diag(run)
-
-
-def reversal_selfconsistent_piecewise():
-    return _reversal_piecewise(_piecewise().as_diffusion_model())
-
-
-def reversal_selfconsistent_piecewise_unconverted():
-    # the unconverted model must run the same arithmetic as the converted one
-    return _reversal_piecewise(_piecewise())
 
 
 CASES = {
@@ -211,8 +201,6 @@ CASES = {
     "em_piecewise": em_piecewise,
     "moment_bound_piecewise": moment_bound_piecewise,
     "reversal_selfconsistent_piecewise": reversal_selfconsistent_piecewise,
-    "reversal_selfconsistent_piecewise_unconverted":
-        reversal_selfconsistent_piecewise_unconverted,
 }
 
 CLI_REVERSE_2D = """
@@ -314,7 +302,6 @@ DIGESTS = {
     "em_piecewise": "508635e3aad5d7041a1d63b17b03c722390ad589f11187694b73544315d94512",
     "moment_bound_piecewise": "bb13ece8ba7d002fd5a06eaa16619198e188045c37ae66e6dffb0c583ee92bd5",
     "reversal_selfconsistent_piecewise": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
-    "reversal_selfconsistent_piecewise_unconverted": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
 }
 
 

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from retrodiff import (
+    DiracMixture,
+    KdeField,
+    TimeGrid,
     check_ellipticity,
+    check_moment_bound,
     estimate_lipschitz,
+    euler_maruyama_path,
+    injectivity_probe,
     make_model,
+    reconstruct_dirac_search,
+    reversal_drift,
+    sample_initial,
 )
 from retrodiff.models import (
     DiffusionModel,
@@ -175,3 +184,33 @@ def test_symmetry_invariant_random_sigma():
     )
     S = m.sigma_sigma_T(0.0, np.zeros(4))
     assert np.abs(S - S.T).max() < 1e-14
+
+
+_GRID = TimeGrid(0.0, 1.0, 10)
+_ENTRY_POINTS = {
+    "euler_maruyama_path": lambda m: euler_maruyama_path(
+        m, sample_initial(DiracMixture([[0.5]]), 50, seed=1), _GRID,
+        seed=1).terminal.positions,
+    "check_moment_bound": lambda m: check_moment_bound(
+        m, [0.0], [1.0], _GRID, 50, seed=2).sup_empirical,
+    "check_ellipticity": lambda m: check_ellipticity(
+        m, [(0.3, [1.0])], 0.1).min_eigenvalue,
+    "estimate_lipschitz": lambda m: estimate_lipschitz(
+        m, ([-1.0], [1.0]), [0.0, 0.5], 5, seed=3).K,
+    "reversal_drift": lambda m: reversal_drift(
+        m, KdeField([[-0.5], [0.0], [0.5]], 0.4), 0.2, np.array([[0.1]])),
+    "injectivity_probe": lambda m: injectivity_probe(
+        m, [DiracMixture([[0.0]]), DiracMixture([[1.0]])], 1.0, 40, seed=4,
+        n_steps=5).distances,
+    "reconstruct_dirac_search": lambda m: np.array(reconstruct_dirac_search(
+        m, sample_initial(DiracMixture([[0.0]]), 40, seed=5), [[0.0], [1.0]],
+        1.0, 40, seed=5, n_steps=5).x_hat),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_points_convert_the_ou_model(entry):
+    # an OUModel and its DiffusionModel give the same bits
+    ou = make_model("ou", C=-0.7, sigma=0.9)
+    run = _ENTRY_POINTS[entry]
+    assert np.array_equal(run(ou), run(ou.as_diffusion_model()))
