@@ -87,6 +87,15 @@ def _parse_vector(text, key):
         raise ConfigError(f"{key} is not a list of numbers: {text!r}") from exc
 
 
+def _parse_point(text, key, dim):
+    """A vector literal that must have the model's dimension."""
+    v = _parse_vector(text, key)
+    if len(v) != dim:
+        raise ConfigError(f"{key} has {len(v)} coordinates, but the model "
+                          f"has dimension {dim}: {text!r}")
+    return v
+
+
 def _parse_matrix(text, key):
     rows = [_parse_vector(r, key) for r in text.split(";")]
     if len({len(r) for r in rows}) != 1:
@@ -94,16 +103,16 @@ def _parse_matrix(text, key):
     return rows
 
 
-def _parse_distribution(text, key):
-    """dirac:<coords> or gaussian:<mean coords>,<variance>."""
+def _parse_distribution(text, key, dim):
+    """dirac:<coords> or gaussian:<mean coords>,<variance> in ``dim`` dims."""
     kind, _, rest = text.partition(":")
     if kind == "dirac":
-        return DiracMixture([_parse_vector(rest, key)])
+        return DiracMixture([_parse_point(rest, key, dim)])
     if kind == "gaussian":
         mean_s, _, var_s = rest.rpartition(",")
         if not mean_s:
             raise ConfigError(f"gaussian spec {text!r} needs mean,variance")
-        mean = _parse_vector(mean_s, key)
+        mean = _parse_point(mean_s, key, dim)
         try:
             var = float(var_s)
         except ValueError as exc:
@@ -263,6 +272,14 @@ def _threshold(cfg, key, default):
     return _positive(cfg, "thresholds", key, default=default)
 
 
+def _candidate_points(run_cfg, dim):
+    """``run.candidates``: a list of 1-D candidate points."""
+    if dim != 1:
+        raise ConfigError(f"run.candidates lists 1-D points, but the model has "
+                          f"dimension {dim}")
+    return [[v] for v in _parse_vector(run_cfg["candidates"], "run.candidates")]
+
+
 def _report(passed, failures, payload):
     payload["spec_version"] = SPEC_VERSION
     payload["passed"] = bool(passed)
@@ -277,7 +294,8 @@ def cmd_forward(cfg, emitter):
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "init" not in cfg["run"]:
         raise ConfigError("forward needs run.init")
-    init_dist = _parse_distribution(cfg["run"]["init"], "run.init")
+    init_dist = _parse_distribution(cfg["run"]["init"], "run.init",
+                                    model.dim_d)
     full = cfg["run"].get("store_full", "false").lower() in ("1", "true", "yes")
     with emitter.phase("simulate"):
         init = sample_initial(init_dist, n, seed)
@@ -307,9 +325,9 @@ def cmd_reverse(cfg, emitter):
     mode = run_cfg.get("mode", "analytic")
     if "mu" not in run_cfg:
         raise ConfigError("reverse needs run.mu (terminal sampler)")
-    mu = _parse_distribution(run_cfg["mu"], "run.mu")
-    nu = (_parse_distribution(run_cfg["nu"], "run.nu") if "nu" in run_cfg
-          else None)
+    mu = _parse_distribution(run_cfg["mu"], "run.mu", model.dim_d)
+    nu = (_parse_distribution(run_cfg["nu"], "run.nu", model.dim_d)
+          if "nu" in run_cfg else None)
     is_ou = isinstance(model, OUModel)
 
     if mode not in ("analytic", "self-consistent"):
@@ -377,8 +395,10 @@ def cmd_ou_verify(cfg, emitter):
     if not isinstance(model, OUModel):
         raise ConfigError("ou-verify needs the heat or ou family")
     seed = _seed(cfg)
-    nu = _parse_distribution(cfg["run"].get("nu", "dirac:0"), "run.nu")
     d = model.dim_d
+    # the default source is a Dirac mass at the origin
+    nu = _parse_distribution(cfg["run"].get("nu", "dirac:" + " 0" * d),
+                             "run.nu", d)
     axis = np.linspace(-5.0, 5.0, 9)
     if d == 1:
         xi = axis[:, None]
@@ -390,13 +410,15 @@ def cmd_ou_verify(cfg, emitter):
         raise ConfigError("ou-verify checks t = 0.1 T, 0.2 T, ..., T, which "
                           "must be grid nodes: grid.n_steps must be a "
                           "multiple of 10")
-    ts = np.linspace(0.1 * grid.t_end, grid.t_end, 10)
-    rep = consistency_triangle(model, nu, xi, ts, n_steps=grid.n_steps)
     tol = _threshold(cfg, "triangle_max_error", 1e-6)
-    failures = [] if rep["max_error"] < tol else ["triangle_max_error"]
-    payload = {k: v for k, v in rep.items()}
-    payload["threshold"] = tol
-    payload["seed"] = seed
+    ts = np.linspace(0.1 * grid.t_end, grid.t_end, 10)
+    with emitter.phase("compute"):
+        rep = consistency_triangle(model, nu, xi, ts, n_steps=grid.n_steps)
+    with emitter.phase("check"):
+        failures = [] if rep["max_error"] < tol else ["triangle_max_error"]
+        payload = {k: v for k, v in rep.items()}
+        payload["threshold"] = tol
+        payload["seed"] = seed
     return _report(not failures, failures, payload)
 
 
@@ -405,78 +427,87 @@ def cmd_invert(cfg, emitter):
     model = build_model(cfg, grid.t_end)
     run_cfg = cfg["run"]
     seed = _seed(cfg)
+    d = model.dim_d
     route = run_cfg.get("route", "mean-ode")
     failures = []
 
     def affine_of(model):
         if isinstance(model, OUModel):
-            return AffineDrift(b0=lambda t: np.zeros(model.dim_d),
-                               b1=model.C, dim=model.dim_d)
+            return AffineDrift(b0=lambda t: np.zeros(d), b1=model.C, dim=d)
         if getattr(model, "name", "") == "affine":
-            return AffineDrift(b0=lambda t: model.drift(t, np.zeros(model.dim_d)),
-                               b1=lambda t: model.jac_drift_at(t, np.zeros(model.dim_d)),
-                               dim=model.dim_d)
+            return AffineDrift(b0=lambda t: model.drift(t, np.zeros(d)),
+                               b1=lambda t: model.jac_drift_at(t, np.zeros(d)),
+                               dim=d)
         raise ConfigError("mean-ode routes need an affine-drift model")
 
     if route == "mean-ode":
         if "terminal_mean" not in run_cfg:
             raise ConfigError("mean-ode route needs run.terminal_mean")
-        m = np.array(_parse_vector(run_cfg["terminal_mean"], "run.terminal_mean"))
-        x_hat = reconstruct_dirac_affine(affine_of(model), m, grid)
-        payload = {"route": route, "x_hat": x_hat.tolist()}
+        m = np.array(_parse_point(run_cfg["terminal_mean"],
+                                  "run.terminal_mean", d))
+        drift = affine_of(model)
+        with emitter.phase("compute"):
+            x_hat = reconstruct_dirac_affine(drift, m, grid)
+        with emitter.phase("check"):
+            payload = {"route": route, "x_hat": x_hat.tolist()}
     elif route == "mean-ode-mc":
         if "x0" not in run_cfg:
             raise ConfigError("mean-ode-mc route needs run.x0 (data generator)")
-        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
+        x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
         n = _positive(cfg, "run", "particles", default=100000, integer=True)
         drift = affine_of(model)
-        init = sample_initial(DiracMixture([x0]), n, seed)
-        term = euler_maruyama_path(model, init, grid, seed).terminal
-        x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
-        err = float(np.linalg.norm(x_hat - x0))
-        if err > k_sig * se + 1e-12:
-            failures.append("mc_recovery")
-        payload = {"route": route, "x_hat": x_hat.tolist(), "stderr": se,
-                   "true_x0": x0.tolist(), "error": err}
+        with emitter.phase("compute"):
+            init = sample_initial(DiracMixture([x0]), n, seed)
+            term = euler_maruyama_path(model, init, grid, seed).terminal
+            x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
+        with emitter.phase("check"):
+            err = float(np.linalg.norm(x_hat - x0))
+            if err > k_sig * se + 1e-12:
+                failures.append("mc_recovery")
+            payload = {"route": route, "x_hat": x_hat.tolist(), "stderr": se,
+                       "true_x0": x0.tolist(), "error": err}
     elif route == "search":
         if "x0" not in run_cfg or "candidates" not in run_cfg:
             raise ConfigError("search route needs run.x0 and run.candidates")
-        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
-        cands = [[v] for v in _parse_vector(run_cfg["candidates"],
-                                            "run.candidates")]
+        x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
+        cands = _candidate_points(run_cfg, d)
         n = _positive(cfg, "run", "particles", default=20000, integer=True)
-        init = sample_initial(DiracMixture([x0]), n, seed)
-        target = euler_maruyama_path(model, init, grid, seed,
-                                     store_every=grid.n_steps).terminal
-        res = reconstruct_dirac_search(model, target, cands, grid.t_end, n,
-                                       seed + 1, n_steps=grid.n_steps)
         spacings = np.diff(sorted(c[0] for c in cands))
         spacing = float(spacings[spacings > 0].min()) if (spacings > 0).any() else 1.0
         tol = _threshold(cfg, "search_tolerance", default=spacing)
-        err = float(np.linalg.norm(res.x_hat - x0))
-        if err > tol:
-            failures.append("search_recovery")
-        emitter.json("scores.json", res.to_json_dict())
-        payload = {"route": route, "x_hat": res.x_hat.tolist(),
-                   "true_x0": x0.tolist(), "error": err, "tolerance": tol}
+        with emitter.phase("compute"):
+            init = sample_initial(DiracMixture([x0]), n, seed)
+            target = euler_maruyama_path(model, init, grid, seed,
+                                         store_every=grid.n_steps).terminal
+            res = reconstruct_dirac_search(model, target, cands, grid.t_end, n,
+                                           seed + 1, n_steps=grid.n_steps)
+        with emitter.phase("check"):
+            err = float(np.linalg.norm(res.x_hat - x0))
+            if err > tol:
+                failures.append("search_recovery")
+            emitter.json("scores.json", res.to_json_dict())
+            payload = {"route": route, "x_hat": res.x_hat.tolist(),
+                       "true_x0": x0.tolist(), "error": err, "tolerance": tol}
     elif route == "fourier":
         if cfg["model"]["family"] != "heat" or "x0" not in run_cfg:
             raise ConfigError("fourier route needs the heat family and run.x0")
-        x0 = np.array(_parse_vector(run_cfg["x0"], "run.x0"))
+        x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
         T = grid.t_end
-        mu_hat = gaussian(x0, 2.0 * T * np.eye(len(x0))).char_transform
+        mu_hat = gaussian(x0, 2.0 * T * np.eye(d)).char_transform
+        tol = _threshold(cfg, "fourier_tolerance", 1e-4)
 
         def recovered(xi):
             return heat_initial_transform(mu_hat, T, xi)
 
-        est = extract_source_location(recovered, dim=len(x0))
-        tol = _threshold(cfg, "fourier_tolerance", 1e-4)
-        err = float(np.abs(est - x0).max())
-        if err > tol:
-            failures.append("fourier_recovery")
-        payload = {"route": route, "x_hat": est.tolist(),
-                   "true_x0": x0.tolist(), "error": err, "tolerance": tol}
+        with emitter.phase("compute"):
+            est = extract_source_location(recovered, dim=d)
+        with emitter.phase("check"):
+            err = float(np.abs(est - x0).max())
+            if err > tol:
+                failures.append("fourier_recovery")
+            payload = {"route": route, "x_hat": est.tolist(),
+                       "true_x0": x0.tolist(), "error": err, "tolerance": tol}
     else:
         raise ConfigError(f"unknown run.route {route!r}")
     return _report(not failures, failures, payload)
@@ -490,18 +521,21 @@ def cmd_moment_check(cfg, emitter):
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "x" not in run_cfg or "y" not in run_cfg:
         raise ConfigError("moment-check needs run.x and run.y")
-    rep = check_moment_bound(model, _parse_vector(run_cfg["x"], "run.x"),
-                             _parse_vector(run_cfg["y"], "run.y"), grid, n,
-                             seed)
-    failures = [] if rep.passed else ["moment_bound"]
-    return _report(not failures, failures, {
-        "sup_empirical": rep.sup_empirical,
-        "sup_time": rep.sup_time,
-        "bound": rep.bound,
-        "margin": rep.margin,
-        "K": rep.K,
-        "small_horizon_margin": rep.small_horizon_margin,
-    })
+    x = _parse_point(run_cfg["x"], "run.x", model.dim_d)
+    y = _parse_point(run_cfg["y"], "run.y", model.dim_d)
+    with emitter.phase("compute"):
+        rep = check_moment_bound(model, x, y, grid, n, seed)
+    with emitter.phase("check"):
+        failures = [] if rep.passed else ["moment_bound"]
+        payload = {
+            "sup_empirical": rep.sup_empirical,
+            "sup_time": rep.sup_time,
+            "bound": rep.bound,
+            "margin": rep.margin,
+            "K": rep.K,
+            "small_horizon_margin": rep.small_horizon_margin,
+        }
+    return _report(not failures, failures, payload)
 
 
 def cmd_injectivity(cfg, emitter):
@@ -511,8 +545,7 @@ def cmd_injectivity(cfg, emitter):
     seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=4000, integer=True)
     if "candidates" in run_cfg:
-        pts = [[v] for v in _parse_vector(run_cfg["candidates"],
-                                          "run.candidates")]
+        pts = _candidate_points(run_cfg, model.dim_d)
     elif "candidate_box" in run_cfg:
         box = _parse_vector(run_cfg["candidate_box"], "run.candidate_box")
         if len(box) != 3:
@@ -525,17 +558,19 @@ def cmd_injectivity(cfg, emitter):
             pts = [[a] for a in axis]
     else:
         raise ConfigError("injectivity needs run.candidates or run.candidate_box")
-    cands = [DiracMixture([p]) for p in pts]
-    rep = injectivity_probe(model, cands, grid.t_end, n, seed,
-                            metric=run_cfg.get("metric", "wasserstein1"),
-                            n_steps=grid.n_steps)
     expected = cfg.get("thresholds", {}).get("expected_verdict", "injective")
     if expected not in ("injective", "ambiguous"):
         raise ConfigError("thresholds.expected_verdict must be "
                           "'injective' or 'ambiguous'")
-    failures = [] if rep.verdict == expected else ["verdict"]
-    payload = rep.to_json_dict()
-    payload["expected_verdict"] = expected
+    cands = [DiracMixture([p]) for p in pts]
+    with emitter.phase("compute"):
+        rep = injectivity_probe(model, cands, grid.t_end, n, seed,
+                                metric=run_cfg.get("metric", "wasserstein1"),
+                                n_steps=grid.n_steps)
+    with emitter.phase("check"):
+        failures = [] if rep.verdict == expected else ["verdict"]
+        payload = rep.to_json_dict()
+        payload["expected_verdict"] = expected
     return _report(not failures, failures, payload)
 
 

@@ -13,9 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GaussianMixture
+from .metrics import _sq_dist_block
 
 _LOG_FLOOR = math.log(1e-300)
-# Query rows per block of the exact evaluation; bounds its (rows, N) arrays.
+# Query rows per block of the exact evaluation; bounds its (rows, N) block.
+# The size is also part of the bits: OpenBLAS's (rows, N) @ (N, d) product
+# ``w @ positions`` rounds differently for different row counts (of the row
+# blocks 1 to 511, only 256 reproduced the 512-row result), so changing it
+# moves every seeded kernel-drift output.
 _CHUNK = 512
 
 
@@ -62,6 +67,7 @@ class KdeField:
         self.positions = X
         self.bandwidth = h.copy()
         self._scaled = X / h
+        self._scaled_sq = np.sum(self._scaled * self._scaled, axis=1)
         self._log_norm = -math.log(X.shape[0]) - float(
             np.sum(np.log(h * math.sqrt(2.0 * math.pi)))
         )
@@ -75,14 +81,11 @@ class KdeField:
         return self.positions.shape[1]
 
     def _log_weights(self, xs):
-        # (M, N) kernel log-weights for query rows xs
-        z = xs / self.bandwidth
-        d2 = (
-            np.sum(z * z, axis=1)[:, None]
-            - 2.0 * z @ self._scaled.T
-            + np.sum(self._scaled * self._scaled, axis=1)[None, :]
-        )
-        return -0.5 * np.maximum(d2, 0.0)
+        # (M, N) kernel log-weights for query rows xs: one squared-distance
+        # block, scaled in place
+        lw = _sq_dist_block(xs / self.bandwidth, self._scaled, self._scaled_sq)
+        lw *= -0.5
+        return lw
 
     def log_density_and_score(self, x, exclude_self=False):
         """Log density and score rows for queries x; vacuum entries are NaN.
@@ -110,7 +113,8 @@ class KdeField:
                 lw[np.arange(b - a), np.arange(a, b)] = -np.inf
             m = lw.max(axis=1)
             m_safe = np.where(np.isfinite(m), m, 0.0)  # fully isolated rows
-            w = np.exp(lw - m_safe[:, None])
+            lw -= m_safe[:, None]
+            w = np.exp(lw, out=lw)
             s = w.sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 logp[a:b] = m_safe + np.log(s) + self._log_norm
@@ -130,7 +134,11 @@ class KdeField:
         """FFT-convolution evaluation on a uniform grid (d = 1 only).
 
         Sources are linearly binned, the kernel and its derivative are
-        applied by FFT convolution, and queries are linearly interpolated.
+        applied by FFT convolution, and queries are linearly interpolated:
+        each query's cell is found by index on the uniform grid, not by a
+        search, and is shared by the density and the gradient, and the
+        interpolation is ``np.interp``'s arithmetic, so the values have its
+        bits (see ``_interp_uniform``).
         The grid starts at 4096 points and doubles, up to 2^20, until a
         cell is at most a quarter bandwidth.  The error against the exact evaluation is
         about 1e-5 at the particles (relative density and absolute score
@@ -177,8 +185,10 @@ class KdeField:
         grad_g = conv(-(u / h**2) * K)
         grid = lo + dg * np.arange(G)
         inside = (xs >= lo) & (xs <= hi)
-        dens = np.where(inside, np.interp(xs, grid, dens_g), 0.0)
-        grad = np.where(inside, np.interp(xs, grid, grad_g), 0.0)
+        dens, grad = _interp_uniform(np.where(inside, xs, lo), grid, dg,
+                                     (dens_g, grad_g))
+        dens = np.where(inside, dens, 0.0)
+        grad = np.where(inside, grad, 0.0)
         if exclude_self:
             dens = dens - 1.0 / (self.n * h * math.sqrt(2.0 * math.pi))
         floor = self.n * 1e-300
@@ -189,6 +199,35 @@ class KdeField:
         if single:
             return logp[0], np.array([score[0]])
         return logp, score[:, None]
+
+
+def _interp_uniform(x, grid, dg, values):
+    """``np.interp(x, grid, f)`` for each f in ``values``, found by index.
+
+    ``grid`` is ``grid[0] + dg * np.arange(G)`` and every x lies at or
+    above ``grid[0]``.  The cell j with grid[j] <= x < grid[j + 1], which
+    ``np.interp``'s binary search finds, is the floor of (x - grid[0]) / dg
+    corrected by one step against the rounded nodes; all outputs share it.
+    Each value is ``np.interp``'s own: f[j] on a node, f[-1] at or past the
+    last node, and otherwise
+    ``(f[j+1] - f[j]) / (grid[j+1] - grid[j]) * (x - grid[j]) + f[j]``.
+    """
+    G = grid.size
+    j = np.floor((x - grid[0]) / dg)
+    np.clip(j, 0, G - 2, out=j)
+    j = j.astype(np.intp)
+    j -= grid[j] > x
+    j += grid[j + 1] <= x
+    take = (grid[j] == x) | (j == G - 1)
+    cell = np.minimum(j, G - 2)
+    g0 = grid[cell]
+    width = grid[cell + 1] - g0
+    dx = x - g0
+    out = []
+    for f in values:
+        f0 = f[cell]
+        out.append(np.where(take, f[j], (f[cell + 1] - f0) / width * dx + f0))
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,21 @@ directory = {out}
 """
 
 
-def assert_phase_seconds(out):
+def assert_phase_seconds(out, names=("export", "simulate", "verify")):
     phases = json.loads((out / "metadata.json").read_text())["phase_seconds"]
-    assert sorted(phases) == ["export", "simulate", "verify"]
+    assert sorted(phases) == sorted(names)
     assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
     assert "phase_seconds" not in (out / "report.json").read_text()
+
+
+# the phases of ou-verify, invert, moment-check and injectivity
+COMPUTE_CHECK = ("check", "compute")
+
+
+def assert_rerun_report_identical(command, cfg, out):
+    first = (out / "report.json").read_bytes()
+    assert main([command, "--config", cfg, "--force"]) in (0, 1)
+    assert (out / "report.json").read_bytes() == first
 
 
 def test_forward_emits_files_and_passes(tmp_path):
@@ -90,6 +100,7 @@ def test_malformed_config_reports_parse_error(tmp_path, capsys):
 
 
 HEAT = "family = heat"
+HEAT_2D = "family = heat\ndim = 2"
 PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 1"
 
 
@@ -108,6 +119,34 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
     pytest.param("invert", "family = ou\nc = -1\nsigma = 1", 1,
                  "route = fourier\nx0 = 0.5", "heat family",
                  id="fourier-needs-heat"),
+    # a literal whose dimension differs from the model's
+    pytest.param("forward", HEAT, 1, "init = dirac:", "run.init",
+                 id="empty-init"),
+    pytest.param("forward", HEAT_2D, 1, "init = gaussian:0,1", "run.init",
+                 id="init-dimension"),
+    pytest.param("reverse", HEAT_2D, 1, "mu = dirac:0 0 0", "run.mu",
+                 id="mu-dimension"),
+    pytest.param("reverse", HEAT_2D, 1, "mu = gaussian:0 0,1\nnu = dirac:0",
+                 "run.nu", id="nu-dimension"),
+    pytest.param("ou-verify", HEAT_2D, 1, "nu = dirac:0", "run.nu",
+                 id="ou-verify-nu-dimension"),
+    pytest.param("invert", HEAT_2D, 1,
+                 "route = search\nx0 = 0.5 0.5\ncandidates = 0 0.5 1",
+                 "run.candidates", id="search-candidates-dimension"),
+    pytest.param("invert", HEAT_2D, 1, "route = search\nx0 = 0.5\n"
+                 "candidates = 0 0.5 1", "run.x0", id="search-x0-dimension"),
+    pytest.param("invert", HEAT_2D, 1, "route = mean-ode-mc\nx0 = 0.5",
+                 "run.x0", id="mc-x0-dimension"),
+    pytest.param("invert", HEAT, 1, "route = fourier\nx0 = 0.5 1",
+                 "run.x0", id="fourier-x0-dimension"),
+    pytest.param("invert", HEAT_2D, 1, "route = mean-ode\nterminal_mean = 1",
+                 "run.terminal_mean", id="terminal-mean-dimension"),
+    pytest.param("moment-check", HEAT_2D, 1, "x = 0\ny = 1 1", "run.x",
+                 id="moment-x-dimension"),
+    pytest.param("moment-check", HEAT_2D, 1, "x = 0 0\ny = 1", "run.y",
+                 id="moment-y-dimension"),
+    pytest.param("injectivity", HEAT_2D, 1, "candidates = 0 1",
+                 "run.candidates", id="injectivity-candidates-dimension"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
                                      run, message):
@@ -178,6 +217,29 @@ family = heat
 [grid]
 t_end = 1.0
 n_steps = 400
+
+[run]
+seed = 3
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main(["ou-verify", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["max_error"] < 1e-6
+    assert_phase_seconds(tmp_path / "out", COMPUTE_CHECK)
+    assert_rerun_report_identical("ou-verify", cfg, tmp_path / "out")
+
+
+def test_ou_verify_default_source_has_the_model_dimension(tmp_path):
+    # without run.nu the source is a Dirac mass at the origin of R^d
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+{HEAT_2D}
+
+[grid]
+t_end = 1.0
+n_steps = 100
 
 [run]
 seed = 3
@@ -282,6 +344,7 @@ directory = {out}
     rep = json.loads((tmp_path / "rot" / "report.json").read_text())
     assert abs(rep["x_hat"][0] + 1.0) < 1e-6  # expm oracle gives (-1, 0)
     assert abs(rep["x_hat"][1]) < 1e-6
+    assert_phase_seconds(tmp_path / "rot", COMPUTE_CHECK)
 
     search = f"""
 [model]
@@ -306,6 +369,8 @@ directory = {tmp_path / "search"}
     rep = json.loads((tmp_path / "search" / "report.json").read_text())
     assert rep["x_hat"][0] == 0.5
     assert (tmp_path / "search" / "scores.json").exists()
+    assert_phase_seconds(tmp_path / "search", COMPUTE_CHECK)
+    assert_rerun_report_identical("invert", cfg, tmp_path / "search")
 
     fourier = f"""
 [model]
@@ -326,6 +391,7 @@ directory = {tmp_path / "fourier"}
 """
     cfg = write_config(tmp_path / "fourier.ini", fourier)
     assert main(["invert", "--config", cfg]) == 0
+    assert_phase_seconds(tmp_path / "fourier", COMPUTE_CHECK)
 
 
 def test_moment_check_command(tmp_path):
@@ -351,6 +417,8 @@ directory = {tmp_path / "out"}
     assert main(["moment-check", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["sup_empirical"] <= rep["bound"] + rep["margin"]
+    assert_phase_seconds(tmp_path / "out", COMPUTE_CHECK)
+    assert_rerun_report_identical("moment-check", cfg, tmp_path / "out")
 
 
 def test_injectivity_command_and_control(tmp_path):
@@ -377,6 +445,8 @@ directory = {out}
                        body.format(cands="0 1", verdict="injective",
                                    out=tmp_path / "a"))
     assert main(["injectivity", "--config", cfg]) == 0
+    assert_phase_seconds(tmp_path / "a", COMPUTE_CHECK)
+    assert_rerun_report_identical("injectivity", cfg, tmp_path / "a")
     cfg = write_config(tmp_path / "b.ini",
                        body.format(cands="0.5 0.5", verdict="ambiguous",
                                    out=tmp_path / "b"))

@@ -1,7 +1,12 @@
 """KDE density/score: closed-kernel oracles, finite differences, scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     AnalyticField,
@@ -13,7 +18,8 @@ from retrodiff import (
     silverman_bandwidth,
     substream,
 )
-from retrodiff.density import reversal_drift, score_bandwidth
+from retrodiff import density
+from retrodiff.density import _interp_uniform, reversal_drift, score_bandwidth
 from retrodiff.models import affine_model, heat_model
 from retrodiff.ou_analytic import ou_reversal_drift
 
@@ -211,3 +217,97 @@ def test_binned_rejects_multi_d():
     f = KdeField(np.zeros((3, 2)), 1.0)
     with pytest.raises(ValueError, match="one-dimensional"):
         f.binned_log_density_and_score(np.zeros((1, 2)))
+
+
+def assert_same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=float).ravel()
+    want = np.ascontiguousarray(want, dtype=float).ravel()
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"{bad.size} of {got.size} values differ; first at {bad[0]}: "
+        f"{float(got[bad[0]]).hex()} != {float(want[bad[0]]).hex()}")
+
+
+def interp_checked_against_np_interp(grids):
+    # wraps the index-based interpolation: every call is compared bit for
+    # bit with np.interp on the same grid and values, and its grid recorded
+    def checked(x, grid, dg, values):
+        got = _interp_uniform(x, grid, dg, values)
+        for g, f in zip(got, values):
+            assert_same_bits(g, np.interp(x, grid, f))
+        grids.append(grid)
+        return got
+    return checked
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       # n below and above the 4096-point grid: np.interp precomputes its
+       # slopes only when the grid is no longer than the query array
+       n=st.one_of(st.integers(2, 600), st.integers(4097, 9000)),
+       stretched=st.booleans(), exclude_self=st.booleans())
+def test_binned_interpolation_has_np_interp_bits(seed, n, stretched,
+                                                 exclude_self):
+    rng = np.random.default_rng(seed)
+    if stretched:
+        # spread over thousands of bandwidths: the grid doubles past 4096
+        X = np.concatenate([[0.0, 500.0], rng.uniform(0.0, 500.0, n - 2)])[:, None]
+        h = 0.1
+    else:
+        X = np.concatenate([rng.standard_normal((n // 2, 1)) - 1.5,
+                            0.5 * rng.standard_normal((n - n // 2, 1)) + 1.0])
+        h = 0.1 + rng.uniform() * float(X.std())
+    f = KdeField(X, h)
+    grids = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_interp_uniform",
+                   interp_checked_against_np_interp(grids))
+        f.binned_log_density_and_score(X, exclude_self=exclude_self)
+        grid = grids[0]
+        assert (grid.size > 4096) == stretched
+        lo, hi = X.min() - 8.0 * h, X.max() + 8.0 * h
+        nodes = grid[rng.integers(0, grid.size, 200)]
+        ends = np.array([lo, grid[1], grid[-2], grid[-1], hi])
+        q = np.concatenate([
+            nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            0.5 * (grid[:-1] + grid[1:])[rng.integers(0, grid.size - 1, 200)],
+            ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+            [lo - h, hi + h, -np.inf, np.inf, np.nan], X[:50, 0],
+        ])
+        f.binned_log_density_and_score(q[:, None])
+    assert len(grids) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=st.integers(2, 40), lo=st.floats(-1e3, 1e3),
+       dg=st.floats(1e-3, 1e2), data=st.data())
+def test_interp_uniform_has_np_interp_bits(G, lo, dg, data):
+    # arbitrary finite values, signed zeros included: on a node np.interp
+    # returns f[j] itself, and at or past the last node f[-1]
+    grid = lo + dg * np.arange(G)
+    elems = st.floats(-1e100, 1e100, allow_subnormal=True)
+    values = [data.draw(arrays(float, G, elements=elems)) for _ in range(2)]
+    nodes = data.draw(arrays(np.intp, 12, elements=st.integers(0, G - 1)))
+    frac = data.draw(arrays(float, 12, elements=st.floats(0.0, 1.5)))
+    q = np.concatenate([grid[nodes], np.nextafter(grid[nodes], np.inf),
+                        np.nextafter(grid[nodes], -np.inf),
+                        lo + frac * dg * (G - 1)])
+    q = q[q >= grid[0]]
+    for got, f in zip(_interp_uniform(q, grid, dg, values), values):
+        assert_same_bits(got, np.interp(q, grid, f))
+
+
+def test_exact_evaluation_builds_one_block_per_chunk():
+    # each 512-row chunk lives in one (512, N) buffer: squared distances,
+    # log-weights and weights in place; two blocks were four before
+    X = substream(7, 56).standard_normal((2000, 2))
+    f = KdeField(X, score_bandwidth(X))
+    block = density._CHUNK * X.shape[0] * 8
+    tracemalloc.start()
+    try:
+        f.log_density_and_score(X, exclude_self=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block, f"peak {peak / 1e6:.1f} MB"

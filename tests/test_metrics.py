@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import wasserstein_distance
 
 from retrodiff.metrics import (
+    _sq_dist_block,
+    energy_distance_nd,
     sliced_wasserstein1,
     sliced_wasserstein1_sorted,
     sorted_projections,
@@ -150,3 +153,59 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _four_temporary_energy(X, Y, seed=0):
+    """The energy distance as it was computed before the in-place block."""
+    rng = substream(seed, PROJECTIONS, 1)
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    if X.shape[0] > 2000:
+        X = X[rng.choice(X.shape[0], 2000, replace=False)]
+    if Y.shape[0] > 2000:
+        Y = Y[rng.choice(Y.shape[0], 2000, replace=False)]
+
+    def mean_dist(A, B):
+        d2 = (np.sum(A * A, axis=1)[:, None] - 2.0 * A @ B.T
+              + np.sum(B * B, axis=1)[None, :])
+        return float(np.sqrt(np.maximum(d2, 0.0)).mean())
+
+    return float(max(2.0 * mean_dist(X, Y) - mean_dist(X, X)
+                     - mean_dist(Y, Y), 0.0))
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 1, 1), (7, 3, 1), (300, 0, 2),
+                                     (500, 0, 2), (500, 400, 2), (700, 0, 3)])
+def test_sq_dist_block_keeps_the_four_temporary_bits(n, m, d):
+    # m = 0 is a cloud against itself: numpy routes A @ A.T to its symmetric
+    # product, which rounds differently from the general one at these sizes
+    A = substream(n, 60).standard_normal((n, d))
+    B = A if m == 0 else substream(m, 61).standard_normal((m, d))
+    want = np.maximum(np.sum(A * A, axis=1)[:, None] - 2.0 * A @ B.T
+                      + np.sum(B * B, axis=1)[None, :], 0.0)
+    got = _sq_dist_block(A, B, np.sum(B * B, axis=1))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 1, 1), (7, 300, 1), (200, 150, 2),
+                                     (2000, 1500, 2), (2500, 900, 3)])
+def test_energy_distance_keeps_the_four_temporary_bits(n, m, d):
+    X = substream(n, 57).standard_normal((n, d))
+    Y = 0.8 * substream(m, 58).standard_normal((m, d)) + 0.3
+    assert _bits(energy_distance_nd(X, Y, seed=5)) == \
+        _bits(_four_temporary_energy(X, Y, seed=5))
+
+
+def test_energy_distance_builds_one_block():
+    # two 2000-point clouds: each mean distance is one (2000, 2000) block of
+    # squared distances, square-rooted in place; three blocks were live before
+    X = substream(1, 59).standard_normal((2000, 2))
+    Y = substream(2, 59).standard_normal((2000, 2)) + 0.5
+    block = 2000 * 2000 * 8
+    tracemalloc.start()
+    try:
+        energy_distance_nd(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block, f"peak {peak / 1e6:.1f} MB"
