@@ -18,6 +18,8 @@ variables, which take effect only when set before launch.
 import argparse
 import configparser
 import contextlib
+import ctypes
+import glob
 import json
 import math
 import os
@@ -218,6 +220,20 @@ def build_model(cfg, horizon):
         raise ConfigError(f"{family} family: {exc}") from exc
 
 
+def _blas_threads():
+    """BLAS threads in effect, read from numpy's bundled OpenBLAS; else None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                get = getattr(lib, sym)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+
 class _Emitter:
     """Writes every artifact under the output directory, refusing clobbers."""
 
@@ -251,6 +267,7 @@ class _Emitter:
         with open(os.path.join(self.dir, "metadata.json"), "w") as fh:
             json.dump(
                 {
+                    "blas_threads": _blas_threads(),
                     "command": command,
                     "config": os.path.abspath(config_path),
                     "phase_seconds": self.phase_seconds,

@@ -184,8 +184,11 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     ``bandwidth`` (or :func:`silverman_bandwidth` output) to override the
     policy.  The dispersion must be elliptic to 1e-8 at probe particles.
 
-    One-dimensional clouds of 256 or more particles use the binned FFT
-    evaluation, all others the exact pairwise sums.
+    Clouds of 256 or more particles use a binned FFT evaluation when one
+    exists: in one dimension always, in two when the tensor grid (a cell of
+    at most h/4 over the cloud and 8h margins) has at most 2^16 points, which
+    is checked at every step.  All others, and every cloud in three or more
+    dimensions, use the exact pairwise sums.
     """
     model = model.as_diffusion_model()
     if abs(grid.t_end - model.horizon) > 1e-12:
@@ -208,14 +211,16 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         if (h_fixed >= Y.std(axis=0, ddof=1)).any():
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
-    binned = d == 1 and n >= 256
+    binned = n >= 256 and d <= 2
 
     def drift_fn(k, s, X):
         t = model.horizon - s
         h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
         field = KdeField(X, h)
-        if binned:
+        if binned and d == 1:
             logp, score = field.binned_log_density_and_score(X, exclude_self=True)
+        elif binned and field._tensor_grid() is not None:
+            logp, score = field._binned_2d(X, exclude_self=True)
         else:
             logp, score = field.log_density_and_score(X, exclude_self=True)
         # vacuum: less than ~half a neighbour's mass inside the kernel

@@ -32,10 +32,15 @@ directory = {out}
 
 
 def assert_phase_seconds(out, names=("export", "simulate", "verify")):
-    phases = json.loads((out / "metadata.json").read_text())["phase_seconds"]
+    meta = json.loads((out / "metadata.json").read_text())
+    phases = meta["phase_seconds"]
     assert sorted(phases) == sorted(names)
     assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
-    assert "phase_seconds" not in (out / "report.json").read_text()
+    # the BLAS thread count in effect, None without a bundled OpenBLAS
+    threads = meta["blas_threads"]
+    assert threads is None or (type(threads) is int and threads >= 1)
+    report = (out / "report.json").read_text()
+    assert "phase_seconds" not in report and "blas_threads" not in report
 
 
 # the phases of ou-verify, invert, moment-check and injectivity

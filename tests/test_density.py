@@ -20,7 +20,9 @@ from retrodiff import (
 )
 from retrodiff import density
 from retrodiff.density import _interp_uniform, reversal_drift, score_bandwidth
-from retrodiff.models import affine_model, heat_model
+from retrodiff.grids import TimeGrid
+from retrodiff.models import affine_model, heat_model, ou_model
+from retrodiff.reversal import simulate_reversal_selfconsistent
 from retrodiff.ou_analytic import ou_reversal_drift
 
 
@@ -213,6 +215,89 @@ def test_binned_is_vacuum_outside_its_grid():
     assert np.isfinite(f.log_density_and_score(q)[0]).all()
 
 
+def bimodal_2d(n, seed):
+    rng = substream(n, seed)
+    return np.concatenate([rng.standard_normal((n // 2, 2)) - 1.5,
+                           0.5 * rng.standard_normal((n - n // 2, 2))
+                           + [1.0, 0.5]])
+
+
+@pytest.mark.parametrize("rule", ["half_std", "score"])
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_binned_2d_matches_exact_on_the_cloud(n, rule):
+    # queried at its own particles without the self-kernel, as the reversal
+    # loop does; judged where the density is above 1e-3 of its maximum
+    X = bimodal_2d(n, 61)
+    h = 0.5 * X.std(axis=0, ddof=1) if rule == "half_std" else score_bandwidth(X)
+    f = KdeField(X, h)
+    logp_e, score_e = f.log_density_and_score(X, exclude_self=True)
+    logp_b, score_b = f._binned_2d(X, exclude_self=True)
+    keep = logp_e > logp_e.max() + np.log(1e-3)
+    dens_err = np.abs(np.expm1(logp_b - logp_e))[keep]
+    score_err = (np.linalg.norm(score_b - score_e, axis=1)[keep]
+                 / np.linalg.norm(score_e[keep], axis=1).mean())
+    assert np.median(dens_err) <= 1e-2
+    assert np.percentile(dens_err, 99) <= 5e-2
+    assert np.median(score_err) <= 2e-2
+    assert np.percentile(score_err, 99) <= 6e-2
+
+
+def test_binned_2d_is_vacuum_outside_its_grid():
+    X = bimodal_2d(500, 62)
+    f = KdeField(X, [0.3, 0.2])
+    lo, dg, G = f._tensor_grid()
+    hi = lo + dg * (G - 1)
+    mid = 0.5 * (lo + hi)
+    q = np.array([[lo[0] - 0.01, mid[1]], [hi[0] + 0.01, mid[1]],
+                  [mid[0], lo[1] - 0.01], [mid[0], hi[1] + 0.01],
+                  [np.nan, mid[1]], [0.0, 0.0]])
+    logp, score = f._binned_2d(q)
+    assert np.array_equal(logp[:5], np.full(5, -np.inf))
+    assert np.isnan(score[:5]).all()
+    assert np.isfinite(logp[5]) and np.isfinite(score[5]).all()
+    # the exact evaluator still resolves the finite queries off the grid
+    assert np.isfinite(f.log_density_and_score(q[:4])[0]).all()
+
+
+def test_binned_2d_grid_has_a_point_cap():
+    X = substream(3, 63).standard_normal((1000, 2))
+    lo, dg, G = KdeField(X, 0.5)._tensor_grid()
+    assert (dg <= 0.5 / 4).all() and np.prod(G) <= density._GRID_POINTS_2D
+    # a narrow kernel needs more than 2^16 points: no grid, and no binning
+    f = KdeField(X, 0.1)
+    assert f._tensor_grid() is None
+    with pytest.raises(ValueError, match="cap"):
+        f._binned_2d(X)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    method = getattr(KdeField, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(name)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(KdeField, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bandwidth, path", [(None, "_binned_2d"),
+                                             (0.12, "log_density_and_score")])
+def test_selfconsistent_2d_dispatch_follows_the_grid_cap(monkeypatch,
+                                                         bandwidth, path):
+    # the default bandwidth (half the cloud's spread) gives a grid of about
+    # 120 x 120 points; h = 0.12 needs over 2^16, so the exact sums run
+    rot = ou_model([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+    calls = {name: counting(monkeypatch, name)
+             for name in ("_binned_2d", "log_density_and_score")}
+    run = simulate_reversal_selfconsistent(
+        rot, gaussian([0.0, 0.0], np.eye(2)), TimeGrid(0.0, 1.0, 4), 2000,
+        epsilon_stop=0.25, seed=5, bandwidth=bandwidth)
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: run.grid.n_steps if name == path else 0 for name in calls}
+
+
 def test_binned_rejects_multi_d():
     f = KdeField(np.zeros((3, 2)), 1.0)
     with pytest.raises(ValueError, match="one-dimensional"):
@@ -300,7 +385,8 @@ def test_interp_uniform_has_np_interp_bits(G, lo, dg, data):
 
 def test_exact_evaluation_builds_one_block_per_chunk():
     # each 512-row chunk lives in one (512, N) buffer: squared distances,
-    # log-weights and weights in place; two blocks were four before
+    # log-weights and weights in place, freed before the next chunk builds
+    # its own, so at most one block is alive
     X = substream(7, 56).standard_normal((2000, 2))
     f = KdeField(X, score_bandwidth(X))
     block = density._CHUNK * X.shape[0] * 8
@@ -310,4 +396,4 @@ def test_exact_evaluation_builds_one_block_per_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * block, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 1.5 * block, f"peak {peak / 1e6:.1f} MB"

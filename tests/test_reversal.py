@@ -6,6 +6,9 @@ itself for the self-consistent mode.
 """
 
 import io
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,11 +26,14 @@ from retrodiff import (
     export_diagnostics_csv,
 )
 from retrodiff import forward
-from retrodiff.metrics import wasserstein1
+from retrodiff.density import KdeField
+from retrodiff.metrics import energy_distance_nd, wasserstein1
 from retrodiff.reversal import StepDiagnostics
 from retrodiff.models import heat_model, ou_model
 
 HEAT = heat_model(dim=1)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def heat_reference(nu):
@@ -193,6 +199,39 @@ def test_selfconsistent_agrees_with_analytic_smoke():
                                     grid, **kw)
     w1 = wasserstein1(sc.terminal.positions, an.terminal.positions)
     assert w1 <= 0.15
+
+
+def rotation_selfconsistent(seed):
+    rotation = ou_model([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+    return simulate_reversal_selfconsistent(
+        rotation, gaussian([0.3, -0.2], np.eye(2)), TimeGrid(0.0, 1.0, 40),
+        2000, epsilon_stop=0.25, seed=seed).terminal.positions
+
+
+def test_selfconsistent_2d_binned_agrees_with_exact(monkeypatch):
+    binned = rotation_selfconsistent(21)
+    monkeypatch.setattr(KdeField, "_binned_2d", KdeField.log_density_and_score)
+    exact = rotation_selfconsistent(21)
+    assert np.abs(binned.mean(axis=0) - exact.mean(axis=0)).max() <= 2e-3
+    std_ratio = binned.std(axis=0, ddof=1) / exact.std(axis=0, ddof=1)
+    assert np.abs(std_ratio - 1.0).max() <= 0.02
+    assert energy_distance_nd(binned, exact) < 1e-3
+
+
+def test_selfconsistent_2d_bits_ignore_the_blas_thread_count():
+    # the binned evaluation does no BLAS product whose rounding depends on
+    # how OpenBLAS splits it across threads
+    code = ("import hashlib, test_reversal; print(hashlib.sha256("
+            "test_reversal.rotation_selfconsistent(22).tobytes()).hexdigest())")
+    path = os.pathsep.join([SRC, TESTS, os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_sparse_cloud_documented_failure():
