@@ -65,7 +65,6 @@ from .models import (
 )
 from .ou_analytic import (
     AmplificationWindowError,
-    FourierSolution,
     OUAnalytic,
     consistency_triangle,
     fourier_invert_terminal,

@@ -297,17 +297,14 @@ def _candidate_points(run_cfg, dim):
     return [[v] for v in _parse_vector(run_cfg["candidates"], "run.candidates")]
 
 
-def _report(passed, failures, payload):
+def _report(failures, payload):
     payload["spec_version"] = SPEC_VERSION
-    payload["passed"] = bool(passed)
+    payload["passed"] = not failures
     payload["failed_criteria"] = sorted(failures)
     return payload
 
 
-def cmd_forward(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
-    seed = _seed(cfg)
+def cmd_forward(cfg, emitter, grid, model, seed):
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "init" not in cfg["run"]:
         raise ConfigError("forward needs run.init")
@@ -322,7 +319,7 @@ def cmd_forward(cfg, emitter):
         export_snapshots_csv(path, fh)
     with emitter.phase("verify"):
         mean, cov = empirical_moments(path.terminal)
-    return _report(True, [], {
+    return _report([], {
         "terminal_mean": mean.tolist(),
         "terminal_cov": cov.tolist(),
         "n_snapshots": len(path),
@@ -330,11 +327,8 @@ def cmd_forward(cfg, emitter):
     })
 
 
-def cmd_reverse(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
+def cmd_reverse(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=20000, integer=True)
     eps = _positive(cfg, "run", "epsilon_stop", default=0.01 * grid.t_end)
     clip = (None if run_cfg.get("drift_clip") == "none"
@@ -403,15 +397,12 @@ def cmd_reverse(cfg, emitter):
             payload["representation_threshold"] = ks_max
             if not rep.passed:
                 failures.append("representation_max_stat")
-    return _report(not failures, failures, payload)
+    return _report(failures, payload)
 
 
-def cmd_ou_verify(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
+def cmd_ou_verify(cfg, emitter, grid, model, seed):
     if not isinstance(model, OUModel):
         raise ConfigError("ou-verify needs the heat or ou family")
-    seed = _seed(cfg)
     d = model.dim_d
     # the default source is a Dirac mass at the origin
     nu = _parse_distribution(cfg["run"].get("nu", "dirac:" + " 0" * d),
@@ -436,14 +427,11 @@ def cmd_ou_verify(cfg, emitter):
         payload = {k: v for k, v in rep.items()}
         payload["threshold"] = tol
         payload["seed"] = seed
-    return _report(not failures, failures, payload)
+    return _report(failures, payload)
 
 
-def cmd_invert(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
+def cmd_invert(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    seed = _seed(cfg)
     d = model.dim_d
     route = run_cfg.get("route", "mean-ode")
     failures = []
@@ -527,14 +515,11 @@ def cmd_invert(cfg, emitter):
                        "true_x0": x0.tolist(), "error": err, "tolerance": tol}
     else:
         raise ConfigError(f"unknown run.route {route!r}")
-    return _report(not failures, failures, payload)
+    return _report(failures, payload)
 
 
-def cmd_moment_check(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
+def cmd_moment_check(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=10000, integer=True)
     if "x" not in run_cfg or "y" not in run_cfg:
         raise ConfigError("moment-check needs run.x and run.y")
@@ -552,14 +537,11 @@ def cmd_moment_check(cfg, emitter):
             "K": rep.K,
             "small_horizon_margin": rep.small_horizon_margin,
         }
-    return _report(not failures, failures, payload)
+    return _report(failures, payload)
 
 
-def cmd_injectivity(cfg, emitter):
-    grid = _grid(cfg)
-    model = build_model(cfg, grid.t_end)
+def cmd_injectivity(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    seed = _seed(cfg)
     n = _positive(cfg, "run", "particles", default=4000, integer=True)
     if "candidates" in run_cfg:
         pts = _candidate_points(run_cfg, model.dim_d)
@@ -588,7 +570,7 @@ def cmd_injectivity(cfg, emitter):
         failures = [] if rep.verdict == expected else ["verdict"]
         payload = rep.to_json_dict()
         payload["expected_verdict"] = expected
-    return _report(not failures, failures, payload)
+    return _report(failures, payload)
 
 
 _COMMANDS = {
@@ -618,7 +600,9 @@ def main(argv=None):
         cfg = load_config(args.config)
         out_dir = args.output or cfg.get("output", {}).get("directory", "out")
         emitter = _Emitter(out_dir, args.force)
-        payload = _COMMANDS[args.command](cfg, emitter)
+        grid = _grid(cfg)
+        model = build_model(cfg, grid.t_end)
+        payload = _COMMANDS[args.command](cfg, emitter, grid, model, _seed(cfg))
         emitter.json("report.json", payload)
         emitter.metadata(args.command, args.config)
     except ConfigError as exc:

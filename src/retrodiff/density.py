@@ -138,6 +138,22 @@ class KdeField:
     def log_density(self, x):
         return self.log_density_and_score(x)[0]
 
+    def log_density_and_score_at_sources(self):
+        """Log density and score at every source, its own kernel left out.
+
+        Clouds of 256 or more sources take a binned FFT evaluation when one
+        exists: in one dimension always, in two when ``_tensor_grid`` (a
+        cell of at most h/4 over the cloud and 8h margins) has at most
+        ``_GRID_POINTS_2D`` points.  All others, and every cloud in three or
+        more dimensions, take the exact pairwise sums.
+        """
+        X = self.positions
+        if self.n >= 256 and self.dim == 1:
+            return self.binned_log_density_and_score(X, exclude_self=True)
+        if self.n >= 256 and self.dim == 2 and self._tensor_grid() is not None:
+            return self._binned_2d(X, exclude_self=True)
+        return self.log_density_and_score(X, exclude_self=True)
+
     def binned_log_density_and_score(self, x, exclude_self=False):
         """FFT-convolution evaluation on a uniform grid (d = 1 only).
 
@@ -195,18 +211,12 @@ class KdeField:
         inside = (xs >= lo) & (xs <= hi)
         dens, grad = _interp_uniform(np.where(inside, xs, lo), grid, dg,
                                      (dens_g, grad_g))
-        dens = np.where(inside, dens, 0.0)
-        grad = np.where(inside, grad, 0.0)
-        if exclude_self:
-            dens = dens - 1.0 / (self.n * h * math.sqrt(2.0 * math.pi))
-        floor = self.n * 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-300)), -np.inf)
-            score = np.where(dens >= floor, grad / np.maximum(dens, 1e-300), np.nan)
-        logp[dens < floor] = -np.inf
+        k_self = (1.0 / (self.n * h * math.sqrt(2.0 * math.pi))
+                  if exclude_self else None)
+        logp, score = self._binned_finish(inside, dens, grad[:, None], k_self)
         if single:
-            return logp[0], np.array([score[0]])
-        return logp, score[:, None]
+            return logp[0], score[0]
+        return logp, score
 
     def _tensor_grid(self):
         """Start, cell and point count per axis of the 2-D binned grid.
@@ -300,10 +310,22 @@ class KdeField:
         F = fields.reshape(3, -1)
         vals = ((1 - t0) * ((1 - t1) * F[:, k] + t1 * F[:, k + 1])
                 + t0 * ((1 - t1) * F[:, k + G[1]] + t1 * F[:, k + G[1] + 1]))
-        dens = np.where(inside, vals[0], 0.0)
-        grad = np.where(inside[:, None], vals[1:].T, 0.0)
-        if exclude_self:
-            dens = dens - 1.0 / (self.n * np.prod(h * math.sqrt(2.0 * math.pi)))
+        k_self = (1.0 / (self.n * np.prod(h * math.sqrt(2.0 * math.pi)))
+                  if exclude_self else None)
+        return self._binned_finish(inside, vals[0], vals[1:].T, k_self)
+
+    def _binned_finish(self, inside, dens, grad, k_self):
+        """Log density and score rows from interpolated density and gradient.
+
+        Queries off the grid (``inside`` False) get zero density, so they
+        fall below the floor n * 1e-300 and are vacuum: -inf and NaN.  A
+        ``k_self`` value, each source's own kernel at itself, is subtracted
+        from the density first.
+        """
+        dens = np.where(inside, dens, 0.0)
+        grad = np.where(inside[:, None], grad, 0.0)
+        if k_self is not None:
+            dens = dens - k_self
         floor = self.n * 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-300)), -np.inf)

@@ -20,7 +20,6 @@ class ParticleEnsemble:
 
     time: float
     positions: np.ndarray
-    seed: tuple = ()
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -58,13 +57,12 @@ class EnsemblePath:
         return len(self.snapshots)
 
 
-def sample_initial(dist, n, seed, time=0.0):
-    """Draw n i.i.d. particles from an initial distribution."""
+def sample_initial(dist, n, seed):
+    """Draw n i.i.d. particles from an initial distribution at time 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, INIT_SAMPLE)
-    return ParticleEnsemble(time=time, positions=dist.sample(n, rng),
-                            seed=(seed, INIT_SAMPLE))
+    return ParticleEnsemble(time=0.0, positions=dist.sample(n, rng))
 
 
 def _em_step(X, b, s, xi, dt):
@@ -88,7 +86,7 @@ def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
     the first and last nodes are always stored.
     """
     stride = store_every or max(1, math.ceil(grid.n_steps / 200))
-    snaps = [ParticleEnsemble(time=grid.node(0), positions=X.copy(), seed=(seed,))]
+    snaps = [ParticleEnsemble(time=grid.node(0), positions=X.copy())]
     for k in range(grid.n_steps):
         t = grid.node(k)
         b = drift(k, t, X)
@@ -101,10 +99,8 @@ def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
                 f"non-finite position for particle {bad} at step {k + 1}"
             )
         if (k + 1) % stride == 0 or k + 1 == grid.n_steps:
-            snaps.append(
-                ParticleEnsemble(time=grid.node(k + 1), positions=X.copy(),
-                                 seed=(seed, kind, k))
-            )
+            snaps.append(ParticleEnsemble(time=grid.node(k + 1),
+                                          positions=X.copy()))
     return EnsemblePath(grid, snaps)
 
 

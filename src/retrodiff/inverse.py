@@ -119,12 +119,13 @@ def heat_initial_transform(mu_hat, T, xi, xi_max=5.0, exponent_cap=50.0):
     return math.exp(w) * mu_hat(xi1 if np.ndim(xi) else xi1[0])
 
 
-def extract_source_location(transform, dim, h=1e-3):
+def extract_source_location(transform, dim):
     """Point-source location from the phase slope of a transform at 0.
 
     For a transform exp(-i <xi, x0>) the phase gradient at 0 is -x0;
-    estimated by central differences at |xi| = h.
+    estimated by central differences at |xi| = 1e-3.
     """
+    h = 1e-3
     x0 = np.empty(dim)
     for j in range(dim):
         e = np.zeros(dim)

@@ -64,18 +64,18 @@ def wasserstein1(a, b):
     return float(_w1_sorted_rows(A, B)[0])
 
 
-def sorted_projections(X, n_projections=32, seed=0):
+def sorted_projections(X, seed=0):
     """Sorted 1-d projections of a cloud, one row per direction.
 
     A (n, 1) cloud gives one row, its sorted sample.  Otherwise each row is
-    ``X @ u`` for one of ``n_projections`` seeded unit directions u, sorted.
+    ``X @ u`` for one of 32 seeded unit directions u, sorted.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = X.shape[1]
     if d == 1:
         return np.sort(X.T, axis=1)
     rng = substream(seed, PROJECTIONS)
-    dirs = rng.standard_normal((n_projections, d))
+    dirs = rng.standard_normal((32, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # one matrix-vector product per direction: a single X @ dirs.T may
     # round differently
@@ -87,14 +87,13 @@ def sliced_wasserstein1_sorted(PX, PY):
     return float(np.mean(_w1_sorted_rows(PX, PY)))
 
 
-def sliced_wasserstein1(X, Y, n_projections=32, seed=0):
-    """Mean 1-d Wasserstein-1 distance over seeded random directions.
+def sliced_wasserstein1(X, Y, seed=0):
+    """Mean 1-d Wasserstein-1 distance over 32 seeded random directions.
 
     For d = 1 this is ``wasserstein1`` itself.
     """
     return sliced_wasserstein1_sorted(
-        sorted_projections(X, n_projections, seed),
-        sorted_projections(Y, n_projections, seed))
+        sorted_projections(X, seed), sorted_projections(Y, seed))
 
 
 def _sq_dist_block(A, B, B_sq):

@@ -22,6 +22,7 @@ beyond a configurable amplification exponent) are refused rather than
 clipped.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -232,19 +233,10 @@ def _transform_of(init):
     return init.char_transform
 
 
-@dataclass
-class FourierSolution:
-    """Forward transform solver bound to one model and one initial law."""
-
-    ou_analytic: OUAnalytic
-    init_transform: callable
-
-    def __call__(self, t, xi):
-        return self.ou_analytic.char_forward(self.init_transform, t, xi)
-
-
 def make_fourier_solution(ou, init, n_steps=1000):
-    return FourierSolution(analytic(ou, n_steps), _transform_of(init))
+    """Forward transform ``(t, xi) -> T_t(xi)`` of one model and initial law."""
+    return functools.partial(analytic(ou, n_steps).char_forward,
+                             _transform_of(init))
 
 
 def ou_marginal(ou, init, t, n_steps=1000):
@@ -309,7 +301,6 @@ def consistency_triangle(ou, nu, xi_values, t_values, n_steps=1000):
     """
     cache = analytic(ou, n_steps)
     tr = _transform_of(nu)
-    sol = FourierSolution(cache, tr)
     xi2 = np.atleast_2d(np.asarray(xi_values, dtype=float))
     ts = list(t_values)
     nodes = np.repeat([cache.grid.node_index(t) for t in ts], xi2.shape[0])
@@ -323,7 +314,7 @@ def consistency_triangle(ou, nu, xi_values, t_values, n_steps=1000):
     for t, v_ode in zip(ts, v_odes):
         mix = cache.marginal(nu, t)
         v_marg = mix.char_transform(xi2)
-        v_four = sol(t, xi2)
+        v_four = cache.char_forward(tr, t, xi2)
         err_mf = max(err_mf, float(np.abs(v_marg - v_four).max()))
         err_fo = max(err_fo, float(np.abs(v_four - v_ode).max()))
         err_om = max(err_om, float(np.abs(v_ode - v_marg).max()))

@@ -44,10 +44,8 @@ class ReversalRun:
     grid: TimeGrid
     horizon: float
     epsilon_stop: float
-    drift_clip: float
     path: EnsemblePath
     diagnostics: StepDiagnostics
-    seed: int
 
     @property
     def terminal(self):
@@ -86,7 +84,7 @@ def _clip_rows(v, cap):
     return v, int(over.sum())
 
 
-def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip, store_every):
+def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip):
     """The shared Euler loop (``forward._em_loop``) on the reversed clock.
 
     ``drift_fn(k, s, Y)`` returns (density_drift, base_drift,
@@ -111,15 +109,14 @@ def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip, store_every):
         return total
 
     t0 = time.perf_counter()
-    path = _em_loop(Y, grid, seed, REVERSAL_STEP, drift, sigma_fn, store_every)
+    path = _em_loop(Y, grid, seed, REVERSAL_STEP, drift, sigma_fn)
     diag = StepDiagnostics(**{key: np.array(v) for key, v in rows.items()},
                            wall_time=time.perf_counter() - t0)
     return path, diag
 
 
 def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
-                               drift_clip=None, store_every=None,
-                               check_terminal=True):
+                               drift_clip=None, check_terminal=True):
     """Reversed run with the exact affine-model density drift.
 
     ``mu`` should be the forward marginal of ``nu`` at the horizon; this is
@@ -154,16 +151,13 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     def sigma_fn(s, X):
         return ou.sigma(T - s)
 
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn,
-                           drift_clip, store_every)
+    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn, drift_clip)
     return ReversalRun(mode="analytic", grid=run_grid, horizon=T,
-                       epsilon_stop=eps, drift_clip=drift_clip, path=path,
-                       diagnostics=diag, seed=seed)
+                       epsilon_stop=eps, path=path, diagnostics=diag)
 
 
 def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
-                                     drift_clip=1e3, seed=0, bandwidth=None,
-                                     store_every=None):
+                                     drift_clip=1e3, seed=0, bandwidth=None):
     """Reversed run with the drift estimated from the live cloud.
 
     At every step a Gaussian-kernel field is rebuilt from the current
@@ -184,11 +178,8 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     ``bandwidth`` (or :func:`silverman_bandwidth` output) to override the
     policy.  The dispersion must be elliptic to 1e-8 at probe particles.
 
-    Clouds of 256 or more particles use a binned FFT evaluation when one
-    exists: in one dimension always, in two when the tensor grid (a cell of
-    at most h/4 over the cloud and 8h margins) has at most 2^16 points, which
-    is checked at every step.  All others, and every cloud in three or more
-    dimensions, use the exact pairwise sums.
+    The field chooses its evaluator at every step (see
+    :meth:`KdeField.log_density_and_score_at_sources`).
     """
     model = model.as_diffusion_model()
     if abs(grid.t_end - model.horizon) > 1e-12:
@@ -211,18 +202,12 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         if (h_fixed >= Y.std(axis=0, ddof=1)).any():
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
-    binned = n >= 256 and d <= 2
 
     def drift_fn(k, s, X):
         t = model.horizon - s
         h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
         field = KdeField(X, h)
-        if binned and d == 1:
-            logp, score = field.binned_log_density_and_score(X, exclude_self=True)
-        elif binned and field._tensor_grid() is not None:
-            logp, score = field._binned_2d(X, exclude_self=True)
-        else:
-            logp, score = field.log_density_and_score(X, exclude_self=True)
+        logp, score = field.log_density_and_score_at_sources()
         # vacuum: less than ~half a neighbour's mass inside the kernel
         floor = (math.log(0.5) - math.log(field.n)
                  - np.log(field.bandwidth * math.sqrt(2 * math.pi)).sum())
@@ -243,11 +228,9 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     def sigma_fn(s, X):
         return model.sigma(model.horizon - s, X)
 
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn,
-                           drift_clip, store_every)
+    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn, drift_clip)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
-                       epsilon_stop=eps, drift_clip=drift_clip, path=path,
-                       diagnostics=diag, seed=seed)
+                       epsilon_stop=eps, path=path, diagnostics=diag)
 
 
 @dataclass

@@ -21,6 +21,11 @@ reversal with its finite-difference divergence) were recorded while the
 piecewise family was still a class of its own that had to be converted
 before use; they now pass the model as ``piecewise_model`` returns it.
 
+The Fourier-route case hashes the errors of ``consistency_triangle``, the
+forward transform of ``make_fourier_solution`` at t = 0, at a grid node and
+between nodes, and ``fourier_invert_terminal`` values, as recorded while
+``make_fourier_solution`` still returned a ``FourierSolution`` object.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
@@ -124,6 +129,20 @@ def fourier_ode():
     return (rd.fourier_ode_solve(ou, nu, xi, rd.TimeGrid(0.0, 1.0, 100)),)
 
 
+def fourier_routes():
+    ou = rd.OUModel(lambda t: np.array([[-0.4, t], [-1.0, 0.1]]),
+                    lambda t: np.array([[1.0, 0.2 * t], [0.0, 0.7]]), dim_d=2)
+    nu = rd.gaussian([0.2, -0.1], 0.3 * np.eye(2))
+    xi = np.array([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.0], [1.5, -1.0]])
+    tri = rd.consistency_triangle(ou, nu, xi, [0.25, 0.5, 1.0], n_steps=100)
+    sol = rd.make_fourier_solution(ou, nu, n_steps=100)
+    mu_hat = rd.ou_marginal(ou, nu, 1.0, n_steps=100)
+    inverted = [rd.fourier_invert_terminal(ou, mu_hat, 1.0, x, n_steps=100)
+                for x in xi]
+    return (np.array([tri[k] for k in sorted(tri)]), sol(0.0, xi),
+            sol(0.5, xi), sol(0.537, xi), np.array(inverted))
+
+
 def injectivity_probe_2d():
     rot = rd.make_model("affine", b0=[0.0, 0.0], b1=[[0.0, 1.0], [-1.0, 0.0]])
     axis = np.linspace(-1.0, 1.0, 3)
@@ -195,6 +214,7 @@ CASES = {
     "reversal_selfconsistent_2d_exact": reversal_selfconsistent_2d_exact,
     "dirac_affine_mc": dirac_affine_mc,
     "fourier_ode": fourier_ode,
+    "fourier_routes": fourier_routes,
     "injectivity_probe_2d": injectivity_probe_2d,
     "dirac_search_1d": dirac_search_1d,
     "dirac_search_2d": dirac_search_2d,
@@ -296,6 +316,7 @@ DIGESTS = {
     "reversal_selfconsistent_2d_exact": "f4157fc5e62b55ef619bd24c76bd57c7f52abf7db990964580afad167263ff42",
     "dirac_affine_mc": "9f0a99ce4d42981cfff402d2ae8079715333c349def5360d082feb3c4438e33c",
     "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
+    "fourier_routes": "8a7c9d8b09b27c1e63e833cf1dcc0f2ff06145f30dd923d7b2c39995bfc6fcca",
     "injectivity_probe_2d": "a07680def8c1e5483eefd3c1ba0e94a9011800d316a262f4e1bb6f6f4ebe3248",
     "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",
     "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",

@@ -1,6 +1,9 @@
 """Batch runner: config validation, emitted files, exit codes, rerun bytes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -299,6 +302,44 @@ directory = {out}
     assert rep["representation_max_stat"] > 0.1
     assert rep["failed_criteria"] == ["representation_max_stat"]
     assert rep["terminal_consistency_warning"] is True
+
+
+def test_reverse_1d_outputs_ignore_the_blas_thread_count(tmp_path):
+    # a 1-D analytic report has a KS statistic; a 2-D one has the energy
+    # distance, whose exact sums round with the thread count
+    cfg = write_config(tmp_path / "c.ini", """
+[model]
+family = heat
+
+[grid]
+t_end = 1.0
+n_steps = 100
+
+[run]
+seed = 12
+particles = 4000
+mode = analytic
+nu = dirac:0.2
+mu = gaussian:0.2,1
+epsilon_stop = 0.05
+
+[thresholds]
+ks_max = 0.05
+""")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "retrodiff.cli", "reverse",
+                        "--config", cfg, "--output", str(out)],
+                       env=env, capture_output=True, check=True)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("report.json", "snapshots.csv", "diagnostics.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_reverse_selfconsistent(tmp_path):

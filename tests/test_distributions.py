@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     DegenerateDensityError,
@@ -51,6 +54,49 @@ def test_mixture_score_matches_finite_difference():
     for x in (-0.7, 0.0, 0.4, 2.0):
         fd = (mix.logpdf(np.array([x + h])) - mix.logpdf(np.array([x - h]))) / (2 * h)
         assert abs(mix.score(np.array([x]))[0] - fd) < 1e-7
+
+
+@st.composite
+def mixtures(draw, kinds=("dirac", "gaussian")):
+    """A Dirac or Gaussian mixture of 1 to 3 components in 1 to 3 dimensions.
+
+    Covariances are A A^T + 0.25 I, symmetrized.
+    """
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = draw(arrays(np.float64, k, elements=st.floats(0.1, 1.0)))
+    w = w / w.sum()
+    means = draw(arrays(np.float64, (k, d), elements=st.floats(-3.0, 3.0)))
+    if draw(st.sampled_from(kinds)) == "dirac":
+        return DiracMixture(means, w)
+    A = draw(arrays(np.float64, (k, d, d), elements=st.floats(-1.0, 1.0)))
+    covs = A @ np.transpose(A, (0, 2, 1)) + 0.25 * np.eye(d)
+    return GaussianMixture(w, means, 0.5 * (covs + np.transpose(covs, (0, 2, 1))))
+
+
+def assert_one_at_zero(values, n_components):
+    """Transform values at xi = 0: exactly 1 for one component (exp(0) times
+    the weight 1.0), within 1e-14 for a mixture."""
+    err = np.abs(np.asarray(values) - 1.0)
+    assert (err == 0.0).all() if n_components == 1 else (err <= 1e-14).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=mixtures())
+def test_char_transform_is_one_at_zero(mix):
+    for xi in (np.zeros(mix.dim), np.zeros((3, mix.dim))):
+        assert_one_at_zero(mix.char_transform(xi), len(mix.weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mixture_score_matches_central_differences(data):
+    mix = data.draw(mixtures(kinds=("gaussian",)))
+    x = data.draw(arrays(np.float64, mix.dim, elements=st.floats(-4.0, 4.0)))
+    h = 1e-5
+    fd = np.array([(mix.logpdf(x + e) - mix.logpdf(x - e)) / (2 * h)
+                   for e in h * np.eye(mix.dim)])
+    score = mix.score(x)
+    assert np.abs(score - fd).max() <= 1e-7 * (1.0 + np.abs(score).max())
 
 
 def test_mixture_cdf1d_against_quadrature():

@@ -30,6 +30,7 @@ from retrodiff import (
 from retrodiff.distributions import GaussianMixture
 from retrodiff.models import OUModel, heat_model, ou_model
 from retrodiff.ou_analytic import OUAnalytic, analytic
+from test_distributions import assert_one_at_zero, mixtures
 
 
 HEAT = heat_model(dim=1)
@@ -105,6 +106,24 @@ def test_fourier_forward_matches_marginal_charfn():
     # concrete value at xi = 1: exp(-(e^2-1)/4)
     assert abs(sol(1.0, np.ones(1))
                - np.exp(-(np.e**2 - 1.0) / 4.0)) < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transform_is_one_at_zero_along_the_flow(data):
+    nu = data.draw(mixtures())
+    d = nu.dim
+    unit = st.floats(-1.0, 1.0)
+    C = 1.5 * data.draw(arrays(float, (d, d), elements=unit))
+    # diagonally dominant, so Q(t) is positive definite for t > 0
+    sigma = np.eye(d) + 0.3 * data.draw(arrays(float, (d, d), elements=unit))
+    ou = ou_model(C, sigma)
+    t = data.draw(st.floats(0.01, 1.0))
+    sol = make_fourier_solution(ou, nu, n_steps=50)
+    for v in (ou_marginal(ou, nu, t, n_steps=50).char_transform(np.zeros(d)),
+              sol(t, np.zeros(d)), sol(t, np.zeros((2, d))),
+              sol(0.0, np.zeros((2, d)))):
+        assert_one_at_zero(v, len(nu.weights))
 
 
 def test_fourier_ode_constant_at_zero_frequency():
