@@ -6,7 +6,8 @@ drift matrix C(t): the state resolvent R (R' = C R), the adjoint decay D
 (D' = -C^T D) and its inverse, plus the covariance Q(t) accumulated along
 the flow.  This script integrates them for a rotating, time-dependent
 drift, checks the product identity D D^-1 = I, and shows the RK4 order
-by halving the step against a matrix-exponential reference.
+by halving the step against a matrix-exponential reference.  A constant C
+given as an array is stepped exactly by the semigroup instead of by RK4.
 """
 
 import numpy as np
@@ -53,3 +54,6 @@ for n in (40, 80, 160):
     errs.append(np.linalg.norm(path.at(1.0) - expm(C0)))
 print("step-halving error ratios (expect ~16):",
       [round(errs[i] / errs[i + 1], 1) for i in range(2)])
+exact = solve_resolvent(C0, TimeGrid(0.0, 1.0, 40))
+print("constant C as an array, exact steps: error at 40 steps "
+      f"{np.linalg.norm(exact.at(1.0) - expm(C0)):.1e}")

@@ -42,14 +42,17 @@ from .grids import TimeGrid
 from .inverse import (
     AffineDrift,
     extract_source_location,
-    heat_initial_transform,
     injectivity_probe,
     reconstruct_dirac_affine,
     reconstruct_dirac_affine_mc,
     reconstruct_dirac_search,
 )
 from .models import OUModel, make_model
-from .ou_analytic import consistency_triangle, ou_marginal
+from .ou_analytic import (
+    consistency_triangle,
+    fourier_invert_terminal,
+    ou_marginal,
+)
 from .reversal import (
     check_integrability_proxy,
     export_diagnostics_csv,
@@ -495,15 +498,17 @@ def cmd_invert(cfg, emitter, grid, model, seed):
             payload = {"route": route, "x_hat": res.x_hat.tolist(),
                        "true_x0": x0.tolist(), "error": err, "tolerance": tol}
     elif route == "fourier":
-        if cfg["model"]["family"] != "heat" or "x0" not in run_cfg:
-            raise ConfigError("fourier route needs the heat family and run.x0")
+        if not isinstance(model, OUModel) or "x0" not in run_cfg:
+            raise ConfigError("fourier route needs an ou/heat model and run.x0")
         x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
         T = grid.t_end
-        mu_hat = gaussian(x0, 2.0 * T * np.eye(d)).char_transform
+        # the terminal law of a point source at x0 under the configured model
+        mu_hat = ou_marginal(model, DiracMixture([x0]), T, n_steps=grid.n_steps)
         tol = _threshold(cfg, "fourier_tolerance", 1e-4)
 
         def recovered(xi):
-            return heat_initial_transform(mu_hat, T, xi)
+            return fourier_invert_terminal(model, mu_hat, T, xi,
+                                           n_steps=grid.n_steps)
 
         with emitter.phase("compute"):
             est = extract_source_location(recovered, dim=d)

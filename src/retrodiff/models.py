@@ -100,25 +100,51 @@ def _fd_jacobian(fn, x):
     return out
 
 
+def _frozen(a):
+    """A read-only view: a constant coefficient is shared by every call."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 class OUModel:
-    """Affine-drift model b(t, x) = C(t) x with space-independent sigma(t)."""
+    """Affine-drift model b(t, x) = C(t) x with space-independent sigma(t).
+
+    Each coefficient is either a callable of t or a constant array, which is
+    reshaped once here.  When both are constant (``constant`` is true), the
+    resolvent and covariance paths of :class:`~retrodiff.ou_analytic.OUAnalytic`
+    are stepped exactly by the semigroup; callables are integrated by RK4.
+    """
 
     def __init__(self, C_fn, sigma_fn, dim_d, dim_m=None, horizon=1.0):
-        self.C_fn = C_fn
-        self.sigma_fn = sigma_fn
         self.dim_d = dim_d
         self.dim_m = dim_d if dim_m is None else dim_m
         self.horizon = float(horizon)
+        if not callable(C_fn):
+            C_fn = _frozen(np.asarray(C_fn, dtype=float).reshape(dim_d, dim_d))
+        if not callable(sigma_fn):
+            sigma_fn = _frozen(
+                np.asarray(sigma_fn, dtype=float).reshape(dim_d, self.dim_m))
+            self._Sigma = _frozen(sigma_fn @ sigma_fn.T)
+        self.C_fn = C_fn
+        self.sigma_fn = sigma_fn
+        self.constant = not (callable(C_fn) or callable(sigma_fn))
 
     def C(self, t):
+        if not callable(self.C_fn):
+            return self.C_fn
         return np.asarray(self.C_fn(t), dtype=float).reshape(self.dim_d, self.dim_d)
 
     def sigma(self, t):
+        if not callable(self.sigma_fn):
+            return self.sigma_fn
         return np.asarray(self.sigma_fn(t), dtype=float).reshape(
             self.dim_d, self.dim_m
         )
 
     def Sigma(self, t):
+        if not callable(self.sigma_fn):
+            return self._Sigma
         s = self.sigma(t)
         return s @ s.T
 
@@ -293,16 +319,15 @@ def _sigma_family(spec, dim):
 
 def heat_model(dim=1, scale=1.0, horizon=1.0):
     """Zero drift, sigma = scale * I; marginals from a point are N(x0, scale^2 t I)."""
-    C0 = np.zeros((dim, dim))
-    s = scale * np.eye(dim)
-    return OUModel(lambda t: C0, lambda t: s, dim_d=dim, horizon=horizon)
+    return OUModel(np.zeros((dim, dim)), scale * np.eye(dim), dim_d=dim,
+                   horizon=horizon)
 
 
 def ou_model(C, sigma, horizon=1.0):
     C = np.atleast_2d(np.asarray(C, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    return OUModel(lambda t: C, lambda t: sigma, dim_d=C.shape[0],
-                   dim_m=sigma.shape[1], horizon=horizon)
+    return OUModel(C, sigma, dim_d=C.shape[0], dim_m=sigma.shape[1],
+                   horizon=horizon)
 
 
 def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):

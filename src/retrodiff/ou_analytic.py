@@ -51,16 +51,21 @@ _GL_NODES, _GL_WEIGHTS = roots_legendre(64)
 class OUAnalytic:
     """Eagerly cached resolvent and covariance paths for one OU model.
 
-    All queries after construction are pure lookups / interpolations, so a
-    built instance can be shared freely across threads.
+    A model with constant C and sigma (``ou.constant``) has its paths
+    stepped exactly by the semigroup, with no RK4 step; a model with
+    time-varying coefficients has them integrated by RK4.  All queries after
+    construction are pure lookups / interpolations, so a built instance can
+    be shared freely across threads.
     """
 
     def __init__(self, ou, n_steps=1000):
         self.ou = ou
         self.grid = TimeGrid(0.0, ou.horizon, n_steps)
-        self.resolvent = solve_resolvent(ou.C, self.grid)
-        self.adjoint = solve_adjoint_resolvent(ou.C, self.grid)
-        self.covariance = compute_ou_covariance(ou.C, ou.Sigma, self.grid)
+        # constant arrays select the exact steps of the resolvents module
+        C, Sigma = (ou.C(0.0), ou.Sigma(0.0)) if ou.constant else (ou.C, ou.Sigma)
+        self.resolvent = solve_resolvent(C, self.grid)
+        self.adjoint = solve_adjoint_resolvent(C, self.grid)
+        self.covariance = compute_ou_covariance(C, Sigma, self.grid)
         ts = self.grid.nodes
         self._sp_resolvent = CubicSpline(ts, self.resolvent.values, axis=0)
         self._sp_adjoint = CubicSpline(ts, self.adjoint.values, axis=0)
@@ -90,7 +95,8 @@ class OUAnalytic:
 
         (R^T)' = R^T C^T is the equation of
         :func:`~retrodiff.resolvents.solve_adjoint_resolvent_inverse`, and
-        RK4 takes the same steps on it as on R' = C R, transposed.
+        RK4 takes the same steps on it as on R' = C R, transposed; exact
+        steps give R(t)^T D(t) = I to rounding.
         """
         return self.R(t).T
 
@@ -251,19 +257,25 @@ def fourier_ode_solve(ou, nu_hat, xi, grid):
     the) scalar ODE by RK4 on ``grid`` and returns the transform values at
     every node.  The log-space form of the integration is exact for this
     linear equation and stays stable where direct stepping of the stiff
-    amplitude would not.  ``xi`` may be (d,) or (M, d).
+    amplitude would not.  It stays RK4 for a model with constant
+    coefficients too, whose C and Sigma are read once rather than per stage.
+    ``xi`` may be (d,) or (M, d).
     """
     nu_hat = _transform_of(nu_hat)
     xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
     d = ou.dim_d
     dd = d * d
+    C, Sigma = ou.C, ou.Sigma
+    if ou.constant:
+        C0, Sigma0 = ou.C(0.0), ou.Sigma(0.0)
+        C, Sigma = (lambda t: C0), (lambda t: Sigma0)
 
     def rhs(t, y):
         # joint state: the d x d decay path D, then one log-amplitude per row
         D = y[:dd].reshape(d, d)
         v = xi2 @ D.T
-        a = 0.5 * np.einsum("mi,ij,mj->m", v, ou.Sigma(t), v)
-        return np.concatenate([(-ou.C(t).T @ D).ravel(), a])
+        a = 0.5 * np.einsum("mi,ij,mj->m", v, Sigma(t), v)
+        return np.concatenate([(-C(t).T @ D).ravel(), a])
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(xi2.shape[0])])
     decay = _rk4_path(rhs, y0, grid)[:, dd:]

@@ -4,7 +4,7 @@ This module hosts the package's single RK4 integrator, ``_rk4_path``,
 which steps forwards from the start of a grid or backwards from its end;
 the per-frequency transform ODE and the backward mean ODE of the inverse
 routes run through it too.  Three fundamental-solution paths are
-integrated with it on a uniform grid:
+computed on a uniform grid:
 
 * the state resolvent   R(t) = I + integral_0^t C(s) R(s) ds,
 * its adjoint decay     D(t) = I - integral_0^t C(s)^T D(s) ds,
@@ -14,9 +14,15 @@ together with the Gaussian covariance accumulated along the flow,
 
     Q(t) = R(t) [ integral_0^t R(s)^-1 Sigma(s) R(s)^-T ds ] R(t)^T.
 
-The inner integral is advanced jointly with R so no inverse path has to be
-stored; per-stage inverses are obtained by LU solves.  Q is symmetrized at
-every node to kill roundoff drift.
+Coefficients given as callables of t are integrated by RK4.  For the
+covariance, the inner integral is advanced jointly with R so no inverse
+path has to be stored; per-stage inverses are obtained by LU solves.
+
+Coefficients given as constant arrays are stepped exactly by the
+semigroup instead: R_{k+1} = e^{C dt} R_k, D_{k+1} = e^{-C^T dt} D_k and
+Q_{k+1} = e^{C dt} Q_k e^{C^T dt} + Q(dt), where Q(dt) comes from one Van
+Loan block exponential (Van Loan, IEEE TAC 23, 1978).  Either way Q is
+symmetrized at every node to kill roundoff drift.
 """
 
 import numpy as np
@@ -26,7 +32,7 @@ from .grids import MatrixPath
 
 def _checked(fn, what):
     def wrapped(t):
-        m = np.asarray(fn(t), dtype=float)
+        m = np.asarray(fn(t) if callable(fn) else fn, dtype=float)
         if not np.isfinite(m).all():
             raise ValueError(f"{what} returned a non-finite matrix at t={t}")
         return m
@@ -57,17 +63,39 @@ def _rk4_path(rhs, y0, grid, backward=False):
     return out
 
 
+def _semigroup_path(A, grid):
+    """Exact path of M' = A M, M(0) = I, at the nodes: M_{k+1} = e^{A dt} M_k."""
+    from scipy.linalg import expm  # here, so that importing the package skips it
+
+    E = expm(A * grid.dt)
+    out = np.empty((grid.n_steps + 1,) + E.shape)
+    out[0] = np.eye(E.shape[0])
+    for k in range(grid.n_steps):
+        np.matmul(E, out[k], out=out[k + 1])
+    return out
+
+
 def solve_resolvent(C_fn, grid):
-    """Fundamental solution of M' = C(t) M, M(0) = I."""
+    """Fundamental solution of M' = C(t) M, M(0) = I.
+
+    ``C_fn`` is a callable of t (RK4) or a constant array (exact steps).
+    """
     C = _checked(C_fn, "C_fn")
+    if not callable(C_fn):
+        return MatrixPath(grid, _semigroup_path(C(grid.t_start), grid))
     d = C(grid.t_start).shape[0]
     values = _rk4_path(lambda t, y: C(t) @ y, np.eye(d), grid)
     return MatrixPath(grid, values)
 
 
 def solve_adjoint_resolvent(C_fn, grid):
-    """Fundamental solution of M' = -C(t)^T M, M(0) = I."""
+    """Fundamental solution of M' = -C(t)^T M, M(0) = I.
+
+    ``C_fn`` is a callable of t (RK4) or a constant array (exact steps).
+    """
     C = _checked(C_fn, "C_fn")
+    if not callable(C_fn):
+        return MatrixPath(grid, _semigroup_path(-C(grid.t_start).T, grid))
     d = C(grid.t_start).shape[0]
     values = _rk4_path(lambda t, y: -C(t).T @ y, np.eye(d), grid)
     return MatrixPath(grid, values)
@@ -90,7 +118,8 @@ def solve_adjoint_resolvent_inverse(C_fn, grid):
 
 def _checked_sigma(Sigma_fn):
     def wrapped(t):
-        s = np.asarray(Sigma_fn(t), dtype=float)
+        s = np.asarray(Sigma_fn(t) if callable(Sigma_fn) else Sigma_fn,
+                       dtype=float)
         if not np.isfinite(s).all():
             raise ValueError(f"Sigma_fn returned a non-finite matrix at t={t}")
         if np.linalg.norm(s - s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
@@ -104,10 +133,15 @@ def compute_ou_covariance(C_fn, Sigma_fn, grid):
     """Covariance path Q(t) of the affine-drift Gaussian flow.
 
     Q(0) = 0; every Q(t) is exactly symmetric; with uniformly elliptic
-    Sigma, Q(t) is strictly positive definite for t > 0.
+    Sigma, Q(t) is strictly positive definite for t > 0.  ``C_fn`` and
+    ``Sigma_fn`` are both callables of t (RK4) or both constant arrays
+    (exact steps).
     """
     C = _checked(C_fn, "C_fn")
     Sigma = _checked_sigma(Sigma_fn)
+    if not (callable(C_fn) or callable(Sigma_fn)):
+        return MatrixPath(grid, _exact_covariance(C(grid.t_start),
+                                                  Sigma(grid.t_start), grid))
     d = C(grid.t_start).shape[0]
 
     def rhs(t, y):
@@ -122,6 +156,27 @@ def compute_ou_covariance(C_fn, Sigma_fn, grid):
     Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
     Q[0] = 0.0
     return MatrixPath(grid, Q)
+
+
+def _exact_covariance(C, Sigma, grid):
+    """Q at every node by Q_{k+1} = E Q_k E^T + Q(dt), with E = e^{C dt}.
+
+    The block exponential of [[-C, Sigma], [0, C^T]] dt is
+    [[F11, F12], [0, F22]] with F22 = E^T and F22^T F12 = Q(dt) =
+    integral_0^dt e^{Cs} Sigma e^{C^T s} ds.
+    """
+    from scipy.linalg import expm  # here, so that importing the package skips it
+
+    d = C.shape[0]
+    F = expm(np.block([[-C, Sigma], [np.zeros((d, d)), C.T]]) * grid.dt)
+    E = F[d:, d:].T
+    Q_dt = E @ F[:d, d:]
+    Q = np.empty((grid.n_steps + 1, d, d))
+    Q[0] = 0.0
+    for k in range(grid.n_steps):
+        q = E @ Q[k] @ E.T + Q_dt
+        Q[k + 1] = 0.5 * (q + q.T)
+    return Q
 
 
 def integral_defect(path, rhs_fn):

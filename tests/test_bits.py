@@ -26,6 +26,11 @@ forward transform of ``make_fourier_solution`` at t = 0, at a grid node and
 between nodes, and ``fourier_invert_terminal`` values, as recorded while
 ``make_fourier_solution`` still returned a ``FourierSolution`` object.
 
+The two analytic-reversal cases were recorded again when constant-
+coefficient OU models moved from RK4 to exact semigroup steps; the
+constant-model ``fourier_ode_constant`` case, which stays RK4, was
+recorded before that change and pins its hoisted coefficients.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
@@ -129,6 +134,14 @@ def fourier_ode():
     return (rd.fourier_ode_solve(ou, nu, xi, rd.TimeGrid(0.0, 1.0, 100)),)
 
 
+def fourier_ode_constant():
+    ou = rd.make_model("ou", C=[[-0.4, 0.8], [-1.0, 0.1]],
+                       sigma=[[1.0, 0.2], [0.0, 0.7]])
+    nu = rd.gaussian([0.2, -0.1], 0.3 * np.eye(2))
+    xi = np.array([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.0], [3.0, -2.5]])
+    return (rd.fourier_ode_solve(ou, nu, xi, rd.TimeGrid(0.0, 1.0, 100)),)
+
+
 def fourier_routes():
     ou = rd.OUModel(lambda t: np.array([[-0.4, t], [-1.0, 0.1]]),
                     lambda t: np.array([[1.0, 0.2 * t], [0.0, 0.7]]), dim_d=2)
@@ -214,6 +227,7 @@ CASES = {
     "reversal_selfconsistent_2d_exact": reversal_selfconsistent_2d_exact,
     "dirac_affine_mc": dirac_affine_mc,
     "fourier_ode": fourier_ode,
+    "fourier_ode_constant": fourier_ode_constant,
     "fourier_routes": fourier_routes,
     "injectivity_probe_2d": injectivity_probe_2d,
     "dirac_search_1d": dirac_search_1d,
@@ -310,12 +324,13 @@ CLI_DIGESTS = {
 DIGESTS = {
     "em_ou_2d": "51f1637ac40ccdf5802d0a9529f77a48cabd98903e1817fea5e091b26b0256a8",
     "em_sqrt1px2": "dbb9556f8a201de74064bb24f4f4e59af50b995ba1b93f76e4694eedd197d410",
-    "reversal_analytic_1d": "2c386d92b7933bad7566ab0c5721c0e14f3809a202039587d1c460e19a56d3d2",
-    "reversal_analytic_2d": "86c51887f435c8cc063a57a5daee8b781820de20237af113f3c7feae53e715b4",
+    "reversal_analytic_1d": "20f37e757c4c9770203b97265ceaf966a41931c4894d22af1badf0a463ff1af4",
+    "reversal_analytic_2d": "f0080ec8a0f7d05c5ce7add7934ea81631593c864c83eeba2d90ebe5e63da4da",
     "reversal_selfconsistent_1d_binned": "951a170d6183f07cb791861293610fa9890d63424f38903907b5c344dc9824a3",
     "reversal_selfconsistent_2d_exact": "f4157fc5e62b55ef619bd24c76bd57c7f52abf7db990964580afad167263ff42",
     "dirac_affine_mc": "9f0a99ce4d42981cfff402d2ae8079715333c349def5360d082feb3c4438e33c",
     "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
+    "fourier_ode_constant": "85d3596b1807873ab8e0aea86c1b5fb0fb7865d6050016fef9e2010d14a9ef58",
     "fourier_routes": "8a7c9d8b09b27c1e63e833cf1dcc0f2ff06145f30dd923d7b2c39995bfc6fcca",
     "injectivity_probe_2d": "a07680def8c1e5483eefd3c1ba0e94a9011800d316a262f4e1bb6f6f4ebe3248",
     "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",

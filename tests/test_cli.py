@@ -124,9 +124,9 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  "strictly increasing", id="breakpoints-order"),
     pytest.param("forward", PIECEWISE, 2, "init = dirac:0", "horizon",
                  id="breakpoints-horizon"),
-    pytest.param("invert", "family = ou\nc = -1\nsigma = 1", 1,
-                 "route = fourier\nx0 = 0.5", "heat family",
-                 id="fourier-needs-heat"),
+    pytest.param("invert", "family = sin-drift", 1,
+                 "route = fourier\nx0 = 0.5", "ou/heat model",
+                 id="fourier-needs-ou"),
     # a literal whose dimension differs from the model's
     pytest.param("forward", HEAT, 1, "init = dirac:", "run.init",
                  id="empty-init"),
@@ -438,6 +438,35 @@ directory = {tmp_path / "fourier"}
     cfg = write_config(tmp_path / "fourier.ini", fourier)
     assert main(["invert", "--config", cfg]) == 0
     assert_phase_seconds(tmp_path / "fourier", COMPUTE_CHECK)
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param("family = ou\nc = -1\nsigma = 1", id="ou"),
+    pytest.param("family = heat\nscale = 3", id="heat-scale-3"),
+])
+def test_fourier_route_inverts_the_configured_model(tmp_path, model):
+    # the terminal transform comes from the model's own marginal, so the
+    # recovery goes through that model's resolvent and covariance paths
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+{model}
+
+[grid]
+t_end = 0.7
+n_steps = 10
+
+[run]
+seed = 1
+route = fourier
+x0 = 1.3
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main(["invert", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["passed"] is True
+    assert abs(rep["x_hat"][0] - 1.3) < 1e-9
 
 
 def test_moment_check_command(tmp_path):

@@ -3,10 +3,15 @@ RK4 reference runs at finer steps, direct inversion and quadrature."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from retrodiff import (
+    OUAnalytic,
+    OUModel,
     TimeGrid,
     compute_ou_covariance,
     integral_defect,
@@ -15,6 +20,8 @@ from retrodiff import (
     solve_adjoint_resolvent_inverse,
     solve_resolvent,
 )
+from retrodiff import resolvents
+from retrodiff.models import ou_model
 from retrodiff.resolvents import _rk4_path
 
 
@@ -198,3 +205,82 @@ def test_asymmetric_sigma_rejected():
             lambda t: np.array([[1.0, 0.3], [0.0, 1.0]]),
             grid(n=10),
         )
+
+
+# --- exact semigroup steps for constant coefficients -------------------------
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@st.composite
+def constant_coefficients(draw):
+    """C with entries in [-1, 1] and a full-rank lower-triangular sigma."""
+    d = draw(st.integers(1, 3))
+    C = draw(arrays(float, (d, d), elements=st.floats(-1.0, 1.0)))
+    s = np.tril(draw(arrays(float, (d, d), elements=st.floats(-1.0, 1.0))), -1)
+    s += np.diag(draw(arrays(float, d, elements=st.floats(0.5, 1.5))))
+    return C, s
+
+
+@settings(max_examples=15, deadline=None)
+@given(coef=constant_coefficients())
+def test_exact_paths_match_rk4(coef):
+    C, s = coef
+    S = s @ s.T
+    g = grid()
+    pairs = [
+        (solve_resolvent(C, g), solve_resolvent(lambda t: C, g)),
+        (solve_adjoint_resolvent(C, g), solve_adjoint_resolvent(lambda t: C, g)),
+        (compute_ou_covariance(C, S, g),
+         compute_ou_covariance(lambda t: C, lambda t: S, g)),
+    ]
+    for exact, rk4 in pairs:
+        assert _rel(exact.values, rk4.values) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=constant_coefficients())
+def test_exact_paths_invariants(coef):
+    C, s = coef
+    d = C.shape[0]
+    g = grid()
+    R = solve_resolvent(C, g).values
+    D = solve_adjoint_resolvent(C, g).values
+    Q = compute_ou_covariance(C, s @ s.T, g).values
+    assert _rel(R[-1], expm(C * g.t_end)) <= 1e-12
+    assert np.abs(np.einsum("kij,klj->kil", D, R) - np.eye(d)).max() <= 1e-12
+    assert np.array_equal(Q, np.transpose(Q, (0, 2, 1)))
+    assert not Q[0].any()
+    assert (np.linalg.eigvalsh(Q[1:])[:, 0] > 0.0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_model_build_takes_no_rk4_step(monkeypatch, d):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _rk4_path(*args, **kwargs)
+
+    monkeypatch.setattr(resolvents, "_rk4_path", counting)
+    C = np.eye(d) - 0.5 * np.ones((d, d))
+    OUAnalytic(ou_model(C, np.eye(d)), n_steps=50)
+    assert calls == []
+    OUAnalytic(OUModel(lambda t: C, lambda t: np.eye(d), d), n_steps=50)
+    assert len(calls) == 3
+
+
+def test_nonfinite_constant_raises_as_the_callable_does():
+    C = np.array([[np.nan]])
+    with pytest.raises(ValueError) as callable_err:
+        OUAnalytic(OUModel(lambda t: C, lambda t: np.eye(1), 1), n_steps=10)
+    with pytest.raises(ValueError) as constant_err:
+        OUAnalytic(ou_model(C, 1.0), n_steps=10)
+    assert str(constant_err.value) == str(callable_err.value)
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_ou_covariance(np.zeros((1, 1)), np.array([[np.inf]]), grid(n=10))
+    with pytest.raises(ValueError, match="symmetric"):
+        compute_ou_covariance(np.zeros((2, 2)), np.array([[1.0, 0.3], [0.0, 1.0]]),
+                              grid(n=10))
