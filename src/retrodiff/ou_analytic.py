@@ -258,24 +258,20 @@ def fourier_ode_solve(ou, nu_hat, xi, grid):
     every node.  The log-space form of the integration is exact for this
     linear equation and stays stable where direct stepping of the stiff
     amplitude would not.  It stays RK4 for a model with constant
-    coefficients too, whose C and Sigma are read once rather than per stage.
+    coefficients too; such a model's accessors return its stored arrays.
     ``xi`` may be (d,) or (M, d).
     """
     nu_hat = _transform_of(nu_hat)
     xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
     d = ou.dim_d
     dd = d * d
-    C, Sigma = ou.C, ou.Sigma
-    if ou.constant:
-        C0, Sigma0 = ou.C(0.0), ou.Sigma(0.0)
-        C, Sigma = (lambda t: C0), (lambda t: Sigma0)
 
     def rhs(t, y):
         # joint state: the d x d decay path D, then one log-amplitude per row
         D = y[:dd].reshape(d, d)
         v = xi2 @ D.T
-        a = 0.5 * np.einsum("mi,ij,mj->m", v, Sigma(t), v)
-        return np.concatenate([(-C(t).T @ D).ravel(), a])
+        a = 0.5 * np.einsum("mi,ij,mj->m", v, ou.Sigma(t), v)
+        return np.concatenate([(-ou.C(t).T @ D).ravel(), a])
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(xi2.shape[0])])
     decay = _rk4_path(rhs, y0, grid)[:, dd:]

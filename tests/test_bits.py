@@ -29,7 +29,7 @@ between nodes, and ``fourier_invert_terminal`` values, as recorded while
 The two analytic-reversal cases were recorded again when constant-
 coefficient OU models moved from RK4 to exact semigroup steps; the
 constant-model ``fourier_ode_constant`` case, which stays RK4, was
-recorded before that change and pins its hoisted coefficients.
+recorded before that change and pins the constant model's RK4 route.
 
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
