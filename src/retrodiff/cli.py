@@ -555,6 +555,12 @@ def cmd_injectivity(cfg, emitter, grid, model, seed):
         if len(box) != 3:
             raise ConfigError("run.candidate_box needs lo, hi and a count")
         lo, hi, count = box
+        if not (count.is_integer() and count >= 2):
+            raise ConfigError(f"run.candidate_box count must be an integer "
+                              f">= 2, got {count:g}")
+        if model.dim_d not in (1, 2):
+            raise ConfigError(f"run.candidate_box needs a 1-D or 2-D model, "
+                              f"but the model has dimension {model.dim_d}")
         axis = np.linspace(lo, hi, int(count))
         if model.dim_d == 2:
             pts = [[a, b] for a in axis for b in axis]

@@ -140,7 +140,6 @@ class MomentBoundReport:
     margin: float
     K: float
     K_b: float
-    separation: float
     n: int
     passed: bool
     small_horizon_margin: float = float("nan")
@@ -166,7 +165,7 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Xx = np.tile(x, (n, 1))
     Xy = np.tile(y, (n, 1))
-    sup_val, sup_k, sup_std = float(np.sum((y - x) ** 2)), 0, 0.0
+    sup_val, sup_k = float(np.sum((y - x) ** 2)), 0
     z2 = np.sum((Xy - Xx) ** 2, axis=1)
     sup_std = float(z2.std(ddof=1)) if n > 1 else 0.0
 
@@ -202,7 +201,6 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
         margin=margin,
         K=K,
         K_b=lipschitz.K_b,
-        separation=sep,
         n=n,
         passed=sup_val <= bound + margin,
         small_horizon_margin=m_small,

@@ -38,13 +38,20 @@ class TimeGrid:
             raise IndexError(f"node index {k} outside [0, {self.n_steps}]")
         return self.t_start + k * self.dt
 
-    def node_index(self, t):
-        """Index of the grid node at time t; error if t is off-grid.
+    def find_node(self, t):
+        """Index of the grid node at time t, or None if t is off-grid.
 
         t matches node k when they differ by at most 1e-9 * max(1, |t|).
         """
         k = int(round((t - self.t_start) / self.dt))
-        if not 0 <= k <= self.n_steps or abs(self.node(k) - t) > 1e-9 * max(1.0, abs(t)):
+        if 0 <= k <= self.n_steps and abs(self.node(k) - t) <= 1e-9 * max(1.0, abs(t)):
+            return k
+        return None
+
+    def node_index(self, t):
+        """Index of the grid node at time t; error if t is off-grid."""
+        k = self.find_node(t)
+        if k is None:
             raise ValueError(f"t={t} is not a node of {self}")
         return k
 

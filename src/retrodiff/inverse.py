@@ -26,7 +26,7 @@ from .metrics import (
     sorted_projections,
     wasserstein1,
 )
-from .ou_analytic import AmplificationWindowError
+from .ou_analytic import AmplificationWindowError, _window_exponent
 from .resolvents import _rk4_path
 from .streams import CANDIDATE_SIM, substream
 
@@ -107,15 +107,7 @@ def heat_initial_transform(mu_hat, T, xi, xi_max=5.0, exponent_cap=50.0):
     """
     xi1 = np.atleast_1d(np.asarray(xi, dtype=float))
     r = float(np.linalg.norm(xi1))
-    if r > xi_max:
-        raise AmplificationWindowError(
-            f"|xi|={r:.3g} outside the window xi_max={xi_max}"
-        )
-    w = T * r * r
-    if w > exponent_cap:
-        raise AmplificationWindowError(
-            f"amplification exponent {w:.3g} exceeds cap {exponent_cap}"
-        )
+    w = _window_exponent(xi1, lambda: T * r * r, xi_max, exponent_cap)
     return math.exp(w) * mu_hat(xi1 if np.ndim(xi) else xi1[0])
 
 
@@ -156,7 +148,6 @@ class InjectivityReport:
     distances: np.ndarray
     noise_floor: float
     verdict: str
-    metric: str
 
     def to_json_dict(self):
         return {
@@ -207,7 +198,7 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     descr = [np.asarray(p).ravel() if p is not None else np.array([])
              for p in descr]
     return InjectivityReport(candidates=descr, distances=D, noise_floor=floor,
-                             verdict=verdict, metric=met)
+                             verdict=verdict)
 
 
 @dataclass

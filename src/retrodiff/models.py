@@ -177,14 +177,11 @@ class OUModel:
 
 @dataclass
 class EllipticityReport:
+    """Hoelder regularity of the coefficients is assumed, not certified."""
+
     epsilon: float
     min_eigenvalue: float
-    argmin: tuple
-    n_points: int
     passed: bool
-    note: str = (
-        "Hoelder regularity of the coefficients is assumed, not certified"
-    )
 
 
 def check_ellipticity(model, sample_points, epsilon):
@@ -198,17 +195,12 @@ def check_ellipticity(model, sample_points, epsilon):
     if not pts:
         raise ValueError("sample_points must be non-empty")
     best = math.inf
-    arg = None
     for t, x in pts:
         S = model.sigma_sigma_T(t, np.asarray(x, dtype=float))
-        lam = float(np.linalg.eigvalsh(S)[0])
-        if lam < best:
-            best, arg = lam, (t, np.asarray(x, float))
+        best = min(best, float(np.linalg.eigvalsh(S)[0]))
     return EllipticityReport(
         epsilon=float(epsilon),
         min_eigenvalue=best,
-        argmin=arg,
-        n_points=len(pts),
         passed=best >= epsilon,
     )
 

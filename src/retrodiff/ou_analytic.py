@@ -48,6 +48,24 @@ class AmplificationWindowError(ValueError):
 _GL_NODES, _GL_WEIGHTS = roots_legendre(64)
 
 
+def _window_exponent(xi, exponent, xi_max, exponent_cap):
+    """Amplification exponent of a backward query, refused outside the window.
+
+    ``exponent`` is a thunk; it runs only once |xi| <= xi_max is known.
+    """
+    r = float(np.linalg.norm(xi))
+    if r > xi_max:
+        raise AmplificationWindowError(
+            f"|xi|={r:.3g} outside the window xi_max={xi_max}"
+        )
+    w = float(exponent())
+    if w > exponent_cap:
+        raise AmplificationWindowError(
+            f"amplification exponent {w:.3g} exceeds cap {exponent_cap}"
+        )
+    return w
+
+
 class OUAnalytic:
     """Eagerly cached resolvent and covariance paths for one OU model.
 
@@ -71,17 +89,10 @@ class OUAnalytic:
         self._sp_adjoint = CubicSpline(ts, self.adjoint.values, axis=0)
         self._sp_cov = CubicSpline(ts, self.covariance.values, axis=0)
 
-    def _node_or_none(self, t):
-        k = (t - self.grid.t_start) / self.grid.dt
-        kr = int(round(k))
-        if 0 <= kr <= self.grid.n_steps and abs(k - kr) < 1e-9:
-            return kr
-        return None
-
     def _eval(self, path, spline, t):
         if not self.grid.t_start <= t <= self.grid.t_end + 1e-12:
             raise ValueError(f"t={t} outside [0, {self.grid.t_end}]")
-        k = self._node_or_none(t)
+        k = self.grid.find_node(t)
         return path.values[k] if k is not None else spline(t)
 
     def R(self, t):
@@ -93,16 +104,17 @@ class OUAnalytic:
     def D_inv(self, t):
         """Inverse of D(t), which is R(t)^T.
 
-        (R^T)' = R^T C^T is the equation of
-        :func:`~retrodiff.resolvents.solve_adjoint_resolvent_inverse`, and
-        RK4 takes the same steps on it as on R' = C R, transposed; exact
-        steps give R(t)^T D(t) = I to rounding.
+        (R^T)' = R^T C^T is the equation of D^-1, so
+        :func:`~retrodiff.resolvents.solve_adjoint_resolvent_inverse`
+        returns the transposed resolvent path, and so does this lookup:
+        bitwise at the nodes, and R(t)^T D(t) = I to the path's own error
+        (rounding for exact steps, RK4's error otherwise).
         """
         return self.R(t).T
 
     def Q(self, t):
-        q = self._eval(self.covariance, self._sp_cov, t)
-        return 0.5 * (q + q.T)
+        """Covariance at t; exactly symmetric, at a node or between nodes."""
+        return self._eval(self.covariance, self._sp_cov, t)
 
     # ------------------------------------------------------------------
 
@@ -145,16 +157,8 @@ class OUAnalytic:
     def invert_terminal(self, mu_hat, T, xi, xi_max=5.0, exponent_cap=50.0):
         """Initial transform from the terminal one; refuses the ill-posed window."""
         xi1 = np.asarray(xi, dtype=float)
-        if np.linalg.norm(xi1) > xi_max:
-            raise AmplificationWindowError(
-                f"|xi|={np.linalg.norm(xi1):.3g} outside the window "
-                f"xi_max={xi_max}"
-            )
-        w = float(self.amplification_exponent(T, xi1))
-        if w > exponent_cap:
-            raise AmplificationWindowError(
-                f"amplification exponent {w:.3g} exceeds cap {exponent_cap}"
-            )
+        w = _window_exponent(xi1, lambda: self.amplification_exponent(T, xi1),
+                             xi_max, exponent_cap)
         return math.exp(w) * mu_hat(xi1 @ self.D(T).T)
 
     def reversal_drift(self, nu, t_reversed, x):
@@ -211,11 +215,12 @@ class OUAnalytic:
 
 @dataclass
 class GaussianBoundReport:
+    """The constants are grid extrema with a safety factor, not certified."""
+
     lower: float
     upper: float
     gradient: float
     passed: bool
-    note: str = "constants are grid extrema with a safety factor, not certified"
 
 
 _CACHE = weakref.WeakKeyDictionary()

@@ -8,15 +8,17 @@ computed on a uniform grid:
 
 * the state resolvent   R(t) = I + integral_0^t C(s) R(s) ds,
 * its adjoint decay     D(t) = I - integral_0^t C(s)^T D(s) ds,
-* the adjoint inverse   E(t) = I + integral_0^t E(s) C(s)^T ds = R(t)^T,
+* the adjoint inverse   E(t) = D(t)^-1 = R(t)^T,
 
 together with the Gaussian covariance accumulated along the flow,
 
     Q(t) = R(t) [ integral_0^t R(s)^-1 Sigma(s) R(s)^-T ds ] R(t)^T.
 
-Coefficients given as callables of t are integrated by RK4.  For the
-covariance, the inner integral is advanced jointly with R so no inverse
-path has to be stored; per-stage inverses are obtained by LU solves.
+R and D come from one builder for the generators C(t) and -C(t)^T, and
+E is R's path transposed.  Generators given as callables of t are
+integrated by RK4.  For the covariance, the inner integral is advanced
+jointly with R so no inverse path has to be stored; per-stage inverses
+are obtained by LU solves.
 
 Coefficients given as constant arrays are stepped exactly by the
 semigroup instead: R_{k+1} = e^{C dt} R_k, D_{k+1} = e^{-C^T dt} D_k and
@@ -30,11 +32,14 @@ import numpy as np
 from .grids import MatrixPath
 
 
-def _checked(fn, what):
+def _checked(fn, what, symmetric=False):
+    """``fn`` (a callable of t or a constant array) with each value checked."""
     def wrapped(t):
         m = np.asarray(fn(t) if callable(fn) else fn, dtype=float)
         if not np.isfinite(m).all():
             raise ValueError(f"{what} returned a non-finite matrix at t={t}")
+        if symmetric and np.linalg.norm(m - m.T) > 1e-10 * (1.0 + np.linalg.norm(m)):
+            raise ValueError(f"{what} output is not symmetric at t={t}")
         return m
 
     return wrapped
@@ -63,16 +68,24 @@ def _rk4_path(rhs, y0, grid, backward=False):
     return out
 
 
-def _semigroup_path(A, grid):
-    """Exact path of M' = A M, M(0) = I, at the nodes: M_{k+1} = e^{A dt} M_k."""
+def _fundamental_path(A, grid, exact):
+    """Path of M' = A(t) M, M(0) = I, at the nodes of ``grid``.
+
+    With ``exact`` (A constant) the steps are the semigroup's,
+    M_{k+1} = e^{A dt} M_k; otherwise they are RK4's.
+    """
+    A0 = A(grid.t_start)
+    d = A0.shape[0]
+    if not exact:
+        return MatrixPath(grid, _rk4_path(lambda t, y: A(t) @ y, np.eye(d), grid))
     from scipy.linalg import expm  # here, so that importing the package skips it
 
-    E = expm(A * grid.dt)
-    out = np.empty((grid.n_steps + 1,) + E.shape)
-    out[0] = np.eye(E.shape[0])
+    E = expm(A0 * grid.dt)
+    out = np.empty((grid.n_steps + 1, d, d))
+    out[0] = np.eye(d)
     for k in range(grid.n_steps):
         np.matmul(E, out[k], out=out[k + 1])
-    return out
+    return MatrixPath(grid, out)
 
 
 def solve_resolvent(C_fn, grid):
@@ -80,12 +93,7 @@ def solve_resolvent(C_fn, grid):
 
     ``C_fn`` is a callable of t (RK4) or a constant array (exact steps).
     """
-    C = _checked(C_fn, "C_fn")
-    if not callable(C_fn):
-        return MatrixPath(grid, _semigroup_path(C(grid.t_start), grid))
-    d = C(grid.t_start).shape[0]
-    values = _rk4_path(lambda t, y: C(t) @ y, np.eye(d), grid)
-    return MatrixPath(grid, values)
+    return _fundamental_path(_checked(C_fn, "C_fn"), grid, not callable(C_fn))
 
 
 def solve_adjoint_resolvent(C_fn, grid):
@@ -94,39 +102,19 @@ def solve_adjoint_resolvent(C_fn, grid):
     ``C_fn`` is a callable of t (RK4) or a constant array (exact steps).
     """
     C = _checked(C_fn, "C_fn")
-    if not callable(C_fn):
-        return MatrixPath(grid, _semigroup_path(-C(grid.t_start).T, grid))
-    d = C(grid.t_start).shape[0]
-    values = _rk4_path(lambda t, y: -C(t).T @ y, np.eye(d), grid)
-    return MatrixPath(grid, values)
+    return _fundamental_path(lambda t: -C(t).T, grid, not callable(C_fn))
 
 
 def solve_adjoint_resolvent_inverse(C_fn, grid):
     """Node-by-node inverse of the adjoint decay path, M(0) = I.
 
-    Differentiating D(t) D(t)^-1 = I gives (D^-1)' = D^-1 C(t)^T, with the
-    generator acting on the right; with left multiplication the product
-    identity only holds when the C(s) commute.  The scalar case reduces to
-    exp(+ integral of c), and the product defect is checked to 1e-8 in the
-    tests.
+    Differentiating D(t) D(t)^-1 = I gives (D^-1)' = D^-1 C(t)^T, the
+    transposed equation of the resolvent, so the path is R(t)^T: the
+    resolvent path of ``C_fn``, transposed at every node, with the same
+    RK4 or exact steps.
     """
-    C = _checked(C_fn, "C_fn")
-    d = C(grid.t_start).shape[0]
-    values = _rk4_path(lambda t, y: y @ C(t).T, np.eye(d), grid)
-    return MatrixPath(grid, values)
-
-
-def _checked_sigma(Sigma_fn):
-    def wrapped(t):
-        s = np.asarray(Sigma_fn(t) if callable(Sigma_fn) else Sigma_fn,
-                       dtype=float)
-        if not np.isfinite(s).all():
-            raise ValueError(f"Sigma_fn returned a non-finite matrix at t={t}")
-        if np.linalg.norm(s - s.T) > 1e-10 * (1.0 + np.linalg.norm(s)):
-            raise ValueError(f"Sigma_fn output is not symmetric at t={t}")
-        return s
-
-    return wrapped
+    R = _fundamental_path(_checked(C_fn, "C_fn"), grid, not callable(C_fn))
+    return MatrixPath(grid, np.swapaxes(R.values, 1, 2))
 
 
 def compute_ou_covariance(C_fn, Sigma_fn, grid):
@@ -138,7 +126,7 @@ def compute_ou_covariance(C_fn, Sigma_fn, grid):
     (exact steps).
     """
     C = _checked(C_fn, "C_fn")
-    Sigma = _checked_sigma(Sigma_fn)
+    Sigma = _checked(Sigma_fn, "Sigma_fn", symmetric=True)
     if not (callable(C_fn) or callable(Sigma_fn)):
         return MatrixPath(grid, _exact_covariance(C(grid.t_start),
                                                   Sigma(grid.t_start), grid))

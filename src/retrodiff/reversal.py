@@ -293,13 +293,16 @@ def verify_representation(run, reference, threshold=0.02, seed=0):
 
 @dataclass
 class IntegrabilityReport:
+    """A finite time-integral of the max clipped drift is a proxy.
+
+    Local integrability of div(Sigma p) is assumed, not proved.
+    """
+
     drift_integral: float
     growth_exponent: float
     clip_events: int
     vacuum_events: int
     passed: bool
-    note: str = ("finite time-integral of the max clipped drift is a proxy; "
-                 "local integrability of div(Sigma p) is assumed, not proved")
 
 
 def check_integrability_proxy(run):

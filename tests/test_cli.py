@@ -155,6 +155,13 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  id="moment-y-dimension"),
     pytest.param("injectivity", HEAT_2D, 1, "candidates = 0 1",
                  "run.candidates", id="injectivity-candidates-dimension"),
+    pytest.param("injectivity", "family = heat\ndim = 3", 1,
+                 "candidate_box = -1 1 3", "run.candidate_box",
+                 id="candidate-box-dimension"),
+    pytest.param("injectivity", HEAT, 1, "candidate_box = -1 1 1",
+                 "run.candidate_box", id="candidate-box-single"),
+    pytest.param("injectivity", HEAT, 1, "candidate_box = -1 1 2.5",
+                 "run.candidate_box", id="candidate-box-fraction"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
                                      run, message):

@@ -174,6 +174,20 @@ def test_adjoint_inverse_is_the_transposed_resolvent(data, d, varying):
     off = [(k + u) * cache.grid.dt for k, u in between]
     for t in [*nodes[::100], *off]:
         assert np.abs(cache.D(t) @ cache.D_inv(t) - np.eye(d)).max() <= 1e-8
+        Q = cache.Q(t)  # spline values of symmetric nodes stay symmetric
+        assert np.array_equal(Q, Q.T)
+
+
+def test_lookup_within_the_grid_tolerance_is_the_node():
+    # 5e-10 is within TimeGrid.node_index's 1e-9 * max(1, |t|) of node 500
+    cache = OUAnalytic(OUModel(lambda t: np.array([[np.sin(t)]]),
+                               lambda t: np.eye(1), 1), n_steps=1000)
+    t = 0.5 + 5e-10
+    assert cache.grid.node_index(t) == 500
+    assert np.array_equal(cache.R(t), cache.resolvent.values[500])
+    assert np.array_equal(cache.R(t), cache.resolvent.at(t))
+    assert np.array_equal(cache.D(t), cache.adjoint.values[500])
+    assert np.array_equal(cache.Q(t), cache.covariance.values[500])
 
 
 def test_invert_terminal_heat_round_trip():

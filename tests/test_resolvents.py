@@ -256,6 +256,18 @@ def test_exact_paths_invariants(coef):
     assert (np.linalg.eigvalsh(Q[1:])[:, 0] > 0.0).all()
 
 
+@settings(max_examples=30, deadline=None)
+@given(coef=constant_coefficients())
+def test_exact_adjoint_inverse_is_the_transposed_resolvent(coef):
+    C, _ = coef
+    g = grid(n=40)
+    R = solve_resolvent(C, g).values
+    D = solve_adjoint_resolvent(C, g).values
+    E = solve_adjoint_resolvent_inverse(C, g).values
+    assert np.array_equal(E, np.transpose(R, (0, 2, 1)))
+    assert np.abs(D @ E - np.eye(C.shape[0])).max() <= 1e-12
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_constant_model_build_takes_no_rk4_step(monkeypatch, d):
     calls = []
