@@ -54,6 +54,7 @@ from .ou_analytic import (
     ou_marginal,
 )
 from .reversal import (
+    _stop_grid,
     check_integrability_proxy,
     export_diagnostics_csv,
     simulate_reversal_analytic,
@@ -238,15 +239,19 @@ def _blas_threads():
 
 
 class _Emitter:
-    """Writes every artifact under the output directory, refusing clobbers."""
+    """Writes every artifact under the output directory, refusing clobbers.
+
+    The directory is made on the first write, so a run that stops at a
+    configuration error leaves none behind.
+    """
 
     def __init__(self, directory, force):
         self.dir = directory
         self.force = force
         self.phase_seconds = {}
-        os.makedirs(directory, exist_ok=True)
 
     def path(self, name):
+        os.makedirs(self.dir, exist_ok=True)
         p = os.path.join(self.dir, name)
         if os.path.exists(p) and not self.force:
             raise ConfigError(
@@ -313,7 +318,10 @@ def cmd_forward(cfg, emitter, grid, model, seed):
         raise ConfigError("forward needs run.init")
     init_dist = _parse_distribution(cfg["run"]["init"], "run.init",
                                     model.dim_d)
-    full = cfg["run"].get("store_full", "false").lower() in ("1", "true", "yes")
+    raw = cfg["run"].get("store_full", "false")
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ConfigError(f"run.store_full is not a boolean: {raw!r}")
+    full = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     with emitter.phase("simulate"):
         init = sample_initial(init_dist, n, seed)
         path = euler_maruyama_path(model, init, grid, seed,
@@ -334,8 +342,15 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
     n = _positive(cfg, "run", "particles", default=20000, integer=True)
     eps = _positive(cfg, "run", "epsilon_stop", default=0.01 * grid.t_end)
-    clip = (None if run_cfg.get("drift_clip") == "none"
-            else _number(cfg, "run", "drift_clip", None))
+    try:
+        _stop_grid(grid, eps)
+    except ValueError as exc:
+        raise ConfigError(f"run.epsilon_stop = {eps:g}: {exc} "
+                          f"(T = {grid.t_end:g}, dt = {grid.dt:g})") from exc
+    # none, or absent, is the mode's default
+    clip, bw = (None if run_cfg.get(key, "none") == "none"
+                else _positive(cfg, "run", key, None)
+                for key in ("drift_clip", "bandwidth"))
     mode = run_cfg.get("mode", "analytic")
     if "mu" not in run_cfg:
         raise ConfigError("reverse needs run.mu (terminal sampler)")
@@ -349,20 +364,16 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
     if mode == "analytic" and (not is_ou or nu is None):
         raise ConfigError("analytic mode needs an ou/heat model and run.nu")
 
-    terminal_warning = False
     with emitter.phase("simulate"):
         if mode == "analytic":
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            # the terminal verdict is reported, not printed
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 run = simulate_reversal_analytic(
                     model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
                     drift_clip=clip,
                 )
-            terminal_warning = any("no consistent solution" in str(w.message)
-                                   for w in caught)
         else:
-            bw = (None if run_cfg.get("bandwidth") == "none"
-                  else _number(cfg, "run", "bandwidth", None))
             run = simulate_reversal_selfconsistent(
                 model, mu, grid, n, epsilon_stop=eps,
                 drift_clip=1e3 if clip is None else clip, seed=seed,
@@ -387,7 +398,7 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
             "drift_growth_exponent": proxy.growth_exponent,
             "clip_events": proxy.clip_events,
             "vacuum_events": proxy.vacuum_events,
-            "terminal_consistency_warning": terminal_warning,
+            "terminal_consistency_warning": run.terminal_check_failed,
         }
         failures = []
         if is_ou and nu is not None:
@@ -467,7 +478,8 @@ def cmd_invert(cfg, emitter, grid, model, seed):
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
         with emitter.phase("compute"):
             init = sample_initial(DiracMixture([x0]), n, seed)
-            term = euler_maruyama_path(model, init, grid, seed).terminal
+            term = euler_maruyama_path(model, init, grid, seed,
+                                       store_every=grid.n_steps).terminal
             x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         with emitter.phase("check"):
             err = float(np.linalg.norm(x_hat - x0))
@@ -572,11 +584,14 @@ def cmd_injectivity(cfg, emitter, grid, model, seed):
     if expected not in ("injective", "ambiguous"):
         raise ConfigError("thresholds.expected_verdict must be "
                           "'injective' or 'ambiguous'")
+    metric = run_cfg.get("metric", "wasserstein1")
+    if metric not in ("wasserstein1", "mean"):
+        raise ConfigError(f"run.metric must be 'wasserstein1' or 'mean', "
+                          f"got {metric!r}")
     cands = [DiracMixture([p]) for p in pts]
     with emitter.phase("compute"):
         rep = injectivity_probe(model, cands, grid.t_end, n, seed,
-                                metric=run_cfg.get("metric", "wasserstein1"),
-                                n_steps=grid.n_steps)
+                                metric=metric, n_steps=grid.n_steps)
     with emitter.phase("check"):
         failures = [] if rep.verdict == expected else ["verdict"]
         payload = rep.to_json_dict()

@@ -51,11 +51,12 @@ class GaussianMixture:
         self.weights = _as_weights(weights, means.shape[0])
         self.means = means
         self.covariances = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
-        self._eig = None
+        # one eigendecomposition, shared by sampling / density / score
+        vals, self._vecs = np.linalg.eigh(self.covariances)
         scale = 1.0 + np.abs(self.covariances).max(initial=0.0)
-        for V in self.covariances:
-            if np.linalg.eigvalsh(V)[0] < -1e-10 * scale:
-                raise ValueError("covariance is not positive semi-definite")
+        if (vals[:, 0] < -1e-10 * scale).any():
+            raise ValueError("covariance is not positive semi-definite")
+        self._vals = np.clip(vals, 0.0, None)
 
     @property
     def dim(self):
@@ -64,13 +65,6 @@ class GaussianMixture:
     @property
     def n_components(self):
         return len(self.weights)
-
-    def _factors(self):
-        # eigendecompositions, shared by sampling / density / score
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.covariances)
-            self._eig = (np.clip(vals, 0.0, None), vecs)
-        return self._eig
 
     def mean(self):
         return self.weights @ self.means
@@ -84,13 +78,13 @@ class GaussianMixture:
     def sample(self, n, rng):
         comp = rng.choice(self.n_components, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
-        vals, vecs = self._factors()
-        roots = vecs * np.sqrt(vals)[:, None, :]  # (K, d, d) factor L, LL^T = V
+        # (K, d, d) factors L with L L^T = V
+        roots = self._vecs * np.sqrt(self._vals)[:, None, :]
         return self.means[comp] + np.einsum("nij,nj->ni", roots[comp], z)
 
     def _log_component_densities(self, x):
         x = np.atleast_2d(x)
-        vals, vecs = self._factors()
+        vals, vecs = self._vals, self._vecs
         if vals.min() <= 0.0:
             raise DegenerateDensityError("mixture has a singular component")
         out = np.empty((x.shape[0], self.n_components))
@@ -119,7 +113,7 @@ class GaussianMixture:
         lc = self._log_component_densities(x2)
         lw = lc + np.log(np.maximum(self.weights, 1e-300))[None, :]
         r = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
-        vals, vecs = self._factors()
+        vals, vecs = self._vals, self._vecs
         g = np.zeros_like(x2)
         for k in range(self.n_components):
             y = (x2 - self.means[k]) @ vecs[k]

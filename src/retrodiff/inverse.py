@@ -171,18 +171,20 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("need at least two candidate sources")
-    met = "mean" if metric == "mean" else "wasserstein1"
+    if metric not in ("wasserstein1", "mean"):
+        raise ValueError(f"unknown metric {metric!r}: use 'wasserstein1' "
+                         f"or 'mean'")
     clouds = [_terminal_cloud(model, c, T, n, n_steps, seed, i)
               for i, c in enumerate(candidates)]
     floor = 0.0
     for cl in clouds:
         half = cl.shape[0] // 2
-        floor = max(floor, _cloud_distance(cl[:half], cl[half:], met, seed))
-    if met == "mean":
+        floor = max(floor, _cloud_distance(cl[:half], cl[half:], metric, seed))
+    if metric == "mean":
         keys = clouds
 
         def distance(A, B):
-            return _cloud_distance(A, B, met, seed)
+            return _cloud_distance(A, B, metric, seed)
     else:
         # each cloud's projections are sorted once, for all of its pairs
         keys = [sorted_projections(cl, seed=seed) for cl in clouds]

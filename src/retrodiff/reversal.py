@@ -46,13 +46,16 @@ class ReversalRun:
     epsilon_stop: float
     path: EnsemblePath
     diagnostics: StepDiagnostics
+    # the analytic mode's terminal-law check failed (False when not run)
+    terminal_check_failed: bool = False
 
     @property
     def terminal(self):
         return self.path.terminal
 
 
-def _effective_grid(grid, epsilon_stop):
+def _stop_grid(grid, epsilon_stop):
+    """The reversed clock's grid on [0, T - eps] and eps (default 0.01 T)."""
     T = grid.t_end
     if grid.t_start != 0.0:
         raise ValueError("reversal grids start at 0")
@@ -65,14 +68,33 @@ def _effective_grid(grid, epsilon_stop):
     return TimeGrid(0.0, n_eff * grid.dt, n_eff), eps
 
 
-def _mu_consistency_stat(sample, mixture, seed):
+def _launch(model, mu, grid, n, epsilon_stop, drift_clip, seed):
+    """Checks, stop grid and terminal sample shared by both modes."""
+    if abs(grid.t_end - model.horizon) > 1e-12:
+        raise ValueError("grid horizon must match the model horizon")
+    if drift_clip is not None and not 0.0 < drift_clip < math.inf:
+        raise ValueError("drift_clip must be positive and finite, or None")
+    run_grid, eps = _stop_grid(grid, epsilon_stop)
+    Y = mu.sample(n, substream(seed, REVERSAL_INIT))
+    return run_grid, eps, np.atleast_2d(np.asarray(Y, dtype=float))
+
+
+def _law_stat(sample, law, seed, *stream):
+    """(KS against ``law.cdf1d``, None) in 1-D, else (energy distance, the
+    reference sample from the (seed, REFERENCE_SAMPLE, *stream) stream)."""
     if sample.shape[1] == 1:
-        return ks_statistic(sample, mixture.cdf1d), 2.5 / math.sqrt(len(sample))
-    rng = substream(seed, REFERENCE_SAMPLE)
-    ref = mixture.sample(len(sample), rng)
+        return ks_statistic(sample, law.cdf1d), None
+    ref = law.sample(len(sample), substream(seed, REFERENCE_SAMPLE, *stream))
+    return energy_distance_nd(sample, ref, seed=seed), ref
+
+
+def _mu_consistency_stat(sample, mixture, seed):
+    stat, ref = _law_stat(sample, mixture, seed)
+    if ref is None:
+        return stat, 2.5 / math.sqrt(len(sample))
     half = len(sample) // 2
     floor = energy_distance_nd(ref[:half], ref[half:], seed=seed)
-    return energy_distance_nd(sample, ref, seed=seed), 3.0 * floor + 1e-12
+    return stat, 3.0 * floor + 1e-12
 
 
 def _clip_rows(v, cap):
@@ -84,22 +106,22 @@ def _clip_rows(v, cap):
     return v, int(over.sum())
 
 
-def _run_loop(grid, Y, seed, drift_fn, sigma_fn, drift_clip):
+def _run_loop(model, grid, Y, seed, density_fn, sigma_fn, drift_clip):
     """The shared Euler loop (``forward._em_loop``) on the reversed clock.
 
-    ``drift_fn(k, s, Y)`` returns (density_drift, base_drift,
-    vacuum_count); the clip applies to the density-dependent part only
-    (kernel tails are what misbehave), never to the -b term.  The per-step
-    diagnostics are recorded inside the drift callback.
+    The drift is -b(T - s, Y) from ``model`` plus the density term that
+    ``density_fn(k, s, Y)`` returns with its vacuum count; the clip applies
+    to the density term only (kernel tails are what misbehave), never to
+    the -b term.  The per-step diagnostics are recorded inside the drift.
     """
     rows = {k: [] for k in ("step", "t", "max_drift", "clips", "vacuums")}
 
     def drift(k, s, Y):
-        dens, base, n_vac = drift_fn(k, s, Y)
+        dens, n_vac = density_fn(k, s, Y)
         n_clip = 0
         if drift_clip is not None:
             dens, n_clip = _clip_rows(dens, drift_clip)
-        total = dens + base
+        total = dens - np.asarray(model.drift(model.horizon - s, Y), dtype=float)
         if not np.isfinite(total).all():
             bad = int(np.argwhere(~np.isfinite(total).all(axis=1))[0, 0])
             raise RuntimeError(f"non-finite drift for particle {bad} at step {k}")
@@ -120,24 +142,23 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     """Reversed run with the exact affine-model density drift.
 
     ``mu`` should be the forward marginal of ``nu`` at the horizon; this is
-    checked statistically and a mismatch only warns, because launching from
-    an unreachable terminal law is precisely the no-solution regime the
-    verification report is designed to expose.
+    checked statistically and a mismatch only warns (and sets the run's
+    ``terminal_check_failed``), because launching from an unreachable
+    terminal law is precisely the no-solution regime the verification
+    report is designed to expose.
     """
     if not isinstance(ou, OUModel):
         raise TypeError("analytic mode needs an affine-drift (OU) model")
-    if abs(grid.t_end - ou.horizon) > 1e-12:
-        raise ValueError("grid horizon must match the model horizon")
     if ou.dim_m != ou.dim_d:
         raise ValueError("reversal needs a square, invertible dispersion")
+    run_grid, eps, Y = _launch(ou, mu, grid, n, epsilon_stop, drift_clip, seed)
     cache = analytic(ou, grid.n_steps)
-    run_grid, eps = _effective_grid(grid, epsilon_stop)
     T = grid.t_end
-    rng0 = substream(seed, REVERSAL_INIT)
-    Y = np.atleast_2d(np.asarray(mu.sample(n, rng0), dtype=float))
+    failed = False
     if check_terminal:
         stat, thr = _mu_consistency_stat(Y, cache.marginal(nu, T), seed)
-        if stat > thr:
+        failed = bool(stat > thr)
+        if failed:
             warnings.warn(
                 f"terminal sampler disagrees with the forward marginal "
                 f"(stat {stat:.4f} > {thr:.4f}); the reversed dynamics has "
@@ -145,15 +166,17 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
                 stacklevel=2,
             )
 
-    def drift_fn(k, s, X):
-        return cache.reversal_drift(nu, s, X), -(X @ ou.C(T - s).T), 0
+    def density_fn(k, s, X):
+        return cache.reversal_drift(nu, s, X), 0
 
     def sigma_fn(s, X):
         return ou.sigma(T - s)
 
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn, drift_clip)
+    path, diag = _run_loop(ou.as_diffusion_model(), run_grid, Y, seed,
+                           density_fn, sigma_fn, drift_clip)
     return ReversalRun(mode="analytic", grid=run_grid, horizon=T,
-                       epsilon_stop=eps, path=path, diagnostics=diag)
+                       epsilon_stop=eps, path=path, diagnostics=diag,
+                       terminal_check_failed=failed)
 
 
 def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
@@ -182,12 +205,9 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     :meth:`KdeField.log_density_and_score_at_sources`).
     """
     model = model.as_diffusion_model()
-    if abs(grid.t_end - model.horizon) > 1e-12:
-        raise ValueError("grid horizon must match the model horizon")
-    run_grid, eps = _effective_grid(grid, epsilon_stop)
+    run_grid, eps, Y = _launch(model, mu, grid, n, epsilon_stop, drift_clip,
+                               seed)
     T = grid.t_end
-    rng0 = substream(seed, REVERSAL_INIT)
-    Y = np.atleast_2d(np.asarray(mu.sample(n, rng0), dtype=float))
     d = Y.shape[1]
     probe = Y[: min(64, n)]
     pts = [(t, x) for t in (0.0, T / 2, T) for x in probe]
@@ -203,14 +223,12 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
 
-    def drift_fn(k, s, X):
-        t = model.horizon - s
-        h = 0.5 * X.std(axis=0, ddof=1) if bandwidth is None else bandwidth
-        field = KdeField(X, h)
+    def density_fn(k, s, X):
+        v = X.var(axis=0, ddof=1)
+        field = KdeField(X, 0.5 * np.sqrt(v) if bandwidth is None else bandwidth)
         logp, score = field.log_density_and_score_at_sources()
         # vacuum: less than ~half a neighbour's mass inside the kernel
-        floor = (math.log(0.5) - math.log(field.n)
-                 - np.log(field.bandwidth * math.sqrt(2 * math.pi)).sum())
+        floor = math.log(0.5) + field._log_norm
         vac = ~(logp >= floor) | np.isnan(score).any(axis=1)
         n_vac = int(vac.sum())
         if n_vac > 0.1 * X.shape[0]:
@@ -218,17 +236,16 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
                 f"{n_vac}/{X.shape[0]} particles in vacuum at step {k}; "
                 f"the ensemble is too sparse for self-consistent estimation"
             )
-        score = np.where(vac[:, None], 0.0, score)
-        v = X.var(axis=0, ddof=1)
         score = score * ((v + field.bandwidth**2) / v)[None, :]
-        dens = _reversal_drift_from_score(model, t, X, score)
+        dens = _reversal_drift_from_score(model, model.horizon - s, X, score)
         dens[vac] = 0.0
-        return dens, -np.asarray(model.drift(t, X), dtype=float), n_vac
+        return dens, n_vac
 
     def sigma_fn(s, X):
         return model.sigma(model.horizon - s, X)
 
-    path, diag = _run_loop(run_grid, Y, seed, drift_fn, sigma_fn, drift_clip)
+    path, diag = _run_loop(model, run_grid, Y, seed, density_fn, sigma_fn,
+                           drift_clip)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag)
 
@@ -272,13 +289,7 @@ def verify_representation(run, reference, threshold=0.02, seed=0):
                 stats.append(energy_distance_nd(snap.positions, ref.positions,
                                                 seed=seed))
             continue
-        ref = reference(snap.time)
-        if d == 1:
-            stats.append(ks_statistic(snap.positions, ref.cdf1d))
-        else:
-            rng = substream(seed, REFERENCE_SAMPLE, i)
-            stats.append(energy_distance_nd(snap.positions,
-                                            ref.sample(snap.n, rng), seed=seed))
+        stats.append(_law_stat(snap.positions, reference(snap.time), seed, i)[0])
     stats = np.array(stats)
     mx = float(stats.max())
     return RepresentationReport(

@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from retrodiff.cli import main
+from retrodiff.cli import _ALLOWED_KEYS, main
 
 
 def write_config(path, body):
@@ -162,6 +164,25 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  "run.candidate_box", id="candidate-box-single"),
     pytest.param("injectivity", HEAT, 1, "candidate_box = -1 1 2.5",
                  "run.candidate_box", id="candidate-box-fraction"),
+    # settings the library would reject with a traceback, or misuse
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "mode = backwards", "run.mode", id="unknown-mode"),
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "epsilon_stop = 1.5", "run.epsilon_stop",
+                 id="epsilon-stop-past-horizon"),
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "epsilon_stop = 0.95", "run.epsilon_stop",
+                 id="epsilon-stop-no-step"),
+    *(pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                   f"drift_clip = {v}", "run.drift_clip", id=f"drift-clip-{v}")
+      for v in ("-1", "0", "nan")),
+    *(pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\n"
+                   f"mode = self-consistent\nbandwidth = {v}", "run.bandwidth",
+                   id=f"bandwidth-{v}") for v in ("-0.1", "0")),
+    pytest.param("injectivity", HEAT, 1, "candidates = 0 1\nmetric = energy",
+                 "run.metric", id="injectivity-metric"),
+    pytest.param("forward", HEAT, 1, "init = dirac:0\nstore_full = maybe",
+                 "run.store_full", id="store-full-boolean"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
                                      run, message):
@@ -183,7 +204,33 @@ directory = {tmp_path / "out"}
 """)
     assert main([command, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_store_full_reads_configparser_booleans(tmp_path):
+    # 400 steps: every node with store_full, else every second one
+    body = HEAT_FORWARD.replace("n_steps = 200", "n_steps = 400").replace(
+        "particles = 2000", "particles = 100")
+    for value, snapshots in (("on", 401), ("off", 201)):
+        out = tmp_path / value
+        cfg = write_config(tmp_path / f"{value}.ini", body.format(out=out).replace(
+            "init = dirac:0", f"init = dirac:0\nstore_full = {value}"))
+        assert main(["forward", "--config", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_snapshots"] == snapshots
+
+
+def test_readme_config_block_lists_every_key():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    text = open(readme).read()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block,
+                               re.M | re.S))
+    missing = [f"{section}.{key}" for section, keys in _ALLOWED_KEYS.items()
+               for key in sorted(keys)
+               if not re.search(rf"\b{key}\s*=", sections.get(section, ""))]
+    assert missing == []
 
 
 def test_refuses_overwrite_without_force(tmp_path):
@@ -445,6 +492,34 @@ directory = {tmp_path / "fourier"}
     cfg = write_config(tmp_path / "fourier.ini", fourier)
     assert main(["invert", "--config", cfg]) == 0
     assert_phase_seconds(tmp_path / "fourier", COMPUTE_CHECK)
+
+
+def test_mean_ode_mc_keeps_only_the_terminal_cloud(tmp_path):
+    # 400 steps of 2e4 particles: about 200 stored snapshots would take 32 MB
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+family = heat
+
+[grid]
+t_end = 1.0
+n_steps = 400
+
+[run]
+seed = 3
+particles = 20000
+route = mean-ode-mc
+x0 = 0.5
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    tracemalloc.start()
+    try:
+        assert main(["invert", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("model", [

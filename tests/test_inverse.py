@@ -157,6 +157,13 @@ def test_injectivity_json_schema():
     assert len(d["distances"]) == 2 and len(d["distances"][0]) == 2
 
 
+def test_injectivity_rejects_an_unknown_metric():
+    model = heat_model().as_diffusion_model()
+    with pytest.raises(ValueError, match="unknown metric 'energy'"):
+        injectivity_probe(model, [dirac([0.0]), dirac([1.0])], T=0.5, n=100,
+                          seed=35, metric="energy")
+
+
 def test_injectivity_rotation_grid_mean_metric():
     b1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     model = affine_model([0.0, 0.0], b1)

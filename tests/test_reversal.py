@@ -81,10 +81,35 @@ def test_mismatched_terminal_warns_and_fails_verification():
             HEAT, dirac([0.0]), gaussian(0.0, 0.25), TimeGrid(0.0, 1.0, 500),
             n=2 * 10**4, epsilon_stop=1e-2, seed=5,
         )
+    assert run.terminal_check_failed is True
     rep = verify_representation(run, heat_reference(dirac([0.0])),
                                 threshold=0.1)
     assert rep.max_stat > 0.1
     assert not rep.passed
+
+
+def test_terminal_verdict_is_false_when_consistent_or_unchecked():
+    grid = TimeGrid(0.0, 1.0, 20)
+    good = simulate_reversal_analytic(HEAT, dirac([0.0]), gaussian(0.0, 1.0),
+                                      grid, n=2000, seed=5)
+    unchecked = simulate_reversal_analytic(
+        HEAT, dirac([0.0]), gaussian(0.0, 0.25), grid, n=2000, seed=5,
+        check_terminal=False)
+    kernel = simulate_reversal_selfconsistent(HEAT, gaussian(0.0, 0.25), grid,
+                                              n=300, seed=5)
+    assert [r.terminal_check_failed for r in (good, unchecked, kernel)] == \
+        [False, False, False]
+
+
+@pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan"), float("inf")])
+def test_drift_clip_must_be_positive_finite(clip):
+    grid = TimeGrid(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match="drift_clip"):
+        simulate_reversal_analytic(HEAT, dirac([0.0]), gaussian(0.0, 1.0),
+                                   grid, n=100, drift_clip=clip)
+    with pytest.raises(ValueError, match="drift_clip"):
+        simulate_reversal_selfconsistent(HEAT, gaussian(0.0, 1.0), grid,
+                                         n=100, drift_clip=clip)
 
 
 def test_reference_as_own_empirical_path_gives_zero():
