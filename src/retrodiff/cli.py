@@ -20,6 +20,7 @@ import configparser
 import contextlib
 import ctypes
 import glob
+import itertools
 import json
 import math
 import os
@@ -54,6 +55,8 @@ from .ou_analytic import (
     ou_marginal,
 )
 from .reversal import (
+    _check_elliptic,
+    _check_square,
     _stop_grid,
     check_integrability_proxy,
     export_diagnostics_csv,
@@ -64,22 +67,26 @@ from .reversal import (
 
 SPEC_VERSION = "0.1.0"
 
-_COMMON_RUN_KEYS = {"seed", "particles"}
 _ALLOWED_KEYS = {
     "model": {"family", "dim", "scale", "c", "sigma", "b0", "b1",
               "sigma_kind", "sigma_value", "sigma_clip", "amplitude",
               "breakpoints", "rates", "sigmas"},
     "grid": {"t_end", "n_steps"},
-    "run": _COMMON_RUN_KEYS | {
-        "init", "nu", "mu", "mode", "epsilon_stop", "drift_clip",
-        "bandwidth", "route", "terminal_mean", "x0", "candidates",
-        "candidate_box", "x", "y", "metric", "store_full",
-    },
+    "run": {"seed", "particles", "init", "nu", "mu", "mode", "epsilon_stop",
+            "drift_clip", "bandwidth", "route", "terminal_mean", "x0",
+            "candidates", "candidate_box", "x", "y", "metric", "store_full"},
     "output": {"directory"},
     "thresholds": {"ks_max", "triangle_max_error", "mc_sigmas",
                    "search_tolerance", "fourier_tolerance",
                    "expected_verdict"},
 }
+
+
+# each model family, and the key that sets its dispersion
+_FAMILY_DISPERSION = {"heat": "model.scale", "ou": "model.sigma",
+                      "affine": "model.sigma_value",
+                      "sin-drift": "model.sigma_value",
+                      "piecewise": "model.sigmas"}
 
 
 class ConfigError(ValueError):
@@ -88,9 +95,12 @@ class ConfigError(ValueError):
 
 def _parse_vector(text, key):
     try:
-        return [float(v) for v in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{key} is not a list of numbers: {text!r}") from exc
+        v = [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        v = [math.nan]
+    if not all(map(math.isfinite, v)):
+        raise ConfigError(f"{key} is not a list of finite numbers: {text!r}")
+    return v
 
 
 def _parse_point(text, key, dim):
@@ -119,14 +129,11 @@ def _parse_distribution(text, key, dim):
         if not mean_s:
             raise ConfigError(f"gaussian spec {text!r} needs mean,variance")
         mean = _parse_point(mean_s, key, dim)
-        try:
-            var = float(var_s)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: gaussian variance is not a number: "
-                              f"{var_s!r}") from exc
-        if var <= 0 or not np.isfinite(var):
-            raise ConfigError(f"gaussian variance must be finite positive, got {var}")
-        return gaussian(mean, var)
+        var = _parse_vector(var_s, key)
+        if len(var) != 1 or var[0] <= 0:
+            raise ConfigError(f"{key}: gaussian variance must be one positive "
+                              f"number, got {var_s!r}")
+        return gaussian(mean, var[0])
     raise ConfigError(f"unknown distribution spec {text!r}")
 
 
@@ -154,70 +161,86 @@ def load_config(path):
 
 
 def _number(cfg, section, key, default, integer=False):
+    """``section.key`` as a finite float or int, or ``default`` if absent."""
     raw = cfg.get(section, {}).get(key)
     if raw is None:
         return default
     try:
-        return int(raw) if integer else float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} is not a number: {raw!r}") from exc
+        v = int(raw) if integer else float(raw)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{section}.{key} is not {kind}: {raw!r}")
+    return v
 
 
 def _positive(cfg, section, key, default, integer=False):
     v = _number(cfg, section, key, default, integer)
-    if v <= 0 or not math.isfinite(v):
-        raise ConfigError(f"{section}.{key} must be positive finite, got {v}")
+    if v <= 0:
+        raise ConfigError(f"{section}.{key} must be positive, got {v}")
     return v
 
 
+def _choice(cfg, section, key, default, choices):
+    """``section.key`` as one of ``choices``, read as configparser reads
+    booleans (case-insensitively), or ``default`` if absent."""
+    raw = cfg.get(section, {}).get(key, default)
+    if raw is None or raw.lower() not in choices:
+        raise ConfigError(f"{section}.{key} must be one of "
+                          f"{', '.join(sorted(choices))}; got {raw!r}")
+    return raw.lower()
+
+
+def _require(cfg, what, *keys):
+    """Refuse a config that lacks any of ``keys``, each ``section.key``."""
+    if any(key not in cfg.get(section, {})
+           for section, key in (k.split(".") for k in keys)):
+        raise ConfigError(f"{what} needs {' and '.join(keys)}")
+
+
 def _seed(cfg):
-    raw = cfg["run"]["seed"]
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"run.seed is not an integer: {raw!r}") from exc
+    v = _number(cfg, "run", "seed", None, integer=True)
     if v < 0:
         raise ConfigError(f"run.seed must be non-negative, got {v}")
     return v
 
 
+def _particles(cfg, default):
+    n = _number(cfg, "run", "particles", default, integer=True)
+    if n < 2:
+        raise ConfigError(f"run.particles must be at least 2, got {n}")
+    return n
+
+
 def build_model(cfg, horizon):
     m = cfg.get("model", {})
-    family = m.get("family")
-    if family is None:
-        raise ConfigError("model.family is required")
+    family = _choice(cfg, "model", "family", None, _FAMILY_DISPERSION)
     if family == "heat":
         params = {"dim": _number(cfg, "model", "dim", 1, integer=True),
                   "scale": _number(cfg, "model", "scale", 1.0)}
     elif family == "ou":
-        if "c" not in m or "sigma" not in m:
-            raise ConfigError("ou family needs model.c and model.sigma")
+        _require(cfg, "ou family", "model.c", "model.sigma")
         params = {"C": _parse_matrix(m["c"], "model.c"),
                   "sigma": _parse_matrix(m["sigma"], "model.sigma")}
-    elif family in ("affine", "sin-drift"):
-        kind = m.get("sigma_kind", "const")
+    elif family == "piecewise":
+        keys = ("breakpoints", "rates", "sigmas")
+        _require(cfg, "piecewise family", *(f"model.{k}" for k in keys))
+        params = {k: _parse_vector(m[k], f"model.{k}") for k in keys}
+    else:
+        kind = _choice(cfg, "model", "sigma_kind", "const",
+                       ("const", "sqrt1px2"))
         if kind == "const":
             spec = _number(cfg, "model", "sigma_value", 1.0)
-        elif kind == "sqrt1px2":
-            spec = ("sqrt1px2", _number(cfg, "model", "sigma_clip", 10.0))
         else:
-            raise ConfigError(f"unknown model.sigma_kind {kind!r}")
+            spec = ("sqrt1px2", _number(cfg, "model", "sigma_clip", 10.0))
         params = {"sigma_spec": spec}
         if family == "affine":
-            if "b0" not in m or "b1" not in m:
-                raise ConfigError("affine family needs model.b0 and model.b1")
+            _require(cfg, "affine family", "model.b0", "model.b1")
             params["b0"] = _parse_vector(m["b0"], "model.b0")
             params["b1"] = _parse_matrix(m["b1"], "model.b1")
         else:
             params["amplitude"] = _number(cfg, "model", "amplitude", 1.0)
-    elif family == "piecewise":
-        for key in ("breakpoints", "rates", "sigmas"):
-            if key not in m:
-                raise ConfigError(f"piecewise family needs model.{key}")
-        params = {key: _parse_vector(m[key], f"model.{key}")
-                  for key in ("breakpoints", "rates", "sigmas")}
-    else:
-        raise ConfigError(f"unknown model.family {family!r}")
     try:
         return make_model(family, horizon=horizon, **params)
     except ValueError as exc:
@@ -272,19 +295,14 @@ class _Emitter:
         self.phase_seconds[name] = time.perf_counter() - t0
 
     def metadata(self, command, config_path):
-        with open(os.path.join(self.dir, "metadata.json"), "w") as fh:
-            json.dump(
-                {
-                    "blas_threads": _blas_threads(),
-                    "command": command,
-                    "config": os.path.abspath(config_path),
-                    "phase_seconds": self.phase_seconds,
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                    "version": __version__,
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        self.json("metadata.json", {
+            "blas_threads": _blas_threads(),
+            "command": command,
+            "config": os.path.abspath(config_path),
+            "phase_seconds": self.phase_seconds,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "version": __version__,
+        })
 
 
 def _grid(cfg):
@@ -305,23 +323,20 @@ def _candidate_points(run_cfg, dim):
     return [[v] for v in _parse_vector(run_cfg["candidates"], "run.candidates")]
 
 
-def _report(failures, payload):
-    payload["spec_version"] = SPEC_VERSION
-    payload["passed"] = not failures
-    payload["failed_criteria"] = sorted(failures)
-    return payload
+def _point_source_cloud(model, x0, n, grid, seed):
+    """The terminal cloud of n particles from ``x0``: the data to invert."""
+    init = sample_initial(DiracMixture([x0]), n, seed)
+    return euler_maruyama_path(model, init, grid, seed,
+                               store_every=grid.n_steps).terminal
 
 
 def cmd_forward(cfg, emitter, grid, model, seed):
-    n = _positive(cfg, "run", "particles", default=10000, integer=True)
-    if "init" not in cfg["run"]:
-        raise ConfigError("forward needs run.init")
+    n = _particles(cfg, 10000)
+    _require(cfg, "forward", "run.init")
     init_dist = _parse_distribution(cfg["run"]["init"], "run.init",
                                     model.dim_d)
-    raw = cfg["run"].get("store_full", "false")
-    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ConfigError(f"run.store_full is not a boolean: {raw!r}")
-    full = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    full = states[_choice(cfg, "run", "store_full", "false", states)]
     with emitter.phase("simulate"):
         init = sample_initial(init_dist, n, seed)
         path = euler_maruyama_path(model, init, grid, seed,
@@ -330,39 +345,51 @@ def cmd_forward(cfg, emitter, grid, model, seed):
         export_snapshots_csv(path, fh)
     with emitter.phase("verify"):
         mean, cov = empirical_moments(path.terminal)
-    return _report([], {
+    return [], {
         "terminal_mean": mean.tolist(),
         "terminal_cov": cov.tolist(),
         "n_snapshots": len(path),
         "particles": n,
-    })
+    }
 
 
 def cmd_reverse(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    n = _positive(cfg, "run", "particles", default=20000, integer=True)
-    eps = _positive(cfg, "run", "epsilon_stop", default=0.01 * grid.t_end)
-    try:
-        _stop_grid(grid, eps)
-    except ValueError as exc:
-        raise ConfigError(f"run.epsilon_stop = {eps:g}: {exc} "
-                          f"(T = {grid.t_end:g}, dt = {grid.dt:g})") from exc
-    # none, or absent, is the mode's default
-    clip, bw = (None if run_cfg.get(key, "none") == "none"
-                else _positive(cfg, "run", key, None)
-                for key in ("drift_clip", "bandwidth"))
-    mode = run_cfg.get("mode", "analytic")
-    if "mu" not in run_cfg:
-        raise ConfigError("reverse needs run.mu (terminal sampler)")
+    n = _particles(cfg, 20000)
+    mode = _choice(cfg, "run", "mode", "analytic",
+                   ("analytic", "self-consistent"))
+    _require(cfg, "reverse", "run.mu")
     mu = _parse_distribution(run_cfg["mu"], "run.mu", model.dim_d)
     nu = (_parse_distribution(run_cfg["nu"], "run.nu", model.dim_d)
           if "nu" in run_cfg else None)
     is_ou = isinstance(model, OUModel)
-
-    if mode not in ("analytic", "self-consistent"):
-        raise ConfigError(f"unknown run.mode {mode!r}")
     if mode == "analytic" and (not is_ou or nu is None):
         raise ConfigError("analytic mode needs an ou/heat model and run.nu")
+    eps = _number(cfg, "run", "epsilon_stop", None)
+    try:
+        _stop_grid(grid, eps)
+    except ValueError as exc:
+        raise ConfigError(f"run.epsilon_stop: {exc} "
+                          f"(T = {grid.t_end:g}, dt = {grid.dt:g})") from exc
+    # none, or absent, leaves the mode's default
+    options = {key: _positive(cfg, "run", key, None)
+               for key in ("drift_clip", "bandwidth")
+               if run_cfg.get(key, "none") != "none"}
+    if mode == "analytic" and "bandwidth" in options:
+        raise ConfigError("run.bandwidth sets the self-consistent mode's "
+                          "kernel; the analytic mode has none")
+    # probed at the origin before the run; a self-consistent run probes
+    # its particles as well
+    probes = [(t, np.zeros(model.dim_d))
+              for t in (0.0, grid.t_end / 2, grid.t_end)]
+    try:
+        if mode == "analytic":
+            _check_square(model)
+        _check_elliptic(model, probes)
+    except ValueError as exc:
+        key = _FAMILY_DISPERSION[cfg["model"]["family"].lower()]
+        raise ConfigError(f"{key}: {exc}") from exc
+    ks_max = _threshold(cfg, "ks_max", 0.02)
 
     with emitter.phase("simulate"):
         if mode == "analytic":
@@ -371,14 +398,10 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
                 warnings.simplefilter("ignore")
                 run = simulate_reversal_analytic(
                     model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
-                    drift_clip=clip,
-                )
+                    **options)
         else:
             run = simulate_reversal_selfconsistent(
-                model, mu, grid, n, epsilon_stop=eps,
-                drift_clip=1e3 if clip is None else clip, seed=seed,
-                bandwidth=bw,
-            )
+                model, mu, grid, n, epsilon_stop=eps, seed=seed, **options)
 
     with emitter.phase("export"):
         with open(emitter.path("snapshots.csv"), "w") as fh:
@@ -402,7 +425,6 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
         }
         failures = []
         if is_ou and nu is not None:
-            ks_max = _threshold(cfg, "ks_max", 0.02)
             # the run's own grid, so the cached OUAnalytic of the run is reused
             ref = lambda t: ou_marginal(model, nu, grid.t_end - t,  # noqa: E731
                                         n_steps=grid.n_steps)
@@ -411,7 +433,7 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
             payload["representation_threshold"] = ks_max
             if not rep.passed:
                 failures.append("representation_max_stat")
-    return _report(failures, payload)
+    return failures, payload
 
 
 def cmd_ou_verify(cfg, emitter, grid, model, seed):
@@ -421,18 +443,15 @@ def cmd_ou_verify(cfg, emitter, grid, model, seed):
     # the default source is a Dirac mass at the origin
     nu = _parse_distribution(cfg["run"].get("nu", "dirac:" + " 0" * d),
                              "run.nu", d)
-    axis = np.linspace(-5.0, 5.0, 9)
-    if d == 1:
-        xi = axis[:, None]
-    elif d == 2:
-        xi = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
-    else:
+    if d > 2:
         raise ConfigError("ou-verify supports d <= 2")
     if grid.n_steps % 10:
         raise ConfigError("ou-verify checks t = 0.1 T, 0.2 T, ..., T, which "
                           "must be grid nodes: grid.n_steps must be a "
                           "multiple of 10")
     tol = _threshold(cfg, "triangle_max_error", 1e-6)
+    axis = np.linspace(-5.0, 5.0, 9)
+    xi = np.stack(np.meshgrid(*[axis] * d), axis=-1).reshape(-1, d)
     ts = np.linspace(0.1 * grid.t_end, grid.t_end, 10)
     with emitter.phase("compute"):
         rep = consistency_triangle(model, nu, xi, ts, n_steps=grid.n_steps)
@@ -441,13 +460,14 @@ def cmd_ou_verify(cfg, emitter, grid, model, seed):
         payload = {k: v for k, v in rep.items()}
         payload["threshold"] = tol
         payload["seed"] = seed
-    return _report(failures, payload)
+    return failures, payload
 
 
 def cmd_invert(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
     d = model.dim_d
-    route = run_cfg.get("route", "mean-ode")
+    route = _choice(cfg, "run", "route", "mean-ode",
+                    ("mean-ode", "mean-ode-mc", "search", "fourier"))
     failures = []
 
     def affine_of(model):
@@ -460,8 +480,7 @@ def cmd_invert(cfg, emitter, grid, model, seed):
         raise ConfigError("mean-ode routes need an affine-drift model")
 
     if route == "mean-ode":
-        if "terminal_mean" not in run_cfg:
-            raise ConfigError("mean-ode route needs run.terminal_mean")
+        _require(cfg, "mean-ode route", "run.terminal_mean")
         m = np.array(_parse_point(run_cfg["terminal_mean"],
                                   "run.terminal_mean", d))
         drift = affine_of(model)
@@ -470,16 +489,13 @@ def cmd_invert(cfg, emitter, grid, model, seed):
         with emitter.phase("check"):
             payload = {"route": route, "x_hat": x_hat.tolist()}
     elif route == "mean-ode-mc":
-        if "x0" not in run_cfg:
-            raise ConfigError("mean-ode-mc route needs run.x0 (data generator)")
+        _require(cfg, "mean-ode-mc route", "run.x0")
         x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
-        n = _positive(cfg, "run", "particles", default=100000, integer=True)
+        n = _particles(cfg, 100000)
         drift = affine_of(model)
         k_sig = _threshold(cfg, "mc_sigmas", 3.0)
         with emitter.phase("compute"):
-            init = sample_initial(DiracMixture([x0]), n, seed)
-            term = euler_maruyama_path(model, init, grid, seed,
-                                       store_every=grid.n_steps).terminal
+            term = _point_source_cloud(model, x0, n, grid, seed)
             x_hat, se = reconstruct_dirac_affine_mc(drift, None, term, grid)
         with emitter.phase("check"):
             err = float(np.linalg.norm(x_hat - x0))
@@ -488,18 +504,15 @@ def cmd_invert(cfg, emitter, grid, model, seed):
             payload = {"route": route, "x_hat": x_hat.tolist(), "stderr": se,
                        "true_x0": x0.tolist(), "error": err}
     elif route == "search":
-        if "x0" not in run_cfg or "candidates" not in run_cfg:
-            raise ConfigError("search route needs run.x0 and run.candidates")
+        _require(cfg, "search route", "run.x0", "run.candidates")
         x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
         cands = _candidate_points(run_cfg, d)
-        n = _positive(cfg, "run", "particles", default=20000, integer=True)
+        n = _particles(cfg, 20000)
         spacings = np.diff(sorted(c[0] for c in cands))
         spacing = float(spacings[spacings > 0].min()) if (spacings > 0).any() else 1.0
         tol = _threshold(cfg, "search_tolerance", default=spacing)
         with emitter.phase("compute"):
-            init = sample_initial(DiracMixture([x0]), n, seed)
-            target = euler_maruyama_path(model, init, grid, seed,
-                                         store_every=grid.n_steps).terminal
+            target = _point_source_cloud(model, x0, n, grid, seed)
             res = reconstruct_dirac_search(model, target, cands, grid.t_end, n,
                                            seed + 1, n_steps=grid.n_steps)
         with emitter.phase("check"):
@@ -509,14 +522,14 @@ def cmd_invert(cfg, emitter, grid, model, seed):
             emitter.json("scores.json", res.to_json_dict())
             payload = {"route": route, "x_hat": res.x_hat.tolist(),
                        "true_x0": x0.tolist(), "error": err, "tolerance": tol}
-    elif route == "fourier":
+    else:
         if not isinstance(model, OUModel) or "x0" not in run_cfg:
             raise ConfigError("fourier route needs an ou/heat model and run.x0")
         x0 = np.array(_parse_point(run_cfg["x0"], "run.x0", d))
+        tol = _threshold(cfg, "fourier_tolerance", 1e-4)
         T = grid.t_end
         # the terminal law of a point source at x0 under the configured model
         mu_hat = ou_marginal(model, DiracMixture([x0]), T, n_steps=grid.n_steps)
-        tol = _threshold(cfg, "fourier_tolerance", 1e-4)
 
         def recovered(xi):
             return fourier_invert_terminal(model, mu_hat, T, xi,
@@ -530,16 +543,13 @@ def cmd_invert(cfg, emitter, grid, model, seed):
                 failures.append("fourier_recovery")
             payload = {"route": route, "x_hat": est.tolist(),
                        "true_x0": x0.tolist(), "error": err, "tolerance": tol}
-    else:
-        raise ConfigError(f"unknown run.route {route!r}")
-    return _report(failures, payload)
+    return failures, payload
 
 
 def cmd_moment_check(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    n = _positive(cfg, "run", "particles", default=10000, integer=True)
-    if "x" not in run_cfg or "y" not in run_cfg:
-        raise ConfigError("moment-check needs run.x and run.y")
+    n = _particles(cfg, 10000)
+    _require(cfg, "moment-check", "run.x", "run.y")
     x = _parse_point(run_cfg["x"], "run.x", model.dim_d)
     y = _parse_point(run_cfg["y"], "run.y", model.dim_d)
     with emitter.phase("compute"):
@@ -554,14 +564,17 @@ def cmd_moment_check(cfg, emitter, grid, model, seed):
             "K": rep.K,
             "small_horizon_margin": rep.small_horizon_margin,
         }
-    return _report(failures, payload)
+    return failures, payload
 
 
 def cmd_injectivity(cfg, emitter, grid, model, seed):
     run_cfg = cfg["run"]
-    n = _positive(cfg, "run", "particles", default=4000, integer=True)
+    d = model.dim_d
+    n = _particles(cfg, 4000)
     if "candidates" in run_cfg:
-        pts = _candidate_points(run_cfg, model.dim_d)
+        pts = _candidate_points(run_cfg, d)
+        if len(pts) < 2:
+            raise ConfigError("injectivity needs at least two run.candidates")
     elif "candidate_box" in run_cfg:
         box = _parse_vector(run_cfg["candidate_box"], "run.candidate_box")
         if len(box) != 3:
@@ -570,24 +583,16 @@ def cmd_injectivity(cfg, emitter, grid, model, seed):
         if not (count.is_integer() and count >= 2):
             raise ConfigError(f"run.candidate_box count must be an integer "
                               f">= 2, got {count:g}")
-        if model.dim_d not in (1, 2):
+        if d not in (1, 2):
             raise ConfigError(f"run.candidate_box needs a 1-D or 2-D model, "
-                              f"but the model has dimension {model.dim_d}")
-        axis = np.linspace(lo, hi, int(count))
-        if model.dim_d == 2:
-            pts = [[a, b] for a in axis for b in axis]
-        else:
-            pts = [[a] for a in axis]
+                              f"but the model has dimension {d}")
+        pts = list(itertools.product(np.linspace(lo, hi, int(count)), repeat=d))
     else:
         raise ConfigError("injectivity needs run.candidates or run.candidate_box")
-    expected = cfg.get("thresholds", {}).get("expected_verdict", "injective")
-    if expected not in ("injective", "ambiguous"):
-        raise ConfigError("thresholds.expected_verdict must be "
-                          "'injective' or 'ambiguous'")
-    metric = run_cfg.get("metric", "wasserstein1")
-    if metric not in ("wasserstein1", "mean"):
-        raise ConfigError(f"run.metric must be 'wasserstein1' or 'mean', "
-                          f"got {metric!r}")
+    expected = _choice(cfg, "thresholds", "expected_verdict", "injective",
+                       ("injective", "ambiguous"))
+    metric = _choice(cfg, "run", "metric", "wasserstein1",
+                     ("wasserstein1", "mean"))
     cands = [DiracMixture([p]) for p in pts]
     with emitter.phase("compute"):
         rep = injectivity_probe(model, cands, grid.t_end, n, seed,
@@ -596,7 +601,7 @@ def cmd_injectivity(cfg, emitter, grid, model, seed):
         failures = [] if rep.verdict == expected else ["verdict"]
         payload = rep.to_json_dict()
         payload["expected_verdict"] = expected
-    return _report(failures, payload)
+    return failures, payload
 
 
 _COMMANDS = {
@@ -628,7 +633,10 @@ def main(argv=None):
         emitter = _Emitter(out_dir, args.force)
         grid = _grid(cfg)
         model = build_model(cfg, grid.t_end)
-        payload = _COMMANDS[args.command](cfg, emitter, grid, model, _seed(cfg))
+        failures, payload = _COMMANDS[args.command](cfg, emitter, grid, model,
+                                                    _seed(cfg))
+        payload.update(spec_version=SPEC_VERSION, passed=not failures,
+                       failed_criteria=sorted(failures))
         emitter.json("report.json", payload)
         emitter.metadata(args.command, args.config)
     except ConfigError as exc:

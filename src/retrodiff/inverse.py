@@ -59,7 +59,8 @@ def reconstruct_dirac_affine(drift, terminal_mean, grid):
     Integrates E'(t) = b0(t) + b1(t) E(t) backwards from E(T) =
     terminal_mean with RK4 and returns E(0).  Exact in the limit for true
     affine models, and bitwise equal to the terminal mean when the drift
-    vanishes.
+    vanishes.  A mean that overflows raises ``RuntimeError`` naming the
+    first node it reached.
     """
     m = np.atleast_1d(np.asarray(terminal_mean, dtype=float))
     if not np.isfinite(m).all():
@@ -69,7 +70,13 @@ def reconstruct_dirac_affine(drift, terminal_mean, grid):
         v0, v1 = drift.eval(t)
         return v0 + v1 @ y
 
-    return _rk4_path(rhs, m, grid, backward=True)[0]
+    path = _rk4_path(rhs, m, grid, backward=True)
+    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
+    if bad.size:
+        # the steps run from node n down, so the first bad node is the last
+        k = int(bad[-1])
+        raise RuntimeError(f"non-finite mean at node {k} (t = {grid.node(k):g})")
+    return path[0]
 
 
 def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):

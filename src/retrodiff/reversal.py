@@ -68,6 +68,23 @@ def _stop_grid(grid, epsilon_stop):
     return TimeGrid(0.0, n_eff * grid.dt, n_eff), eps
 
 
+def _check_square(model):
+    """The analytic reversal's rule: sigma must be a d x d matrix."""
+    if model.dim_m != model.dim_d:
+        raise ValueError("reversal needs a square, invertible dispersion")
+
+
+def _check_elliptic(model, points):
+    """sigma sigma^T must be elliptic to 1e-8 at the (t, x) ``points``: the
+    reversed drift is undefined where it degenerates."""
+    rep = check_ellipticity(model, points, 1e-8)
+    if not rep.passed:
+        raise ValueError(
+            f"dispersion is not elliptic (min eigenvalue "
+            f"{rep.min_eigenvalue:.3g}); the reversed drift is undefined"
+        )
+
+
 def _launch(model, mu, grid, n, epsilon_stop, drift_clip, seed):
     """Checks, stop grid and terminal sample shared by both modes."""
     if abs(grid.t_end - model.horizon) > 1e-12:
@@ -149,8 +166,7 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     """
     if not isinstance(ou, OUModel):
         raise TypeError("analytic mode needs an affine-drift (OU) model")
-    if ou.dim_m != ou.dim_d:
-        raise ValueError("reversal needs a square, invertible dispersion")
+    _check_square(ou)
     run_grid, eps, Y = _launch(ou, mu, grid, n, epsilon_stop, drift_clip, seed)
     cache = analytic(ou, grid.n_steps)
     T = grid.t_end
@@ -210,13 +226,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     T = grid.t_end
     d = Y.shape[1]
     probe = Y[: min(64, n)]
-    pts = [(t, x) for t in (0.0, T / 2, T) for x in probe]
-    rep = check_ellipticity(model, pts, 1e-8)
-    if not rep.passed:
-        raise ValueError(
-            f"dispersion is not elliptic (min eigenvalue "
-            f"{rep.min_eigenvalue:.3g}); the reversed drift is undefined"
-        )
+    _check_elliptic(model, [(t, x) for t in (0.0, T / 2, T) for x in probe])
     if bandwidth is not None:
         h_fixed = np.broadcast_to(np.asarray(bandwidth, float), (d,))
         if (h_fixed >= Y.std(axis=0, ddof=1)).any():

@@ -183,6 +183,38 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  "run.metric", id="injectivity-metric"),
     pytest.param("forward", HEAT, 1, "init = dirac:0\nstore_full = maybe",
                  "run.store_full", id="store-full-boolean"),
+    # read with the other settings, before the run writes anything
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "[thresholds]\nks_max = -1", "thresholds.ks_max",
+                 id="ks-max-negative"),
+    # every number is finite
+    pytest.param("reverse", "family = heat\nscale = nan", 1,
+                 "mu = gaussian:0,1\nnu = dirac:0", "model.scale",
+                 id="scale-nan"),
+    pytest.param("forward", "family = affine\nb0 = 0\nb1 = 0\n"
+                 "sigma_value = nan", 1, "init = dirac:0", "model.sigma_value",
+                 id="sigma-value-nan"),
+    pytest.param("forward", "family = affine\nb0 = 0\nb1 = inf", 1,
+                 "init = dirac:0", "model.b1", id="matrix-inf"),
+    pytest.param("forward", HEAT, 1, "init = dirac:nan", "run.init",
+                 id="point-nan"),
+    pytest.param("forward", HEAT, 1, "init = gaussian:0,inf", "run.init",
+                 id="variance-inf"),
+    pytest.param("injectivity", HEAT, 1, "candidates = 0", "run.candidates",
+                 id="injectivity-single-candidate"),
+    # dispersions the reversal cannot use, and a setting it would ignore
+    pytest.param("reverse", "family = ou\nc = -1\nsigma = 1 0.5", 1,
+                 "mu = gaussian:0,1\nnu = dirac:0", "model.sigma",
+                 id="ou-sigma-not-square"),
+    pytest.param("reverse", "family = heat\nscale = 0", 1,
+                 "mu = gaussian:0,1\nnu = dirac:0", "model.scale",
+                 id="heat-scale-0"),
+    pytest.param("reverse", "family = affine\nb0 = 0\nb1 = 0\n"
+                 "sigma_value = 0", 1, "mu = gaussian:0,1\n"
+                 "mode = self-consistent", "model.sigma_value",
+                 id="affine-sigma-value-0"),
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "bandwidth = 0.1", "run.bandwidth", id="bandwidth-analytic"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
                                      run, message):
@@ -204,6 +236,35 @@ directory = {tmp_path / "out"}
 """)
     assert main([command, "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, run", [
+    pytest.param("forward", "init = dirac:0", id="forward"),
+    pytest.param("invert", "route = mean-ode-mc\nx0 = 0.5", id="mean-ode-mc"),
+    pytest.param("invert", "route = search\nx0 = 0.5\ncandidates = 0 1",
+                 id="search"),
+    pytest.param("reverse", "mu = gaussian:0,1\nnu = dirac:0", id="reverse"),
+])
+def test_one_particle_exits_2(tmp_path, capsys, command, run):
+    # a spread, a standard error or a cloud distance needs two particles
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+family = heat
+
+[grid]
+n_steps = 10
+
+[run]
+seed = 1
+particles = 1
+{run}
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main([command, "--config", cfg]) == 2
+    assert "run.particles" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -635,6 +696,42 @@ directory = {tmp_path / "out"}
     assert main(["forward", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(rep["terminal_cov"][0][0] - 0.625) < 0.05
+
+
+def test_numbers_past_the_float_range(tmp_path):
+    body = """
+[model]
+family = affine
+b0 = 0
+b1 = {b1}
+
+[grid]
+t_end = 1.0
+n_steps = 1000
+
+[run]
+seed = 9
+particles = 100
+x = 0
+y = 1
+route = mean-ode
+terminal_mean = 1
+
+[output]
+directory = {out}
+"""
+    # K T = 720: the Gronwall bound overflows to inf, so it holds vacuously
+    cfg = write_config(tmp_path / "m.ini",
+                       body.format(b1=-360, out=tmp_path / "m"))
+    assert main(["moment-check", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "m" / "report.json").read_text())
+    assert rep["bound"] == float("inf") and rep["passed"] is True
+    # an overflowing backward mean is an error, not a passing report
+    cfg = write_config(tmp_path / "i.ini",
+                       body.format(b1=1e300, out=tmp_path / "i"))
+    with pytest.raises(RuntimeError, match="non-finite mean at node"):
+        main(["invert", "--config", cfg])
+    assert not (tmp_path / "i").exists()
 
 
 def test_piecewise_family_runs_every_command(tmp_path, capsys):

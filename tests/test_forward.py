@@ -180,6 +180,18 @@ def test_moment_bound_identical_starts():
     assert rep.sup_empirical == 0.0
 
 
+def test_moment_bound_past_the_float_range_is_vacuous():
+    # K T = 720 > 709.78, so e^{K T} overflows: the bound is inf and holds
+    m = affine_model(0.0, -360.0, sigma_spec=1.0)
+    grid = TimeGrid(0.0, 1.0, 1000)
+    rep = check_moment_bound(m, [0.0], [1.0], grid, 100, seed=3)
+    assert rep.K == 720.0
+    assert rep.bound == np.inf and rep.passed
+    # identical starts keep a zero bound rather than 0 * inf
+    rep = check_moment_bound(m, [0.5], [0.5], grid, 100, seed=3)
+    assert rep.bound == 0.0 and rep.passed
+
+
 def test_snapshot_csv_format():
     m = heat_model(dim=2).as_diffusion_model()
     init = sample_initial(DiracMixture([[0.0, 0.0]]), 3, seed=0)

@@ -64,6 +64,13 @@ def test_reconstruction_is_affine_in_terminal_mean():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_overflowing_mean_names_the_node():
+    # the first backward step from node 10 overflows
+    drift = AffineDrift.constant([0.0], [[1e300]])
+    with pytest.raises(RuntimeError, match=r"non-finite mean at node 9 "):
+        reconstruct_dirac_affine(drift, np.array([1.0]), TimeGrid(0.0, 1.0, 10))
+
+
 def test_mc_reconstruction_with_forward_data():
     # forward cloud from x0 under b = -x, recovered within 3 stderr
     x0 = 2.0
