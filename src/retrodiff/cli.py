@@ -31,7 +31,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .distributions import DiracMixture, gaussian
+from .distributions import DegenerateDensityError, DiracMixture, gaussian
 from .forward import (
     check_moment_bound,
     empirical_moments,
@@ -82,11 +82,11 @@ _ALLOWED_KEYS = {
 }
 
 
-# each model family, and the key that sets its dispersion
-_FAMILY_DISPERSION = {"heat": "model.scale", "ou": "model.sigma",
-                      "affine": "model.sigma_value",
-                      "sin-drift": "model.sigma_value",
-                      "piecewise": "model.sigmas"}
+# the key that sets each family's dispersion, named when reverse refuses it
+_DISPERSION_KEY = {"heat": "model.scale", "ou": "model.sigma",
+                   "affine": "model.sigma_value",
+                   "sin-drift": "model.sigma_value",
+                   "piecewise": "model.sigmas"}
 
 
 class ConfigError(ValueError):
@@ -167,9 +167,10 @@ def _number(cfg, section, key, default, integer=False):
         return default
     try:
         v = int(raw) if integer else float(raw)
+        ok = integer or math.isfinite(v)
     except ValueError:
-        v = math.nan
-    if not math.isfinite(v):
+        ok = False
+    if not ok:
         kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"{section}.{key} is not {kind}: {raw!r}")
     return v
@@ -182,14 +183,14 @@ def _positive(cfg, section, key, default, integer=False):
     return v
 
 
-def _choice(cfg, section, key, default, choices):
-    """``section.key`` as one of ``choices``, read as configparser reads
-    booleans (case-insensitively), or ``default`` if absent."""
+def _choice(cfg, section, key, default, choices, fold=str):
+    """``section.key``, as ``fold`` reads it, as one of ``choices``, or
+    ``default`` if absent."""
     raw = cfg.get(section, {}).get(key, default)
-    if raw is None or raw.lower() not in choices:
+    if fold(raw) not in choices:
         raise ConfigError(f"{section}.{key} must be one of "
                           f"{', '.join(sorted(choices))}; got {raw!r}")
-    return raw.lower()
+    return fold(raw)
 
 
 def _require(cfg, what, *keys):
@@ -214,8 +215,9 @@ def _particles(cfg, default):
 
 
 def build_model(cfg, horizon):
-    m = cfg.get("model", {})
-    family = _choice(cfg, "model", "family", None, _FAMILY_DISPERSION)
+    _require(cfg, "model", "model.family")
+    m = cfg["model"]
+    family = m["family"]
     if family == "heat":
         params = {"dim": _number(cfg, "model", "dim", 1, integer=True),
                   "scale": _number(cfg, "model", "scale", 1.0)}
@@ -228,6 +230,7 @@ def build_model(cfg, horizon):
         _require(cfg, "piecewise family", *(f"model.{k}" for k in keys))
         params = {k: _parse_vector(m[k], f"model.{k}") for k in keys}
     else:
+        # affine and sin-drift; make_model refuses an unknown family
         kind = _choice(cfg, "model", "sigma_kind", "const",
                        ("const", "sqrt1px2"))
         if kind == "const":
@@ -283,9 +286,10 @@ class _Emitter:
         return p
 
     def json(self, name, payload):
+        # strict JSON: a non-finite float raises before the file is opened
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @contextlib.contextmanager
     def phase(self, name):
@@ -336,7 +340,8 @@ def cmd_forward(cfg, emitter, grid, model, seed):
     init_dist = _parse_distribution(cfg["run"]["init"], "run.init",
                                     model.dim_d)
     states = configparser.ConfigParser.BOOLEAN_STATES
-    full = states[_choice(cfg, "run", "store_full", "false", states)]
+    full = states[_choice(cfg, "run", "store_full", "false", states,
+                          fold=str.lower)]
     with emitter.phase("simulate"):
         init = sample_initial(init_dist, n, seed)
         path = euler_maruyama_path(model, init, grid, seed,
@@ -378,17 +383,19 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
     if mode == "analytic" and "bandwidth" in options:
         raise ConfigError("run.bandwidth sets the self-consistent mode's "
                           "kernel; the analytic mode has none")
-    # probed at the origin before the run; a self-consistent run probes
-    # its particles as well
-    probes = [(t, np.zeros(model.dim_d))
-              for t in (0.0, grid.t_end / 2, grid.t_end)]
+    # each mode's own rule: the analytic reversal needs a square sigma (and
+    # a marginal with a density, which the run itself checks); the
+    # self-consistent one an elliptic sigma sigma^T, probed here at the
+    # origin and by the run at its particles
+    dispersion = _DISPERSION_KEY[cfg["model"]["family"]]
     try:
         if mode == "analytic":
             _check_square(model)
-        _check_elliptic(model, probes)
+        else:
+            _check_elliptic(model, [(t, np.zeros(model.dim_d)) for t in
+                                    (0.0, grid.t_end / 2, grid.t_end)])
     except ValueError as exc:
-        key = _FAMILY_DISPERSION[cfg["model"]["family"].lower()]
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{dispersion}: {exc}") from exc
     ks_max = _threshold(cfg, "ks_max", 0.02)
 
     with emitter.phase("simulate"):
@@ -396,9 +403,13 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
             # the terminal verdict is reported, not printed
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                run = simulate_reversal_analytic(
-                    model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
-                    **options)
+                try:
+                    run = simulate_reversal_analytic(
+                        model, nu, mu, grid, n, epsilon_stop=eps, seed=seed,
+                        **options)
+                except DegenerateDensityError as exc:
+                    raise ConfigError(f"{dispersion}: the marginal of run.nu "
+                                      f"has no density ({exc})") from exc
         else:
             run = simulate_reversal_selfconsistent(
                 model, mu, grid, n, epsilon_stop=eps, seed=seed, **options)
@@ -556,6 +567,7 @@ def cmd_moment_check(cfg, emitter, grid, model, seed):
         rep = check_moment_bound(model, x, y, grid, n, seed)
     with emitter.phase("check"):
         failures = [] if rep.passed else ["moment_bound"]
+        # past the float range the Gronwall bound holds vacuously: null
         payload = {
             "sup_empirical": rep.sup_empirical,
             "sup_time": rep.sup_time,
@@ -564,6 +576,9 @@ def cmd_moment_check(cfg, emitter, grid, model, seed):
             "K": rep.K,
             "small_horizon_margin": rep.small_horizon_margin,
         }
+        for key in ("bound", "small_horizon_margin"):
+            if not math.isfinite(payload[key]):
+                payload[key] = None
     return failures, payload
 
 

@@ -183,6 +183,11 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  "run.metric", id="injectivity-metric"),
     pytest.param("forward", HEAT, 1, "init = dirac:0\nstore_full = maybe",
                  "run.store_full", id="store-full-boolean"),
+    # choices other than store_full's booleans are exact
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "mode = Analytic", "run.mode", id="mode-case"),
+    pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
+                 "drift_clip = None", "run.drift_clip", id="drift-clip-None"),
     # read with the other settings, before the run writes anything
     pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
                  "[thresholds]\nks_max = -1", "thresholds.ks_max",
@@ -266,6 +271,43 @@ directory = {tmp_path / "out"}
     assert main([command, "--config", cfg]) == 2
     assert "run.particles" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, run", [
+    # sigma sigma^T is singular, but Q(t) > 0 for t > 0
+    pytest.param("family = ou\nc = 0 1; 0 0\nsigma = 0 0; 0 1",
+                 "mu = gaussian:0 0,1\nnu = dirac:0 0", id="hypoelliptic-ou"),
+    # sigma sigma^T = 2.5e-9, below the self-consistent mode's 1e-8
+    pytest.param("family = heat\nscale = 5e-5",
+                 "mu = gaussian:0,2.5e-9\nnu = dirac:0",
+                 id="heat-small-scale"),
+])
+def test_analytic_reverse_runs_where_the_marginal_has_a_density(
+        tmp_path, model, run):
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+{model}
+
+[grid]
+n_steps = 20
+
+[run]
+seed = 1
+particles = 200
+{run}
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main(["reverse", "--config", cfg]) in (0, 1)
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_seed_past_the_float_range_runs(tmp_path):
+    # streams use the seed's low 64 bits, so any non-negative integer works
+    body = HEAT_FORWARD.replace("seed = 5", "seed = 1" + "0" * 400)
+    cfg = write_config(tmp_path / "c.ini", body.format(out=tmp_path / "out"))
+    assert main(["forward", "--config", cfg]) == 0
 
 
 def test_store_full_reads_configparser_booleans(tmp_path):
@@ -698,6 +740,10 @@ directory = {tmp_path / "out"}
     assert abs(rep["terminal_cov"][0][0] - 0.625) < 0.05
 
 
+def strict_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_numbers_past_the_float_range(tmp_path):
     body = """
 [model]
@@ -724,8 +770,9 @@ directory = {out}
     cfg = write_config(tmp_path / "m.ini",
                        body.format(b1=-360, out=tmp_path / "m"))
     assert main(["moment-check", "--config", cfg]) == 0
-    rep = json.loads((tmp_path / "m" / "report.json").read_text())
-    assert rep["bound"] == float("inf") and rep["passed"] is True
+    rep = json.loads((tmp_path / "m" / "report.json").read_text(),
+                     parse_constant=strict_json)
+    assert rep["bound"] is None and rep["passed"] is True
     # an overflowing backward mean is an error, not a passing report
     cfg = write_config(tmp_path / "i.ini",
                        body.format(b1=1e300, out=tmp_path / "i"))
