@@ -5,10 +5,12 @@ The characteristic transform convention used throughout is
     T(xi) = integral exp(-i <xi, x>) mu(dx),
 
 so for a Gaussian N(m, V) it equals exp(-i<xi, m> - <V xi, xi>/2).
+
+``scipy.special`` is imported inside the methods that call it, so importing
+the package loads no scipy module.
 """
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 
 class DegenerateDensityError(ValueError):
@@ -98,6 +100,8 @@ class GaussianMixture:
         return out
 
     def logpdf(self, x):
+        from scipy.special import logsumexp
+
         single = np.ndim(x) == 1
         lc = self._log_component_densities(x)
         out = logsumexp(lc, axis=1, b=self.weights[None, :])
@@ -108,6 +112,8 @@ class GaussianMixture:
 
     def score(self, x):
         """Gradient of log density, evaluated row-wise."""
+        from scipy.special import logsumexp
+
         single = np.ndim(x) == 1
         x2 = np.atleast_2d(x)
         lc = self._log_component_densities(x2)
@@ -121,6 +127,8 @@ class GaussianMixture:
         return g[0] if single else g
 
     def cdf1d(self, x):
+        from scipy.special import ndtr
+
         if self.dim != 1:
             raise ValueError("cdf1d requires a one-dimensional mixture")
         x = np.atleast_1d(np.asarray(x, dtype=float))

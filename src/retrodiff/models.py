@@ -107,6 +107,13 @@ def _frozen(a):
     return a
 
 
+def _dimension(d):
+    """The state dimension, refused below 1."""
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
+    return d
+
+
 class OUModel:
     """Affine-drift model b(t, x) = C(t) x with space-independent sigma(t).
 
@@ -117,7 +124,7 @@ class OUModel:
     """
 
     def __init__(self, C_fn, sigma_fn, dim_d, dim_m=None, horizon=1.0):
-        self.dim_d = dim_d
+        self.dim_d = _dimension(dim_d)
         self.dim_m = dim_d if dim_m is None else dim_m
         self.horizon = float(horizon)
         if not callable(C_fn):
@@ -311,6 +318,7 @@ def _sigma_family(spec, dim):
 
 def heat_model(dim=1, scale=1.0, horizon=1.0):
     """Zero drift, sigma = scale * I; marginals from a point are N(x0, scale^2 t I)."""
+    dim = _dimension(dim)
     return OUModel(np.zeros((dim, dim)), scale * np.eye(dim), dim_d=dim,
                    horizon=horizon)
 
@@ -327,6 +335,9 @@ def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     b1 = np.atleast_2d(np.asarray(b1, dtype=float))
     d = b0.shape[0]
+    if b1.shape != (d, d):
+        raise ValueError(f"b1 has shape {b1.shape}, but b0 of length {d} "
+                         f"needs ({d}, {d})")
     disp, jac_s, div_rows = _sigma_family(sigma_spec, d)
     return DiffusionModel(
         dim_d=d,

@@ -20,6 +20,9 @@ amplifies by exp(+1/2 int |sigma^T D xi|^2), which is the ill-posedness of
 the backward problem; queries outside a configurable frequency window (or
 beyond a configurable amplification exponent) are refused rather than
 clipped.
+
+``scipy.interpolate`` and ``scipy.special`` are imported where they are
+first called, so importing the package loads no scipy module.
 """
 
 import functools
@@ -28,8 +31,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .distributions import DegenerateDensityError, DiracMixture, GaussianMixture
 from .grids import TimeGrid
@@ -45,7 +46,12 @@ class AmplificationWindowError(ValueError):
     """Raised for transform queries outside the regularized backward window."""
 
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(64)
+@functools.cache
+def _gauss_legendre():
+    """64-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(64)
 
 
 def _window_exponent(xi, exponent, xi_max, exponent_cap):
@@ -71,9 +77,12 @@ class OUAnalytic:
 
     A model with constant C and sigma (``ou.constant``) has its paths
     stepped exactly by the semigroup, with no RK4 step; a model with
-    time-varying coefficients has them integrated by RK4.  All queries after
-    construction are pure lookups / interpolations, so a built instance can
-    be shared freely across threads.
+    time-varying coefficients has them integrated by RK4.  A query at a grid
+    node reads the path; a query between nodes reads a cubic spline of it,
+    built on the path's first such query and kept.  A built instance can be
+    shared freely across threads: two threads may race to build the same
+    spline, but both copies have identical bits, and the first one stored
+    is the one every later query reads.
     """
 
     def __init__(self, ou, n_steps=1000):
@@ -84,22 +93,28 @@ class OUAnalytic:
         self.resolvent = solve_resolvent(C, self.grid)
         self.adjoint = solve_adjoint_resolvent(C, self.grid)
         self.covariance = compute_ou_covariance(C, Sigma, self.grid)
-        ts = self.grid.nodes
-        self._sp_resolvent = CubicSpline(ts, self.resolvent.values, axis=0)
-        self._sp_adjoint = CubicSpline(ts, self.adjoint.values, axis=0)
-        self._sp_cov = CubicSpline(ts, self.covariance.values, axis=0)
+        self._splines = {}  # path -> its CubicSpline, built on first use
 
-    def _eval(self, path, spline, t):
+    def _eval(self, path, t):
         if not self.grid.t_start <= t <= self.grid.t_end + 1e-12:
             raise ValueError(f"t={t} outside [0, {self.grid.t_end}]")
         k = self.grid.find_node(t)
-        return path.values[k] if k is not None else spline(t)
+        if k is not None:
+            return path.values[k]
+        spline = self._splines.get(path)
+        if spline is None:
+            from scipy.interpolate import CubicSpline
+
+            # setdefault is atomic: a racing thread's copy is dropped
+            spline = self._splines.setdefault(
+                path, CubicSpline(self.grid.nodes, path.values, axis=0))
+        return spline(t)
 
     def R(self, t):
-        return self._eval(self.resolvent, self._sp_resolvent, t)
+        return self._eval(self.resolvent, t)
 
     def D(self, t):
-        return self._eval(self.adjoint, self._sp_adjoint, t)
+        return self._eval(self.adjoint, t)
 
     def D_inv(self, t):
         """Inverse of D(t), which is R(t)^T.
@@ -114,7 +129,7 @@ class OUAnalytic:
 
     def Q(self, t):
         """Covariance at t; exactly symmetric, at a node or between nodes."""
-        return self._eval(self.covariance, self._sp_cov, t)
+        return self._eval(self.covariance, t)
 
     # ------------------------------------------------------------------
 
@@ -137,10 +152,11 @@ class OUAnalytic:
 
     def amplification_exponent(self, t, eta):
         """1/2 * int_0^t |sigma(s)^T D(s) eta|^2 ds by Gauss-Legendre."""
+        nodes, weights = _gauss_legendre()
         eta2 = np.atleast_2d(np.asarray(eta, dtype=float))
-        s = 0.5 * t * (_GL_NODES + 1.0)
+        s = 0.5 * t * (nodes + 1.0)
         acc = np.zeros(eta2.shape[0])
-        for si, wi in zip(s, _GL_WEIGHTS):
+        for si, wi in zip(s, weights):
             v = eta2 @ self.D(si).T @ self.ou.sigma(si)
             acc += wi * np.sum(v * v, axis=1)
         out = 0.25 * t * acc

@@ -207,6 +207,13 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  id="variance-inf"),
     pytest.param("injectivity", HEAT, 1, "candidates = 0", "run.candidates",
                  id="injectivity-single-candidate"),
+    # models the library refuses
+    pytest.param("forward", "family = affine\nb0 = 0 0\nb1 = 1 2 3", 1,
+                 "init = dirac:0 0", "b1 has shape (1, 3)",
+                 id="affine-b1-shape"),
+    *(pytest.param("forward", f"family = heat\ndim = {d}", 1, "init = dirac:",
+                   "dimension must be at least 1", id=f"heat-dim-{d}")
+      for d in ("0", "-1")),
     # dispersions the reversal cannot use, and a setting it would ignore
     pytest.param("reverse", "family = ou\nc = -1\nsigma = 1 0.5", 1,
                  "mu = gaussian:0,1\nnu = dirac:0", "model.sigma",

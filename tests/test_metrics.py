@@ -143,14 +143,16 @@ def test_sliced_in_one_dimension_is_w1(a, b, seed):
         _bits(wasserstein1(a, b))
 
 
-def test_import_leaves_scipy_stats_out():
-    code = ("import sys, retrodiff; "
-            "print('scipy.stats' in sys.modules)")
+def test_import_leaves_scipy_out():
+    # scipy is imported where it is first called, never by importing
+    code = ("import sys, retrodiff, retrodiff.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _four_temporary_energy(X, Y, seed=0):

@@ -19,8 +19,10 @@ from retrodiff import (
 )
 from retrodiff.models import (
     DiffusionModel,
+    OUModel,
     affine_model,
     heat_model,
+    ou_model,
     piecewise_model,
     sin_drift_model,
 )
@@ -172,6 +174,28 @@ def test_make_model_families():
     assert make_model("sin-drift").name == "sin-drift"
     with pytest.raises(ValueError, match="unknown model family"):
         make_model("pde")
+
+
+def test_affine_b1_shape_must_match_b0():
+    with pytest.raises(ValueError, match=r"\(1, 3\).*\(2, 2\)"):
+        affine_model(b0=[0.0, 0.0], b1=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"\(2, 2\).*\(1, 1\)"):
+        affine_model(b0=[0.0], b1=np.eye(2))
+    assert affine_model(b0=[0.0, 0.0], b1=np.eye(2)).dim_d == 2
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: heat_model(dim=0), id="heat-0"),
+    pytest.param(lambda: heat_model(dim=-1), id="heat-negative"),
+    pytest.param(lambda: ou_model(np.zeros((0, 0)), np.zeros((0, 0))),
+                 id="ou-empty"),
+    pytest.param(lambda: OUModel(lambda t: np.zeros((0, 0)),
+                                 lambda t: np.zeros((0, 0)), 0),
+                 id="OUModel-0"),
+])
+def test_dimension_below_one_rejected(build):
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        build()
 
 
 def test_symmetry_invariant_random_sigma():

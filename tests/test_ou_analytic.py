@@ -7,9 +7,12 @@ and grid extrema.
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 from retrodiff import (
     AmplificationWindowError,
@@ -188,6 +191,74 @@ def test_lookup_within_the_grid_tolerance_is_the_node():
     assert np.array_equal(cache.R(t), cache.resolvent.at(t))
     assert np.array_equal(cache.D(t), cache.adjoint.values[500])
     assert np.array_equal(cache.Q(t), cache.covariance.values[500])
+
+
+def _varying_2d():
+    C0 = np.array([[-1.0, 0.4], [0.2, -0.5]])
+    return OUModel(lambda t: C0 + np.sin(3.0 * t) * np.eye(2),
+                   lambda t: np.array([[1.0, 0.0], [0.3, 1.0 + t]]), 2)
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.fixture
+def spline_builds(monkeypatch):
+    """Counts the CubicSplines that retrodiff builds while the test runs."""
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return CubicSpline(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+    return builds
+
+
+def test_node_lookups_build_no_spline(spline_builds):
+    cache = OUAnalytic(_varying_2d(), n_steps=100)
+    for t in cache.grid.nodes:
+        cache.R(t), cache.D(t), cache.D_inv(t), cache.Q(t)
+    cache.marginal(dirac([0.5, -0.5]), cache.grid.node(40))
+    assert spline_builds == []
+    cache.R(0.437)  # between nodes 43 and 44
+    assert len(spline_builds) == 1
+
+
+def test_off_node_lookups_read_one_spline_per_path(spline_builds):
+    cache = OUAnalytic(_varying_2d(), n_steps=100)
+    ts = cache.grid.nodes
+    lookups = [(cache.R, cache.resolvent), (cache.D, cache.adjoint),
+               (cache.Q, cache.covariance)]
+    # 0.437 and 0.8125 lie strictly between nodes of the 100-step grid
+    for k, (lookup, path) in enumerate(lookups, start=1):
+        oracle = CubicSpline(ts, path.values, axis=0)
+        assert _bits(lookup(0.437)) == _bits(oracle(0.437))
+        assert len(spline_builds) == k
+        assert _bits(lookup(0.8125)) == _bits(oracle(0.8125))
+        assert len(spline_builds) == k  # the second lookup reuses it
+    assert _bits(cache.D_inv(0.437)) == _bits(cache.R(0.437).T)
+    assert len(spline_builds) == 3
+
+
+def test_amplification_exponent_keeps_its_bits():
+    """The quadrature as it ran with module-level nodes and eager splines."""
+    ou = _varying_2d()
+    cache = OUAnalytic(ou, n_steps=100)
+    nodes, weights = roots_legendre(64)
+    spline = CubicSpline(cache.grid.nodes, cache.adjoint.values, axis=0)
+    eta = np.array([[0.7, -1.2], [2.0, 0.1], [0.0, 0.0]])
+    for t in (0.3, 0.55, 1.0):
+        s = 0.5 * t * (nodes + 1.0)
+        acc = np.zeros(eta.shape[0])
+        for si, wi in zip(s, weights):
+            assert cache.grid.find_node(si) is None  # a quadrature node off the grid
+            v = eta @ spline(si).T @ ou.sigma(si)
+            acc += wi * np.sum(v * v, axis=1)
+        assert _bits(cache.amplification_exponent(t, eta)) == _bits(0.25 * t * acc)
+        assert (_bits(cache.amplification_exponent(t, eta[0]))
+                == _bits((0.25 * t * acc)[0]))
 
 
 def test_invert_terminal_heat_round_trip():
