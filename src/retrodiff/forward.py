@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import estimate_lipschitz
-from .streams import FORWARD_STEP, INIT_SAMPLE, substream
+from .streams import FORWARD_STEP, INIT_SAMPLE, step_streams, substream
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,22 @@ def sample_initial(dist, n, seed):
 
 
 def _em_step(X, b, s, xi, dt):
-    """One Euler-Maruyama update X + b dt + sqrt(dt) sigma xi.
+    """One Euler-Maruyama update X + b dt + sqrt(dt) sigma xi, as a new array.
 
     ``s`` is one (d, m) dispersion shared by all rows or one per row,
-    (n, d, m); ``xi`` holds the (n, m) standard normal draws.
+    (n, d, m); ``xi`` holds the (n, m) standard normal draws.  The sum is
+    built in place in one new (n, d) array as (b dt + X) + (sigma xi)
+    sqrt(dt), the operations of ``X + b * dt + sqrt(dt) * noise`` up to
+    commutativity, so the bits are the same.  ``X`` and ``b`` are only
+    read: a model's drift may return its own, even read-only, array, and
+    one that broadcasts to (n, d).
     """
     noise = xi @ s.T if s.ndim == 2 else np.einsum("nij,nj->ni", s, xi)
-    return X + b * dt + math.sqrt(dt) * noise
+    out = np.multiply(b, dt, out=np.empty(X.shape))
+    out += X
+    noise *= math.sqrt(dt)
+    out += noise
+    return out
 
 
 def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
@@ -81,17 +90,20 @@ def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
     ``drift(k, t, X)`` and ``sigma(t, X)`` give the coefficients at step k.
     Noise row i at step k is particle i's draw from the (seed, kind, k)
     stream, so particles evolve on independent streams and the result is
-    identical however the particle loop is executed.  Snapshots are thinned
-    to roughly 200 along the grid unless ``store_every`` says otherwise;
-    the first and last nodes are always stored.
+    identical however the particle loop is executed.  The loop re-keys one
+    generator at each step (:func:`~retrodiff.streams.step_streams`), and
+    its stream k is ``substream(seed, kind, k)`` bit for bit.  Snapshots
+    are thinned to roughly 200 along the grid unless ``store_every`` says
+    otherwise; the first and last nodes are always stored.
     """
     stride = store_every or max(1, math.ceil(grid.n_steps / 200))
     snaps = [ParticleEnsemble(time=grid.node(0), positions=X.copy())]
+    stream = step_streams(seed, kind, grid.n_steps)
     for k in range(grid.n_steps):
         t = grid.node(k)
         b = drift(k, t, X)
         s = sigma(t, X)
-        xi = substream(seed, kind, k).standard_normal((X.shape[0], s.shape[-1]))
+        xi = stream(k).standard_normal((X.shape[0], s.shape[-1]))
         X = _em_step(X, b, s, xi, grid.dt)
         if not np.isfinite(X).all():
             bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
@@ -161,7 +173,8 @@ def _exp(x):
 def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     """Empirical sup_t E|X^x_t - X^y_t|^2 against |y-x|^2 e^{K T}.
 
-    Both trajectories consume the same noise streams (synchronous coupling).
+    Both trajectories consume the same noise streams (synchronous coupling),
+    the (seed, FORWARD_STEP, k) streams of one re-keyed generator.
     Without ``lipschitz``, K is estimated from 200 probes over a box that
     spans both terminal clouds plus 1, and at least [-5, 5], on each axis.
     The Monte Carlo margin is 3 * std(|Z|^2) / sqrt(n) at the supremum node.
@@ -182,9 +195,10 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
         b = np.asarray(model.drift(t, X), dtype=float)
         return _em_step(X, b, model.sigma(t, X), xi, grid.dt)
 
+    stream = step_streams(seed, FORWARD_STEP, grid.n_steps)
     for k in range(grid.n_steps):
         t = grid.node(k)
-        xi = substream(seed, FORWARD_STEP, k).standard_normal((n, model.dim_m))
+        xi = stream(k).standard_normal((n, model.dim_m))
         Xx, Xy = step(Xx, t, xi), step(Xy, t, xi)
         z2 = np.sum((Xy - Xx) ** 2, axis=1)
         m = float(z2.mean())

@@ -324,10 +324,16 @@ def heat_model(dim=1, scale=1.0, horizon=1.0):
 
 
 def ou_model(C, sigma, horizon=1.0):
+    """Constant OU model: drift C x, dispersion sigma (d rows, m columns)."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    return OUModel(C, sigma, dim_d=C.shape[0], dim_m=sigma.shape[1],
-                   horizon=horizon)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError(f"C has shape {C.shape}, but must be square")
+    d = C.shape[0]
+    if sigma.ndim != 2 or sigma.shape[0] != d:
+        raise ValueError(f"sigma has shape {sigma.shape}, but C of shape "
+                         f"{C.shape} needs {d} rows")
+    return OUModel(C, sigma, dim_d=d, dim_m=sigma.shape[1], horizon=horizon)
 
 
 def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):

@@ -211,6 +211,15 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
     pytest.param("forward", "family = affine\nb0 = 0 0\nb1 = 1 2 3", 1,
                  "init = dirac:0 0", "b1 has shape (1, 3)",
                  id="affine-b1-shape"),
+    pytest.param("forward", "family = ou\nc = -1 0; 0 -1\nsigma = 1", 1,
+                 "init = dirac:0 0", "ou family: sigma has shape (1, 1)",
+                 id="ou-sigma-rows"),
+    pytest.param("forward", "family = ou\nc = -1 0; 0 -1\n"
+                 "sigma = 1 0; 0 1; 1 1", 1, "init = dirac:0 0",
+                 "ou family: sigma has shape (3, 2)", id="ou-sigma-three-rows"),
+    pytest.param("forward", "family = ou\nc = -1 0\nsigma = 1", 1,
+                 "init = dirac:0", "ou family: C has shape (1, 2)",
+                 id="ou-c-not-square"),
     *(pytest.param("forward", f"family = heat\ndim = {d}", 1, "init = dirac:",
                    "dimension must be at least 1", id=f"heat-dim-{d}")
       for d in ("0", "-1")),

@@ -192,6 +192,34 @@ def test_moment_bound_past_the_float_range_is_vacuous():
     assert rep.bound == 0.0 and rep.passed
 
 
+def test_loops_only_read_model_arrays_and_rekey_one_generator():
+    # the drift returns one stored read-only (d,) array, broadcast over the
+    # rows, and the dispersion a stored writable one: neither loop may write
+    # into them or into the positions
+    n = 64
+    b = np.array([0.5, -1.0])
+    b.flags.writeable = False
+    s = np.array([[1.0, 0.5], [0.0, 2.0]])
+    m = DiffusionModel(
+        dim_d=2, dim_m=2,
+        drift=lambda t, x: b,
+        dispersion=lambda t, x: s,
+        jac_drift=lambda t, x: np.zeros((2, 2)),
+        jac_dispersion=lambda t, x: np.zeros((2, 2, 2)),
+    )
+    init = ParticleEnsemble(0.0, substream(6, 0).standard_normal((n, 2)))
+    kept = [a.tobytes() for a in (b, s, init.positions)]
+    grid = TimeGrid(0.0, 1.0, 50)
+    with mock.patch("retrodiff.forward.substream", wraps=substream) as spy:
+        path = euler_maruyama_path(m, init, grid, seed=7)
+        rep = check_moment_bound(m, [0.0, 0.0], [1.0, 1.0], grid, n, seed=7)
+    assert spy.call_count == 0
+    assert [a.tobytes() for a in (b, s, init.positions)] == kept
+    assert not np.array_equal(path.terminal.positions, init.positions)
+    # a shared drift and shared noise keep the coupled pair's gap at (1, 1)
+    assert rep.sup_empirical == pytest.approx(2.0, rel=1e-12)
+
+
 def test_snapshot_csv_format():
     m = heat_model(dim=2).as_diffusion_model()
     init = sample_initial(DiracMixture([[0.0, 0.0]]), 3, seed=0)

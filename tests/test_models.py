@@ -184,6 +184,27 @@ def test_affine_b1_shape_must_match_b0():
     assert affine_model(b0=[0.0, 0.0], b1=np.eye(2)).dim_d == 2
 
 
+@pytest.mark.parametrize("C, sigma, message", [
+    pytest.param(-np.eye(2), 1.0,
+                 r"sigma has shape \(1, 1\).*\(2, 2\) needs 2 rows",
+                 id="sigma-one-row"),
+    pytest.param(-np.eye(2), np.ones((3, 2)),
+                 r"sigma has shape \(3, 2\).*\(2, 2\) needs 2 rows",
+                 id="sigma-three-rows"),
+    pytest.param(-np.eye(2), np.ones((2, 2, 2)),
+                 r"sigma has shape \(2, 2, 2\)", id="sigma-three-axes"),
+    pytest.param(np.ones((2, 3)), np.eye(2), r"C has shape \(2, 3\).*square",
+                 id="C-not-square"),
+    pytest.param(np.ones((2, 2, 2)), np.eye(2), r"C has shape \(2, 2, 2\)",
+                 id="C-three-axes"),
+])
+def test_ou_shapes_must_agree(C, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        ou_model(C, sigma)
+    # sigma may have any number of columns
+    assert ou_model(-np.eye(2), np.ones((2, 3))).dim_m == 3
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: heat_model(dim=0), id="heat-0"),
     pytest.param(lambda: heat_model(dim=-1), id="heat-negative"),
