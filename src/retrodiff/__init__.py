@@ -16,12 +16,10 @@ from .distributions import (
     gaussian,
 )
 from .density import (
-    AnalyticField,
     KdeField,
     VacuumError,
     kde_density,
     kde_score,
-    reversal_drift,
     score_bandwidth,
     silverman_bandwidth,
 )
@@ -76,7 +74,6 @@ from .ou_analytic import (
 )
 from .resolvents import (
     compute_ou_covariance,
-    integral_defect,
     min_eigenvalue_path,
     solve_adjoint_resolvent,
     solve_adjoint_resolvent_inverse,

@@ -8,11 +8,9 @@ concurrent queries are safe.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GaussianMixture
 from .metrics import _sq_dist_block
 
 _LOG_FLOOR = math.log(1e-300)
@@ -62,14 +60,20 @@ def score_bandwidth(ens):
     return std * (4.0 / ((d + 4) * n)) ** (1.0 / (d + 6))
 
 
+def _checked_bandwidth(bandwidth, d):
+    """The bandwidth broadcast to d entries, each positive and finite."""
+    h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,))
+    if not ((h > 0) & (h < math.inf)).all():
+        raise ValueError(f"bandwidth {h} must be positive and finite")
+    return h
+
+
 class KdeField:
     """Gaussian-kernel estimate over a particle cloud."""
 
     def __init__(self, positions, bandwidth):
         X = np.atleast_2d(np.asarray(positions, dtype=float))
-        h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (X.shape[1],))
-        if (h <= 0).any():
-            raise ValueError("bandwidths must be strictly positive")
+        h = _checked_bandwidth(bandwidth, X.shape[1])
         self.positions = X
         self.bandwidth = h.copy()
         self._scaled = X / h
@@ -376,23 +380,9 @@ def _interp_uniform(x, grid, dg, values):
     return out
 
 
-@dataclass(frozen=True)
-class AnalyticField:
-    """Density field backed by an exact Gaussian mixture."""
-
-    mixture: GaussianMixture
-
-    @property
-    def dim(self):
-        return self.mixture.dim
-
-
 def kde_density(field, x):
     """Estimated density at x (>= 0, exact normalization by construction)."""
-    if isinstance(field, AnalyticField):
-        return field.mixture.pdf(x)
-    logp = field.log_density(x)
-    return np.exp(logp)
+    return np.exp(field.log_density(x))
 
 
 def kde_score(field, x):
@@ -401,8 +391,6 @@ def kde_score(field, x):
     Raises :class:`VacuumError` when the estimated density at x falls below
     the floor 1e-300 * N (the query sits outside the cloud's support).
     """
-    if isinstance(field, AnalyticField):
-        return field.mixture.score(x)
     logp, score = field.log_density_and_score(x)
     if np.isnan(np.atleast_1d(score)).any():
         raise VacuumError("query point is in the vacuum of the estimated density")
@@ -421,18 +409,3 @@ def _reversal_drift_from_score(model, t, x, score):
     else:
         drift = np.einsum("...ij,...j->...i", S, score)
     return model.div_sigma_rows_at(t, x) + drift
-
-
-def reversal_drift(model, field, t_reversed, x):
-    """Density-dependent drift of the reversed dynamics.
-
-    Component i is div_x Sigma_i.(T - t, x) + <Sigma_i.(T - t, x), score(x)>
-    with the field's score (see :func:`_reversal_drift_from_score`).
-    Vacuum queries propagate as :class:`VacuumError`.
-    """
-    model = model.as_diffusion_model()
-    out = _reversal_drift_from_score(model, model.horizon - t_reversed, x,
-                                     kde_score(field, x))
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite dispersion or dispersion divergence")
-    return out

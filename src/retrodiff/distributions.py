@@ -47,6 +47,8 @@ class GaussianMixture:
             raise ValueError("means and covariances must have equal length")
         if covs.shape[1:] != (means.shape[1], means.shape[1]):
             raise ValueError("covariance shape does not match dimension")
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise ValueError("means and covariances must be finite")
         sym_err = np.abs(covs - np.transpose(covs, (0, 2, 1))).max(initial=0.0)
         if sym_err > 1e-10 * (1.0 + np.abs(covs).max(initial=0.0)):
             raise ValueError("covariances must be symmetric")

@@ -21,6 +21,8 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not float(self.n_steps).is_integer():
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps}")
         if int(self.n_steps) < 1:
             raise ValueError("n_steps must be >= 1")
         object.__setattr__(self, "n_steps", int(self.n_steps))

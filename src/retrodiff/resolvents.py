@@ -167,25 +167,6 @@ def _exact_covariance(C, Sigma, grid):
     return Q
 
 
-def integral_defect(path, rhs_fn):
-    """Max Frobenius defect of Y(t) = Y(0) + integral of rhs_fn(s, Y(s)).
-
-    The integral is approximated by composite Simpson quadrature on the
-    stored nodes (so the defect is evaluated at even-indexed nodes); both
-    the integrator and the quadrature are fourth order, which is what the
-    step-halving order check in the tests relies on.
-    """
-    grid, Y = path.grid, path.values
-    h = grid.dt
-    F = np.array([rhs_fn(grid.node(k), Y[k]) for k in range(len(Y))])
-    defect = 0.0
-    acc = np.zeros_like(Y[0])
-    for k in range(2, len(Y), 2):
-        acc = acc + (h / 3.0) * (F[k - 2] + 4.0 * F[k - 1] + F[k])
-        defect = max(defect, np.linalg.norm(Y[k] - Y[0] - acc))
-    return defect
-
-
 def min_eigenvalue_path(path):
     """Smallest eigenvalue of each (symmetric) matrix along the path."""
     return np.array([np.linalg.eigvalsh(m)[0] for m in path.values])

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import KdeField, _reversal_drift_from_score
+from .density import KdeField, _checked_bandwidth, _reversal_drift_from_score
 from .forward import EnsemblePath, _em_loop, _write_csv_rows
 from .grids import TimeGrid
-from .metrics import energy_distance_nd, ks_statistic, ks_two_sample
+from .metrics import energy_distance_nd, ks_statistic
 from .models import OUModel, check_ellipticity
 from .ou_analytic import analytic
 from .streams import REVERSAL_INIT, REVERSAL_STEP, REFERENCE_SAMPLE, substream
@@ -46,7 +46,8 @@ class ReversalRun:
     epsilon_stop: float
     path: EnsemblePath
     diagnostics: StepDiagnostics
-    # the analytic mode's terminal-law check failed (False when not run)
+    # the analytic mode's terminal-law check failed (always False in the
+    # self-consistent mode, which has no such check)
     terminal_check_failed: bool = False
 
     @property
@@ -155,12 +156,13 @@ def _run_loop(model, grid, Y, seed, density_fn, sigma_fn, drift_clip):
 
 
 def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
-                               drift_clip=None, check_terminal=True):
+                               drift_clip=None):
     """Reversed run with the exact affine-model density drift.
 
-    ``mu`` should be the forward marginal of ``nu`` at the horizon; this is
-    checked statistically and a mismatch only warns (and sets the run's
-    ``terminal_check_failed``), because launching from an unreachable
+    ``mu`` should be the forward marginal of ``nu`` at the horizon.  Every
+    run checks this on its terminal draw (KS in 1-D, energy distance
+    otherwise); a mismatch only warns and sets the run's
+    ``terminal_check_failed``, because launching from an unreachable
     terminal law is precisely the no-solution regime the verification
     report is designed to expose.
     """
@@ -170,17 +172,15 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     run_grid, eps, Y = _launch(ou, mu, grid, n, epsilon_stop, drift_clip, seed)
     cache = analytic(ou, grid.n_steps)
     T = grid.t_end
-    failed = False
-    if check_terminal:
-        stat, thr = _mu_consistency_stat(Y, cache.marginal(nu, T), seed)
-        failed = bool(stat > thr)
-        if failed:
-            warnings.warn(
-                f"terminal sampler disagrees with the forward marginal "
-                f"(stat {stat:.4f} > {thr:.4f}); the reversed dynamics has "
-                f"no consistent solution for such terminal data",
-                stacklevel=2,
-            )
+    stat, thr = _mu_consistency_stat(Y, cache.marginal(nu, T), seed)
+    failed = bool(stat > thr)
+    if failed:
+        warnings.warn(
+            f"terminal sampler disagrees with the forward marginal "
+            f"(stat {stat:.4f} > {thr:.4f}); the reversed dynamics has "
+            f"no consistent solution for such terminal data",
+            stacklevel=2,
+        )
 
     def density_fn(k, s, X):
         return cache.reversal_drift(nu, s, X), 0
@@ -228,7 +228,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     probe = Y[: min(64, n)]
     _check_elliptic(model, [(t, x) for t in (0.0, T / 2, T) for x in probe])
     if bandwidth is not None:
-        h_fixed = np.broadcast_to(np.asarray(bandwidth, float), (d,))
+        h_fixed = _checked_bandwidth(bandwidth, d)
         if (h_fixed >= Y.std(axis=0, ddof=1)).any():
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
@@ -275,32 +275,17 @@ class RepresentationReport:
                 f"{self.max_stat:.4f} (threshold {self.threshold}) [{state}]")
 
 
-def verify_representation(run, reference, threshold=0.02, seed=0):
-    """Compare reversed marginals against a reference family.
+def verify_representation(run, reference, threshold=0.02):
+    """Compare each reversed snapshot with its law ``reference(t)``.
 
-    ``reference`` is either a callable mapping a reversed time to a
-    Gaussian mixture (the forward marginal at T - t), or another ensemble
-    path, which is then compared sample to sample.  d = 1 uses the
-    Kolmogorov-Smirnov statistic, d >= 2 the energy distance.
+    ``reference`` maps a reversed time t to a Gaussian mixture, the forward
+    marginal at T - t.  d = 1 uses the Kolmogorov-Smirnov statistic
+    against the law's CDF; d >= 2 the energy distance to a reference
+    sample drawn from the law on snapshot i's own stream of seed 0.
     """
     snaps = run.path.snapshots
-    ensemble = isinstance(reference, EnsemblePath)
-    if ensemble and (len(reference.snapshots) != len(snaps) or np.abs(
-            reference.times - run.path.times).max() > 1e-9):
-        raise ValueError("snapshot/reference time mismatch")
-    d = snaps[0].dim
-    stats = []
-    for i, snap in enumerate(snaps):
-        if ensemble:
-            ref = reference.snapshots[i]
-            if d == 1:
-                stats.append(ks_two_sample(snap.positions, ref.positions))
-            else:
-                stats.append(energy_distance_nd(snap.positions, ref.positions,
-                                                seed=seed))
-            continue
-        stats.append(_law_stat(snap.positions, reference(snap.time), seed, i)[0])
-    stats = np.array(stats)
+    stats = np.array([_law_stat(snap.positions, reference(snap.time), 0, i)[0]
+                      for i, snap in enumerate(snaps)])
     mx = float(stats.max())
     return RepresentationReport(
         times=run.path.times.copy(),
@@ -308,7 +293,7 @@ def verify_representation(run, reference, threshold=0.02, seed=0):
         max_stat=mx,
         threshold=float(threshold),
         passed=mx < threshold,
-        metric="KS" if d == 1 else "energy",
+        metric="KS" if snaps[0].dim == 1 else "energy",
     )
 
 
@@ -323,7 +308,6 @@ class IntegrabilityReport:
     growth_exponent: float
     clip_events: int
     vacuum_events: int
-    passed: bool
 
 
 def check_integrability_proxy(run):
@@ -331,7 +315,11 @@ def check_integrability_proxy(run):
 
     Fits max_drift ~ (T - t)^(-alpha) by log-log regression; alpha ~ 0.5
     for a point-source reversal (the cloud scale sqrt(T - t) divided by
-    the collapsing variance), alpha ~ 0 in nonsingular cases.
+    the collapsing variance).  A nonsingular source still gives a positive
+    alpha: 0.22-0.25 for the 1-D heat reversal of nu = N(0, 0.25) (T = 1,
+    2 * 10^4 particles, 1000 steps, eps 0.01 and 0.05).  The max over
+    particles is an extreme-value statistic, so alpha measures the cloud's
+    outermost particles, not the density.
     """
     diag = run.diagnostics
     dt = run.grid.dt
@@ -348,7 +336,6 @@ def check_integrability_proxy(run):
         growth_exponent=alpha,
         clip_events=int(diag.clips.sum()),
         vacuum_events=int(diag.vacuums.sum()),
-        passed=math.isfinite(integral),
     )
 
 

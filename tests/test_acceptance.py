@@ -9,6 +9,7 @@ calibration knobs.
 import time
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 import retrodiff as rd
@@ -237,10 +238,12 @@ def test_criterion_8_injectivity_probe():
 def test_criterion_9_nonexistence_witness(tmp_path):
     t0 = time.perf_counter()
     # N(0, 0.5^2) is not u^nu(1) for any point source (those have var >= 1)
-    run = rd.simulate_reversal_analytic(
-        HEAT, rd.dirac([0.0]), rd.gaussian(0.0, 0.25), rd.TimeGrid(0, 1, 1000),
-        n=2 * 10**4, epsilon_stop=1e-2, seed=909, check_terminal=False,
-    )
+    with pytest.warns(UserWarning, match="no consistent solution"):
+        run = rd.simulate_reversal_analytic(
+            HEAT, rd.dirac([0.0]), rd.gaussian(0.0, 0.25),
+            rd.TimeGrid(0, 1, 1000), n=2 * 10**4, epsilon_stop=1e-2, seed=909,
+        )
+    assert run.terminal_check_failed
     ref = lambda t: rd.ou_marginal(HEAT, rd.dirac([0.0]), 1.0 - t)  # noqa: E731
     rep = rd.verify_representation(run, ref, threshold=0.1)
     cfg = tmp_path / "witness.ini"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
-    AnalyticField,
     KdeField,
     VacuumError,
     gaussian,
@@ -19,11 +18,15 @@ from retrodiff import (
     substream,
 )
 from retrodiff import density
-from retrodiff.density import _interp_uniform, reversal_drift, score_bandwidth
+from retrodiff.density import (
+    _interp_uniform,
+    _reversal_drift_from_score,
+    score_bandwidth,
+)
 from retrodiff.grids import TimeGrid
 from retrodiff.models import affine_model, heat_model, ou_model
 from retrodiff.reversal import simulate_reversal_selfconsistent
-from retrodiff.ou_analytic import ou_reversal_drift
+from retrodiff.ou_analytic import ou_marginal, ou_reversal_drift
 
 
 def test_single_particle_peak():
@@ -52,12 +55,6 @@ def test_single_particle_score():
     for x in (0.0, 1.0, 3.0):
         s = kde_score(f, np.array([x]))
         assert abs(s[0] + (x - a) / h**2) < 1e-9
-
-
-def test_analytic_field_score_exact():
-    f = AnalyticField(gaussian([0.0, 0.0], np.eye(2)))
-    x = np.array([0.3, -1.2])
-    assert np.allclose(kde_score(f, x), -x, atol=1e-14)
 
 
 def test_score_matches_density_finite_difference():
@@ -126,50 +123,75 @@ def test_scale_equivariance_of_score():
     assert np.allclose(s2, s1 / lam, rtol=1e-12)
 
 
+def _drift_at(model, mix, t_reversed, x):
+    # the kernel-drift formula fed the exact score at forward time T - t
+    t = model.horizon - t_reversed
+    return _reversal_drift_from_score(model, t, x, mix.score(x))
+
+
 def test_reversal_drift_constant_diffusion_is_score():
     m = heat_model(dim=1).as_diffusion_model()
-    f = AnalyticField(gaussian(0.0, 1.0))
     x = np.array([[0.7], [-0.4]])
-    drift = reversal_drift(m, f, 0.3, x)
+    drift = _drift_at(m, gaussian(0.0, 1.0), 0.3, x)
     assert np.allclose(drift, -x, atol=1e-14)
 
 
 def test_reversal_drift_space_dependent_sigma():
-    # Sigma = 1 + x^2, analytic N(0,1) field: drift = 2x + (1+x^2)(-x) = x - x^3
+    # Sigma = 1 + x^2, exact N(0,1) score: drift = 2x + (1+x^2)(-x) = x - x^3
     m = affine_model(0.0, 0.0, sigma_spec=("sqrt1px2", 100.0))
-    f = AnalyticField(gaussian(0.0, 1.0))
+    mix = gaussian(0.0, 1.0)
     for x in (-1.5, -0.3, 0.0, 0.8, 2.0):
-        v = reversal_drift(m, f, 0.2, np.array([[x]]))[0, 0]
+        v = _drift_at(m, mix, 0.2, np.array([[x]]))[0, 0]
         assert abs(v - (x - x**3)) < 1e-8
-        assert abs(reversal_drift(m, f, 0.2, np.zeros((1, 1)))[0, 0]) < 1e-15
+        assert abs(_drift_at(m, mix, 0.2, np.zeros((1, 1)))[0, 0]) < 1e-15
 
 
 def test_reversal_drift_fd_oracle_on_div_sigma_p():
     # central-difference oracle for div(Sigma p)/p with Sigma = 1 + x^2
     m = affine_model(0.0, 0.0, sigma_spec=("sqrt1px2", 100.0))
     mix = gaussian(0.0, 1.0)
-    f = AnalyticField(mix)
     h = 1e-5
     for x in (-0.9, 0.4, 1.1):
         def sp(y):
             return (1.0 + y * y) * mix.pdf(np.array([y]))
         fd = (sp(x + h) - sp(x - h)) / (2 * h) / mix.pdf(np.array([x]))
-        v = reversal_drift(m, f, 0.2, np.array([[x]]))[0, 0]
+        v = _drift_at(m, mix, 0.2, np.array([[x]]))[0, 0]
         assert abs(v - fd) < 1e-8
 
 
-def test_reversal_drift_matches_ou_closed_form():
-    ou = heat_model(dim=1)
-    m = ou.as_diffusion_model()
-    nu = gaussian(0.2, 0.5)
-    t = 0.4
-    from retrodiff import ou_marginal
+@st.composite
+def _ou_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    entries = st.floats(-1.0, 1.0)
+    C = draw(arrays(float, (d, d), elements=entries))
+    sigma = draw(arrays(float, (d, d), elements=entries))
+    mean = draw(arrays(float, (d,), elements=entries))
+    A = draw(arrays(float, (d, d), elements=entries))
+    t = draw(st.floats(0.0, 0.95))
+    x = draw(arrays(float, (3, d), elements=st.floats(-3.0, 3.0)))
+    return ou_model(C, sigma), gaussian(mean, A @ A.T + 0.1 * np.eye(d)), t, x
 
-    f = AnalyticField(ou_marginal(ou, nu, 1.0 - t))
-    xs = np.array([[-1.0], [0.0], [0.6]])
-    a = reversal_drift(m, f, t, xs)
-    b = ou_reversal_drift(ou, nu, t, xs)
-    assert np.abs(a - b).max() < 1e-10
+
+@settings(max_examples=30, deadline=None)
+@given(_ou_cases())
+def test_reversal_drift_matches_ou_closed_form(case):
+    # the kernel-drift formula with the exact marginal score is the OU
+    # closed form Sigma grad log p (sigma constant, so no divergence term)
+    ou, nu, t, x = case
+    a = _drift_at(ou.as_diffusion_model(), ou_marginal(ou, nu, 1.0 - t), t, x)
+    b = ou_reversal_drift(ou, nu, t, x)
+    assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+def test_non_finite_bandwidth_is_refused(h):
+    X = substream(7, 55).standard_normal((300, 1))
+    with pytest.raises(ValueError, match="bandwidth"):
+        KdeField(X, h).log_density_and_score_at_sources()
+    with pytest.raises(ValueError, match="bandwidth"):
+        simulate_reversal_selfconsistent(heat_model(dim=1), gaussian(0.0, 1.0),
+                                         TimeGrid(0.0, 1.0, 10), n=300,
+                                         bandwidth=h)
 
 
 @pytest.mark.parametrize("exclude_self", [False, True])

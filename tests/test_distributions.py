@@ -29,6 +29,10 @@ def test_covariance_validation():
         GaussianMixture([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.5], [0.0, 1.0]])])
     with pytest.raises(ValueError, match="semi-definite"):
         GaussianMixture([1.0], [[0.0, 0.0]], [np.diag([1.0, -0.2])])
+    for mean, cov in (([np.nan], 1.0), ([0.0], np.nan), ([np.inf], 1.0),
+                      ([0.0], np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian(mean, cov)
 
 
 def test_gaussian_moments_and_density():
@@ -44,6 +48,8 @@ def test_gaussian_score_is_exact():
     g = gaussian(0.5, 2.0)
     xs = np.linspace(-3, 3, 7)[:, None]
     assert np.allclose(g.score(xs), -(xs - 0.5) / 2.0, atol=1e-14)
+    x = np.array([0.3, -1.2])
+    assert np.allclose(gaussian([0.0, 0.0], np.eye(2)).score(x), -x, atol=1e-14)
 
 
 def test_mixture_score_matches_finite_difference():

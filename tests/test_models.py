@@ -5,17 +5,17 @@ import pytest
 
 from retrodiff import (
     DiracMixture,
-    KdeField,
     TimeGrid,
     check_ellipticity,
     check_moment_bound,
     estimate_lipschitz,
     euler_maruyama_path,
+    gaussian,
     injectivity_probe,
     make_model,
     reconstruct_dirac_search,
-    reversal_drift,
     sample_initial,
+    simulate_reversal_selfconsistent,
 )
 from retrodiff.models import (
     DiffusionModel,
@@ -242,8 +242,9 @@ _ENTRY_POINTS = {
         m, [(0.3, [1.0])], 0.1).min_eigenvalue,
     "estimate_lipschitz": lambda m: estimate_lipschitz(
         m, ([-1.0], [1.0]), [0.0, 0.5], 5, seed=3).K,
-    "reversal_drift": lambda m: reversal_drift(
-        m, KdeField([[-0.5], [0.0], [0.5]], 0.4), 0.2, np.array([[0.1]])),
+    "simulate_reversal_selfconsistent":
+        lambda m: simulate_reversal_selfconsistent(
+            m, gaussian(0.0, 1.0), _GRID, 50, seed=6).terminal.positions,
     "injectivity_probe": lambda m: injectivity_probe(
         m, [DiracMixture([[0.0]]), DiracMixture([[1.0]])], 1.0, 40, seed=4,
         n_steps=5).distances,

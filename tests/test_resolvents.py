@@ -14,7 +14,6 @@ from retrodiff import (
     OUModel,
     TimeGrid,
     compute_ou_covariance,
-    integral_defect,
     min_eigenvalue_path,
     solve_adjoint_resolvent,
     solve_adjoint_resolvent_inverse,
@@ -27,6 +26,17 @@ from retrodiff.resolvents import _rk4_path
 
 def grid(T=1.0, n=1000):
     return TimeGrid(0.0, T, n)
+
+
+def test_time_grid_needs_an_integral_step_count():
+    for n in (4, np.int64(4), 4.0, np.float32(4.0)):
+        g = TimeGrid(0.0, 1.0, n)
+        assert g.n_steps == 4 and type(g.n_steps) is int
+    for n in (2.7, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            TimeGrid(0.0, 1.0, n)
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        TimeGrid(0.0, 1.0, 0)
 
 
 def test_zero_generator_is_identity():
@@ -136,6 +146,24 @@ def test_rk4_backward_direction_matches_expm():
         oracle = expm(C * (g.node(k) - g.t_end))
         rel.append(np.linalg.norm(values[k] - oracle) / np.linalg.norm(oracle))
     assert max(rel) < 1e-8
+
+
+def integral_defect(path, rhs_fn):
+    """Max Frobenius defect of Y(t) = Y(0) + integral of rhs_fn(s, Y(s)).
+
+    The integral is composite Simpson quadrature on the stored nodes, so
+    the defect is read at even-indexed nodes; the integrator and the
+    quadrature are both fourth order, which the step-halving check uses.
+    """
+    grid, Y = path.grid, path.values
+    h = grid.dt
+    F = np.array([rhs_fn(grid.node(k), Y[k]) for k in range(len(Y))])
+    defect = 0.0
+    acc = np.zeros_like(Y[0])
+    for k in range(2, len(Y), 2):
+        acc = acc + (h / 3.0) * (F[k - 2] + 4.0 * F[k - 1] + F[k])
+        defect = max(defect, np.linalg.norm(Y[k] - Y[0] - acc))
+    return defect
 
 
 def test_integral_defect_order():
