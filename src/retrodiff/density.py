@@ -404,8 +404,5 @@ def _reversal_drift_from_score(model, t, x, score):
     for any score estimate; rows of x and score are paired.
     """
     S = model.sigma_sigma_T(t, x)
-    if S.ndim == 2:
-        drift = score @ S.T
-    else:
-        drift = np.einsum("...ij,...j->...i", S, score)
+    drift = np.einsum("...ij,...j->...i", S, score)
     return model.div_sigma_rows_at(t, x) + drift

@@ -68,15 +68,16 @@ def sample_initial(dist, n, seed):
 def _em_step(X, b, s, xi, dt):
     """One Euler-Maruyama update X + b dt + sqrt(dt) sigma xi, as a new array.
 
-    ``s`` is one (d, m) dispersion shared by all rows or one per row,
-    (n, d, m); ``xi`` holds the (n, m) standard normal draws.  The sum is
-    built in place in one new (n, d) array as (b dt + X) + (sigma xi)
-    sqrt(dt), the operations of ``X + b * dt + sqrt(dt) * noise`` up to
-    commutativity, so the bits are the same.  ``X`` and ``b`` are only
-    read: a model's drift may return its own, even read-only, array, and
-    one that broadcasts to (n, d).
+    ``s`` is one (d, m) dispersion per row, (n, d, m), as
+    ``DiffusionModel.sigma`` gives it; ``xi`` holds the (n, m) draws.  The
+    noise is one per-row product, so a row's bits do not depend on the row
+    count, as those of a BLAS ``xi @ s.T`` may.  The sum is built in place
+    in one new (n, d) array as (b dt + X) + (sigma xi) sqrt(dt), the
+    operations of ``X + b * dt + sqrt(dt) * noise`` up to commutativity, so
+    the bits are the same.  ``X`` and ``b`` are only read: a model's drift
+    may return its own, even read-only, array, or a (d,) one to broadcast.
     """
-    noise = xi @ s.T if s.ndim == 2 else np.einsum("nij,nj->ni", s, xi)
+    noise = np.einsum("nij,nj->ni", s, xi)
     out = np.multiply(b, dt, out=np.empty(X.shape))
     out += X
     noise *= math.sqrt(dt)
@@ -87,17 +88,24 @@ def _em_step(X, b, s, xi, dt):
 def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
     """Euler-Maruyama loop shared by the forward and the reversed dynamics.
 
-    ``drift(k, t, X)`` and ``sigma(t, X)`` give the coefficients at step k.
-    Noise row i at step k is particle i's draw from the (seed, kind, k)
-    stream, so particles evolve on independent streams and the result is
-    identical however the particle loop is executed.  The loop re-keys one
-    generator at each step (:func:`~retrodiff.streams.step_streams`), and
-    its stream k is ``substream(seed, kind, k)`` bit for bit.  Snapshots
-    are thinned to roughly 200 along the grid unless ``store_every`` says
-    otherwise; the first and last nodes are always stored.
+    ``drift(k, t, X)`` and ``sigma(t, X)`` give the coefficients at step k,
+    the dispersion as one (d, m) matrix per row.  Noise row i at step k is
+    particle i's draw from the (seed, kind, k) stream, so particles evolve
+    on independent streams and the result is identical however the
+    particle loop is executed.  The loop re-keys one generator at each
+    step (:func:`~retrodiff.streams.step_streams`), and its stream k is
+    ``substream(seed, kind, k)`` bit for bit.  Snapshots are thinned to
+    roughly 200 along the grid unless ``store_every`` says otherwise; the
+    first and last nodes are always stored, each step's own new array.
     """
-    stride = store_every or max(1, math.ceil(grid.n_steps / 200))
-    snaps = [ParticleEnsemble(time=grid.node(0), positions=X.copy())]
+    if store_every is None:
+        stride = max(1, math.ceil(grid.n_steps / 200))
+    elif float(store_every).is_integer() and store_every >= 1:
+        stride = int(store_every)
+    else:
+        raise ValueError(
+            f"store_every must be an integer >= 1, got {store_every}")
+    snaps = [ParticleEnsemble(time=grid.node(0), positions=X)]
     stream = step_streams(seed, kind, grid.n_steps)
     for k in range(grid.n_steps):
         t = grid.node(k)
@@ -111,8 +119,7 @@ def _em_loop(X, grid, seed, kind, drift, sigma, store_every=None):
                 f"non-finite position for particle {bad} at step {k + 1}"
             )
         if (k + 1) % stride == 0 or k + 1 == grid.n_steps:
-            snaps.append(ParticleEnsemble(time=grid.node(k + 1),
-                                          positions=X.copy()))
+            snaps.append(ParticleEnsemble(time=grid.node(k + 1), positions=X))
     return EnsemblePath(grid, snaps)
 
 
@@ -120,8 +127,8 @@ def euler_maruyama_path(model, init, grid, seed, store_every=None):
     """Euler-Maruyama path X_{k+1} = X_k + b dt + sigma sqrt(dt) xi_k.
 
     Noise comes from the (seed, FORWARD_STEP, k) streams; snapshots are
-    thinned to roughly 200 unless ``store_every`` is given (1 stores every
-    node).  See :func:`_em_loop`.
+    thinned to roughly 200 unless ``store_every``, an integer >= 1, is
+    given (1 stores every node).  See :func:`_em_loop`.
     """
     model = model.as_diffusion_model()
     return _em_loop(

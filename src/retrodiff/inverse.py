@@ -178,6 +178,8 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     candidates = list(candidates)
     if len(candidates) < 2:
         raise ValueError("need at least two candidate sources")
+    if n < 2:
+        raise ValueError(f"the probe needs at least 2 particles, got n = {n}")
     if metric not in ("wasserstein1", "mean"):
         raise ValueError(f"unknown metric {metric!r}: use 'wasserstein1' "
                          f"or 'mean'")
@@ -241,6 +243,9 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
     if not pts:
         raise ValueError("candidate grid is empty")
     target = mu_ensemble.positions
+    if target.shape[0] < 2:
+        raise ValueError(f"the target ensemble needs at least 2 particles, "
+                         f"got {target.shape[0]}")
     half = target.shape[0] // 2
     floor = _cloud_distance(target[:half], target[half:], "wasserstein1", seed)
 

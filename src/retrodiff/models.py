@@ -10,6 +10,7 @@ coefficients takes either class and converts it with ``as_diffusion_model()``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ class DiffusionModel:
 
     ``jac_drift(t, x) -> (d, d)`` and ``jac_dispersion(t, x) -> (d, m, d)``
     (entry [i, j, l] = d sigma_ij / d x_l) are optional; finite differences
-    are used when absent.  ``div_sigma_rows(t, x) -> (..., d)`` is the row
+    are used when absent, and every named family states its
+    sigma-derivatives.  ``div_sigma_rows(t, x) -> (..., d)`` is the row
     divergence of sigma sigma^T, used by the reversal drift.
     """
 
@@ -161,22 +163,15 @@ class OUModel:
         def drift(t, x):
             return np.asarray(x, float) @ self.C(t).T
 
-        def dispersion(t, x):
-            return self.sigma(t)
-
-        def div_rows(t, x):
-            x = np.asarray(x, dtype=float)
-            shape = x.shape[:-1] + (d,) if x.ndim > 1 else (d,)
-            return np.zeros(shape)
-
+        disp, jac_s, div_rows = _constant_dispersion(self.sigma, d, m)
         return DiffusionModel(
             dim_d=d,
             dim_m=m,
             drift=drift,
-            dispersion=dispersion,
+            dispersion=disp,
             horizon=self.horizon,
             jac_drift=lambda t, x: self.C(t),
-            jac_dispersion=lambda t, x: np.zeros((d, m, d)),
+            jac_dispersion=jac_s,
             div_sigma_rows=div_rows,
             name="ou",
         )
@@ -277,26 +272,31 @@ def estimate_lipschitz(model, domain_box, t_samples, n_probes, seed):
 # ---------------------------------------------------------------------------
 
 
+def _finite(name, value):
+    """``value`` as a float array, refused unless every entry is finite."""
+    a = np.asarray(value, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return a
+
+
+def _constant_dispersion(sigma_of_t, d, m):
+    """``(dispersion, jac_dispersion, div_sigma_rows)`` of an x-independent
+    (d, m) dispersion ``sigma_of_t(t)``: both derivatives are exact zeros."""
+    return (lambda t, x: sigma_of_t(t),
+            lambda t, x: np.zeros((d, m, d)),
+            lambda t, x: np.zeros(np.shape(x) if np.ndim(x) > 1 else (d,)))
+
+
 def _sigma_family(spec, dim):
-    """Dispersion from a numeric spec: a constant, or sqrt(1+x^2) clipped."""
-    if isinstance(spec, (int, float)):
-        const = float(spec) * np.eye(dim)
-
-        def disp(t, x):
-            return const
-
-        def jac(t, x):
-            return np.zeros((dim, dim, dim))
-
-        def div_rows(t, x):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape if x.ndim > 1 else (dim,))
-
-        return disp, jac, div_rows
+    """Dispersion from a spec: any real constant, or sqrt(1+x^2) clipped."""
+    if isinstance(spec, numbers.Real):
+        const = float(_finite("sigma_spec", spec)) * np.eye(dim)
+        return _constant_dispersion(lambda t: const, dim, dim)
     kind, clip = spec
     if kind != "sqrt1px2" or dim != 1:
         raise ValueError(f"unknown dispersion spec {spec!r}")
-    c2 = float(clip) ** 2
+    c2 = float(_finite("clip", clip)) ** 2
 
     def disp(t, x):
         x = np.asarray(x, dtype=float)
@@ -319,14 +319,14 @@ def _sigma_family(spec, dim):
 def heat_model(dim=1, scale=1.0, horizon=1.0):
     """Zero drift, sigma = scale * I; marginals from a point are N(x0, scale^2 t I)."""
     dim = _dimension(dim)
-    return OUModel(np.zeros((dim, dim)), scale * np.eye(dim), dim_d=dim,
-                   horizon=horizon)
+    return OUModel(np.zeros((dim, dim)), _finite("scale", scale) * np.eye(dim),
+                   dim_d=dim, horizon=horizon)
 
 
 def ou_model(C, sigma, horizon=1.0):
     """Constant OU model: drift C x, dispersion sigma (d rows, m columns)."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    C = np.atleast_2d(_finite("C", C))
+    sigma = np.atleast_2d(_finite("sigma", sigma))
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"C has shape {C.shape}, but must be square")
     d = C.shape[0]
@@ -338,8 +338,8 @@ def ou_model(C, sigma, horizon=1.0):
 
 def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):
     """Drift b0 + b1 x with a numeric dispersion spec (see _sigma_family)."""
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    b1 = np.atleast_2d(np.asarray(b1, dtype=float))
+    b0 = np.atleast_1d(_finite("b0", b0))
+    b1 = np.atleast_2d(_finite("b1", b1))
     d = b0.shape[0]
     if b1.shape != (d, d):
         raise ValueError(f"b1 has shape {b1.shape}, but b0 of length {d} "
@@ -360,7 +360,7 @@ def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):
 
 def sin_drift_model(amplitude=1.0, sigma_spec=1.0, horizon=1.0):
     """One-dimensional drift a*sin(x): bounded, Lipschitz with constant |a|."""
-    a = float(amplitude)
+    a = float(_finite("amplitude", amplitude))
     disp, jac_s, div_rows = _sigma_family(sigma_spec, 1)
     return DiffusionModel(
         dim_d=1,
@@ -380,9 +380,10 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
 
     Interval k is ]t_{k-1}, t_k], except the first, which is [t_0, t_1]: at
     a breakpoint the left interval applies.  The horizon is the last
-    breakpoint.  No analytic derivatives are supplied.
+    breakpoint.  sigma's derivatives are exact zeros; the drift's
+    Jacobian is a finite difference.
     """
-    bp = np.asarray(breakpoints, dtype=float)
+    bp = _finite("breakpoints", breakpoints)
     if bp.ndim != 1 or len(bp) < 2:
         raise ValueError("need at least two breakpoints (0 and T)")
     if not (np.diff(bp) > 0).all():
@@ -391,8 +392,9 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
         raise ValueError("one coefficient pair per interval is required")
     if horizon is not None and abs(bp[-1] - horizon) > 1e-12:
         raise ValueError("last breakpoint must equal the horizon")
+    _finite("rates", rates)
     rates = list(rates)
-    sigmas = [float(s) for s in sigmas]
+    sigmas = [np.array([[s]]) for s in _finite("sigmas", sigmas)]
 
     def interval(t):
         if not bp[0] <= t <= bp[-1]:
@@ -404,14 +406,11 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
     def drift(t, x):
         return rates[interval(t)] * np.asarray(x, dtype=float)
 
-    def dispersion(t, x):
-        s = sigmas[interval(t)]
-        if np.ndim(x) > 1:
-            return np.full(np.shape(x)[:1] + (1, 1), s)
-        return np.array([[s]])
-
-    return DiffusionModel(dim_d=1, dim_m=1, drift=drift, dispersion=dispersion,
-                          horizon=float(bp[-1]), name="piecewise")
+    disp, jac_s, div_rows = _constant_dispersion(
+        lambda t: sigmas[interval(t)], 1, 1)
+    return DiffusionModel(dim_d=1, dim_m=1, drift=drift, dispersion=disp,
+                          horizon=float(bp[-1]), jac_dispersion=jac_s,
+                          div_sigma_rows=div_rows, name="piecewise")
 
 
 def make_model(family, **params):

@@ -88,6 +88,8 @@ def _check_elliptic(model, points):
 
 def _launch(model, mu, grid, n, epsilon_stop, drift_clip, seed):
     """Checks, stop grid and terminal sample shared by both modes."""
+    if n < 2:
+        raise ValueError(f"reversal needs at least 2 particles, got n = {n}")
     if abs(grid.t_end - model.horizon) > 1e-12:
         raise ValueError("grid horizon must match the model horizon")
     if drift_clip is not None and not 0.0 < drift_clip < math.inf:
@@ -124,13 +126,14 @@ def _clip_rows(v, cap):
     return v, int(over.sum())
 
 
-def _run_loop(model, grid, Y, seed, density_fn, sigma_fn, drift_clip):
+def _run_loop(model, grid, Y, seed, density_fn, drift_clip):
     """The shared Euler loop (``forward._em_loop``) on the reversed clock.
 
-    The drift is -b(T - s, Y) from ``model`` plus the density term that
-    ``density_fn(k, s, Y)`` returns with its vacuum count; the clip applies
-    to the density term only (kernel tails are what misbehave), never to
-    the -b term.  The per-step diagnostics are recorded inside the drift.
+    The drift's -b(T - s, Y) and the dispersion sigma(T - s, Y) come from
+    ``model``; each mode supplies only its density term, ``density_fn(k,
+    s, Y)``, with its vacuum count.  The clip applies to that term only
+    (kernel tails are what misbehave), never to -b.  The per-step
+    diagnostics are recorded inside the drift.
     """
     rows = {k: [] for k in ("step", "t", "max_drift", "clips", "vacuums")}
 
@@ -149,7 +152,8 @@ def _run_loop(model, grid, Y, seed, density_fn, sigma_fn, drift_clip):
         return total
 
     t0 = time.perf_counter()
-    path = _em_loop(Y, grid, seed, REVERSAL_STEP, drift, sigma_fn)
+    path = _em_loop(Y, grid, seed, REVERSAL_STEP, drift,
+                    lambda s, Y: model.sigma(model.horizon - s, Y))
     diag = StepDiagnostics(**{key: np.array(v) for key, v in rows.items()},
                            wall_time=time.perf_counter() - t0)
     return path, diag
@@ -185,11 +189,8 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     def density_fn(k, s, X):
         return cache.reversal_drift(nu, s, X), 0
 
-    def sigma_fn(s, X):
-        return ou.sigma(T - s)
-
     path, diag = _run_loop(ou.as_diffusion_model(), run_grid, Y, seed,
-                           density_fn, sigma_fn, drift_clip)
+                           density_fn, drift_clip)
     return ReversalRun(mode="analytic", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag,
                        terminal_check_failed=failed)
@@ -251,11 +252,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
         dens[vac] = 0.0
         return dens, n_vac
 
-    def sigma_fn(s, X):
-        return model.sigma(model.horizon - s, X)
-
-    path, diag = _run_loop(model, run_grid, Y, seed, density_fn, sigma_fn,
-                           drift_clip)
+    path, diag = _run_loop(model, run_grid, Y, seed, density_fn, drift_clip)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag)
 

@@ -124,6 +124,39 @@ def test_thinning_and_full_store():
     assert np.array_equal(thin.terminal.positions, full.terminal.positions)
 
 
+@pytest.mark.parametrize("store_every", [0, -1, 2.5, float("nan")])
+def test_store_every_must_be_an_integer_of_at_least_one(store_every):
+    m = heat_model().as_diffusion_model()
+    init = sample_initial(DiracMixture([[0.0]]), 4, seed=0)
+    g = TimeGrid(0.0, 1.0, 400)
+    with pytest.raises(ValueError, match="store_every must be an integer"):
+        euler_maruyama_path(m, init, g, seed=0, store_every=store_every)
+    # numpy ints and integral floats count, as for TimeGrid's n_steps
+    for every in (np.int64(2), 2.0):
+        assert len(euler_maruyama_path(m, init, g, seed=0,
+                                       store_every=every)) == 201
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), m=st.integers(1, 4),
+       n=st.integers(2, 300))
+def test_em_step_rows_do_not_depend_on_the_row_count(data, d, m, n):
+    # an x-independent sigma, broadcast by the model: each row of a batched
+    # step is the one-row step of that row, bit for bit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = ou_model(np.zeros((d, d)), rng.standard_normal((d, m)))
+    model = model.as_diffusion_model()
+    X, b = rng.standard_normal((2, n, d))
+    xi = rng.standard_normal((n, m))
+    dt = data.draw(st.floats(1e-4, 1.0), label="dt")
+    step = forward._em_step(X, b, model.sigma(0.0, X), xi, dt)
+    for i in range(n):
+        row = slice(i, i + 1)
+        one = forward._em_step(X[row], b[row], model.sigma(0.0, X[row]),
+                               xi[row], dt)
+        assert step[row].tobytes() == one.tobytes()
+
+
 def test_empirical_moments_small_cases():
     from retrodiff import ParticleEnsemble
 

@@ -171,6 +171,23 @@ def test_injectivity_rejects_an_unknown_metric():
                           seed=35, metric="energy")
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_probe_refuses_fewer_than_two_particles(n):
+    model = heat_model().as_diffusion_model()
+    with pytest.raises(ValueError, match=f"at least 2 particles, got n = {n}"):
+        injectivity_probe(model, [dirac([0.0]), dirac([1.0])], T=0.5, n=n,
+                          seed=35, n_steps=5)
+
+
+def test_search_refuses_a_one_particle_target():
+    model = heat_model().as_diffusion_model()
+    target = sample_initial(dirac([0.0]), 1, seed=36)
+    with pytest.raises(ValueError, match="target ensemble needs at least 2 "
+                                         "particles, got 1"):
+        reconstruct_dirac_search(model, target, [[0.0], [1.0]], T=0.5, n=40,
+                                 seed=36, n_steps=5)
+
+
 def test_injectivity_rotation_grid_mean_metric():
     b1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     model = affine_model([0.0, 0.0], b1)

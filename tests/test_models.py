@@ -219,6 +219,70 @@ def test_dimension_below_one_rejected(build):
         build()
 
 
+_COEFFICIENTS = [
+    ("scale", lambda v: heat_model(scale=v)),
+    ("C", lambda v: ou_model([[v]], 1.0)),
+    ("sigma", lambda v: ou_model(-1.0, [[v]])),
+    ("b0", lambda v: affine_model([v], [[0.0]])),
+    ("b1", lambda v: affine_model([0.0], [[v]])),
+    ("sigma_spec", lambda v: affine_model(0.0, -1.0, sigma_spec=v)),
+    ("amplitude", lambda v: sin_drift_model(v)),
+    ("clip", lambda v: sin_drift_model(1.0, sigma_spec=("sqrt1px2", v))),
+    ("breakpoints", lambda v: piecewise_model([0.0, v], [1.0], [1.0])),
+    ("rates", lambda v: piecewise_model([0.0, 1.0], [v], [1.0])),
+    ("sigmas", lambda v: piecewise_model([0.0, 1.0], [1.0], [v])),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, build", _COEFFICIENTS,
+                         ids=[name for name, _ in _COEFFICIENTS])
+def test_factories_refuse_non_finite_coefficients(name, build, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got"):
+        build(bad)
+    # a numpy scalar is a real number like any other
+    for good in (np.float32(2.0), np.int64(2)):
+        model = build(good).as_diffusion_model()
+        assert np.isfinite(model.sigma(0.5, np.zeros((3, model.dim_d)))).all()
+
+
+_CONSTANT_SIGMA = {
+    "heat": lambda: heat_model(dim=2, scale=0.5),
+    "ou": lambda: ou_model(-np.eye(2), [[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]]),
+    "affine": lambda: affine_model([0.0, 1.0], -np.eye(2), sigma_spec=2.0),
+    "sin-drift": lambda: sin_drift_model(0.5, sigma_spec=3.0),
+    "piecewise": lambda: piecewise_model([0.0, 0.5, 1.0], rates=[-1.0, 2.0],
+                                         sigmas=[1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CONSTANT_SIGMA))
+def test_constant_dispersion_derivatives_are_exact_zeros(family):
+    m = _CONSTANT_SIGMA[family]().as_diffusion_model()
+    d, k = m.dim_d, m.dim_m
+    x = np.linspace(-1.0, 2.0, d)
+    X = np.linspace(-3.0, 3.0, 5 * d).reshape(5, d)
+    for t in (0.0, 0.5, 1.0):
+        J = m.jac_dispersion_at(t, x)
+        assert J.shape == (d, k, d) and not J.any()
+        for y in (x, X):
+            div = m.div_sigma_rows_at(t, y)
+            assert div.shape == y.shape and not div.any()
+        # the model broadcasts the one (d, m) matrix over the rows
+        S = m.sigma(t, X)
+        assert S.shape == (5, d, k)
+        assert np.array_equal(S, np.broadcast_to(m.sigma(t, x), S.shape))
+
+
+def test_piecewise_sigma_across_a_breakpoint():
+    m = piecewise_model([0.0, 0.5, 1.0], rates=[-1.0, 2.0], sigmas=[1.0, 0.5])
+    X = np.linspace(-2.0, 2.0, 7)[:, None]
+    for t, s in ((0.25, 1.0), (0.5, 1.0), (0.50001, 0.5), (1.0, 0.5)):
+        assert np.array_equal(m.sigma(t, X), np.full((7, 1, 1), s))
+        assert np.array_equal(m.sigma(t, X[0]), [[s]])
+
+
 def test_symmetry_invariant_random_sigma():
     rng = np.random.default_rng(2)
     sig = rng.uniform(-1, 1, size=(4, 3))

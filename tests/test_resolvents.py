@@ -316,8 +316,9 @@ def test_nonfinite_constant_raises_as_the_callable_does():
     C = np.array([[np.nan]])
     with pytest.raises(ValueError) as callable_err:
         OUAnalytic(OUModel(lambda t: C, lambda t: np.eye(1), 1), n_steps=10)
+    # the class, not ou_model, which refuses a non-finite C before any path
     with pytest.raises(ValueError) as constant_err:
-        OUAnalytic(ou_model(C, 1.0), n_steps=10)
+        OUAnalytic(OUModel(C, np.eye(1), 1), n_steps=10)
     assert str(constant_err.value) == str(callable_err.value)
     with pytest.raises(ValueError, match="non-finite"):
         compute_ou_covariance(np.zeros((1, 1)), np.array([[np.inf]]), grid(n=10))

@@ -109,6 +109,16 @@ def test_drift_clip_must_be_positive_finite(clip):
                                          n=100, drift_clip=clip)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_particles_are_refused(n):
+    grid = TimeGrid(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match=f"at least 2 particles, got n = {n}"):
+        simulate_reversal_analytic(HEAT, dirac([0.0]), gaussian(0.0, 1.0),
+                                   grid, n=n)
+    with pytest.raises(ValueError, match=f"at least 2 particles, got n = {n}"):
+        simulate_reversal_selfconsistent(HEAT, gaussian(0.0, 1.0), grid, n=n)
+
+
 def test_determinism_fixed_seed():
     kw = dict(grid=TimeGrid(0.0, 1.0, 100), n=400, epsilon_stop=0.05)
     a = simulate_reversal_analytic(HEAT, dirac([0.0]), gaussian(0.0, 1.0),
