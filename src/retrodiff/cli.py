@@ -56,7 +56,6 @@ from .ou_analytic import (
 )
 from .reversal import (
     _check_elliptic,
-    _check_square,
     _stop_grid,
     check_integrability_proxy,
     export_diagnostics_csv,
@@ -383,15 +382,13 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
     if mode == "analytic" and "bandwidth" in options:
         raise ConfigError("run.bandwidth sets the self-consistent mode's "
                           "kernel; the analytic mode has none")
-    # each mode's own rule: the analytic reversal needs a square sigma (and
-    # a marginal with a density, which the run itself checks); the
-    # self-consistent one an elliptic sigma sigma^T, probed here at the
-    # origin and by the run at its particles
+    # each mode's own rule: the analytic reversal needs a marginal with a
+    # density, which the run itself checks; the self-consistent one an
+    # elliptic sigma sigma^T, probed here at the origin and by the run at
+    # its particles
     dispersion = _DISPERSION_KEY[cfg["model"]["family"]]
     try:
-        if mode == "analytic":
-            _check_square(model)
-        else:
+        if mode == "self-consistent":
             _check_elliptic(model, [(t, np.zeros(model.dim_d)) for t in
                                     (0.0, grid.t_end / 2, grid.t_end)])
     except ValueError as exc:

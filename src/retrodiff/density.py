@@ -396,13 +396,3 @@ def kde_score(field, x):
         raise VacuumError("query point is in the vacuum of the estimated density")
     return score
 
-
-def _reversal_drift_from_score(model, t, x, score):
-    """div_x Sigma_i.(t, x) + <Sigma_i.(t, x), score> for each i.
-
-    The product-rule expansion of div(Sigma_i. p) / p at forward time t,
-    for any score estimate; rows of x and score are paired.
-    """
-    S = model.sigma_sigma_T(t, x)
-    drift = np.einsum("...ij,...j->...i", S, score)
-    return model.div_sigma_rows_at(t, x) + drift

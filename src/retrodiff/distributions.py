@@ -21,6 +21,8 @@ def _as_weights(w, count):
     w = np.asarray(w, dtype=float)
     if w.shape != (count,):
         raise ValueError("weights length does not match component count")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w}")
     if (w < 0).any():
         raise ValueError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-12:
@@ -154,6 +156,9 @@ class DiracMixture:
 
     def __init__(self, points, weights=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if 0 in points.shape:
+            raise ValueError(f"points must be a non-empty (K, d) list with "
+                             f"d >= 1, got shape {points.shape}")
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
         if weights is None:

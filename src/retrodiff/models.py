@@ -26,7 +26,8 @@ class DiffusionModel:
     (entry [i, j, l] = d sigma_ij / d x_l) are optional; finite differences
     are used when absent, and every named family states its
     sigma-derivatives.  ``div_sigma_rows(t, x) -> (..., d)`` is the row
-    divergence of sigma sigma^T, used by the reversal drift.
+    divergence of sigma sigma^T, used by the reversal drift.  The horizon
+    must be positive and finite.
     """
 
     dim_d: int
@@ -39,16 +40,23 @@ class DiffusionModel:
     div_sigma_rows: callable = None
     name: str = ""
 
+    def __post_init__(self):
+        _horizon(self.horizon)
+
     def sigma(self, t, x):
         s = np.asarray(self.dispersion(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        if s.shape == (self.dim_d, self.dim_m) and x.ndim > 1:
-            s = np.broadcast_to(s, x.shape[:-1] + s.shape)
-        return s
+        return _over_rows(s, x)
 
     def sigma_sigma_T(self, t, x):
-        s = self.sigma(t, x)
-        return np.einsum("...ik,...jk->...ij", s, s)
+        """One product for an x-independent sigma, broadcast like sigma."""
+        s = np.asarray(self.dispersion(t, x), dtype=float)
+        return _over_rows(np.einsum("...ik,...jk->...ij", s, s), x)
+
+    def density_drift(self, t, x, score):
+        """div(Sigma p) / p = div_x Sigma_i. + <Sigma_i., score> at forward
+        time t, row by row: the one place where Sigma meets a score."""
+        dens = np.einsum("...ij,...j->...i", self.sigma_sigma_T(t, x), score)
+        return self.div_sigma_rows_at(t, x) + dens
 
     def as_diffusion_model(self):
         """The model itself; :class:`OUModel` converts to one."""
@@ -88,6 +96,12 @@ class DiffusionModel:
         return out[0] if single else out
 
 
+def _over_rows(a, x):
+    """``a`` broadcast over the rows of a batch x if it is one matrix."""
+    rows = np.shape(x)[:-1]
+    return np.broadcast_to(a, rows + a.shape) if rows and a.ndim == 2 else a
+
+
 def _fd_jacobian(fn, x):
     """Central-difference Jacobian of fn at a single point x (shape (d,))."""
     d = x.shape[0]
@@ -109,6 +123,14 @@ def _frozen(a):
     return a
 
 
+def _horizon(T):
+    """The horizon as a float, refused unless positive and finite."""
+    T = float(T)
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    return T
+
+
 def _dimension(d):
     """The state dimension, refused below 1."""
     if d < 1:
@@ -128,7 +150,7 @@ class OUModel:
     def __init__(self, C_fn, sigma_fn, dim_d, dim_m=None, horizon=1.0):
         self.dim_d = _dimension(dim_d)
         self.dim_m = dim_d if dim_m is None else dim_m
-        self.horizon = float(horizon)
+        self.horizon = _horizon(horizon)
         if not callable(C_fn):
             C_fn = _frozen(np.asarray(C_fn, dtype=float).reshape(dim_d, dim_d))
         if not callable(sigma_fn):
@@ -390,7 +412,7 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
         raise ValueError("breakpoints must be strictly increasing")
     if len(rates) != len(bp) - 1 or len(sigmas) != len(bp) - 1:
         raise ValueError("one coefficient pair per interval is required")
-    if horizon is not None and abs(bp[-1] - horizon) > 1e-12:
+    if horizon is not None and not abs(bp[-1] - horizon) <= 1e-12:
         raise ValueError("last breakpoint must equal the horizon")
     _finite("rates", rates)
     rates = list(rates)

@@ -177,23 +177,6 @@ class OUAnalytic:
                              xi_max, exponent_cap)
         return math.exp(w) * mu_hat(xi1 @ self.D(T).T)
 
-    def reversal_drift(self, nu, t_reversed, x):
-        """Density-dependent drift of the reversed dynamics at reversed time.
-
-        Equals Sigma(T - t) @ grad log p_nu(T - t, x), the mixture-weighted
-        closed form; the spatial divergence term vanishes because sigma does
-        not depend on x.
-        """
-        T = self.ou.horizon
-        if not 0.0 <= t_reversed < T:
-            raise DegenerateDensityError(
-                f"reversal drift is singular at t_reversed={t_reversed} "
-                f"(requires 0 <= t < {T})"
-            )
-        mix = self.marginal(nu, T - t_reversed)
-        score = mix.score(x)
-        return score @ self.ou.Sigma(T - t_reversed).T
-
     def gaussian_bound_check(self, nu, t_range, space_box):
         """Two-sided density bounds and a gradient bound on a compact box.
 
@@ -310,8 +293,15 @@ def fourier_invert_terminal(ou, mu_hat, T, xi, xi_max=5.0, exponent_cap=50.0,
 
 
 def ou_reversal_drift(ou, nu, t_reversed, x, n_steps=1000):
-    """Exact reversed-dynamics drift for an OU model and mixture source."""
-    return analytic(ou, n_steps).reversal_drift(nu, t_reversed, x)
+    """Exact density drift of the reversed dynamics at reversed time t: the
+    closed-form score at T - t through ``DiffusionModel.density_drift``."""
+    T = ou.horizon
+    if not 0.0 <= t_reversed < T:
+        raise DegenerateDensityError(f"reversal drift is singular at "
+                                     f"t_reversed={t_reversed} (requires "
+                                     f"0 <= t < {T})")
+    score = ou_marginal(ou, nu, T - t_reversed, n_steps).score(x)
+    return ou.as_diffusion_model().density_drift(T - t_reversed, x, score)
 
 
 def gaussian_bound_check(ou, nu, t_range, space_box, n_steps=1000):

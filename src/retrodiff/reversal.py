@@ -2,14 +2,14 @@
 
 The reversed particle system runs on a reversed clock s in [0, T - eps]:
 
-    dY = [ -b(T - s, Y) + r(s, Y) ] ds + sigma(T - s, Y) dbeta,
+    dY = [ -b + div(Sigma p) / p ](T - s, Y) ds + sigma(T - s, Y) dbeta,
     Y_0 ~ mu,
 
-where the density-dependent drift r is either the exact affine-model
-closed form (mode "analytic", density supplied by the forward marginals)
-or a kernel estimate rebuilt from the live cloud (mode "self-consistent").
-The simulation stops at T - eps because the drift degenerates at the
-reversed horizon for point sources; eps is configuration, not mollification.
+where Sigma = sigma sigma^T and the score grad log p is either the exact
+affine-model closed form (mode "analytic") or a kernel estimate rebuilt
+from the live cloud (mode "self-consistent").  The simulation stops at
+the last grid node at or before T - eps because the drift degenerates at
+the reversed horizon for point sources; eps is configuration.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import KdeField, _checked_bandwidth, _reversal_drift_from_score
+from .density import KdeField, _checked_bandwidth
 from .forward import EnsemblePath, _em_loop, _write_csv_rows
 from .grids import TimeGrid
 from .metrics import energy_distance_nd, ks_statistic
@@ -40,6 +40,9 @@ class StepDiagnostics:
 
 @dataclass
 class ReversalRun:
+    """A reversed run on ``grid``, which ends at the last node at or before
+    T - eps; ``epsilon_stop`` is the configured eps, not the gap run."""
+
     mode: str
     grid: TimeGrid
     horizon: float
@@ -56,7 +59,12 @@ class ReversalRun:
 
 
 def _stop_grid(grid, epsilon_stop):
-    """The reversed clock's grid on [0, T - eps] and eps (default 0.01 T)."""
+    """The reversed clock's grid and eps (default 0.01 T).
+
+    The grid keeps the nodes of ``grid`` up to the last one at or before
+    T - eps, so the gap actually left is at least eps: 150 steps on [0, 1]
+    with the default eps end at 148 dt = T - 0.0133.
+    """
     T = grid.t_end
     if grid.t_start != 0.0:
         raise ValueError("reversal grids start at 0")
@@ -67,12 +75,6 @@ def _stop_grid(grid, epsilon_stop):
     if n_eff < 1:
         raise ValueError("epsilon_stop leaves no steps to simulate")
     return TimeGrid(0.0, n_eff * grid.dt, n_eff), eps
-
-
-def _check_square(model):
-    """The analytic reversal's rule: sigma must be a d x d matrix."""
-    if model.dim_m != model.dim_d:
-        raise ValueError("reversal needs a square, invertible dispersion")
 
 
 def _check_elliptic(model, points):
@@ -90,7 +92,7 @@ def _launch(model, mu, grid, n, epsilon_stop, drift_clip, seed):
     """Checks, stop grid and terminal sample shared by both modes."""
     if n < 2:
         raise ValueError(f"reversal needs at least 2 particles, got n = {n}")
-    if abs(grid.t_end - model.horizon) > 1e-12:
+    if not abs(grid.t_end - model.horizon) <= 1e-12:
         raise ValueError("grid horizon must match the model horizon")
     if drift_clip is not None and not 0.0 < drift_clip < math.inf:
         raise ValueError("drift_clip must be positive and finite, or None")
@@ -126,23 +128,29 @@ def _clip_rows(v, cap):
     return v, int(over.sum())
 
 
-def _run_loop(model, grid, Y, seed, density_fn, drift_clip):
+def _run_loop(model, grid, Y, seed, score_fn, drift_clip):
     """The shared Euler loop (``forward._em_loop``) on the reversed clock.
 
-    The drift's -b(T - s, Y) and the dispersion sigma(T - s, Y) come from
-    ``model``; each mode supplies only its density term, ``density_fn(k,
-    s, Y)``, with its vacuum count.  The clip applies to that term only
-    (kernel tails are what misbehave), never to -b.  The per-step
+    The drift -b + div(Sigma p) / p and the dispersion sigma at (T - s, Y)
+    come from ``model``; each mode supplies only its score, ``score_fn(k,
+    s, Y) -> (score, vac)``, with ``vac`` None or a mask of rows with no
+    estimate, which keep only -b.  The clip applies to the density term
+    only (kernel tails are what misbehave), never to -b.  The per-step
     diagnostics are recorded inside the drift.
     """
     rows = {k: [] for k in ("step", "t", "max_drift", "clips", "vacuums")}
 
     def drift(k, s, Y):
-        dens, n_vac = density_fn(k, s, Y)
+        t = model.horizon - s
+        score, vac = score_fn(k, s, Y)
+        dens = model.density_drift(t, Y, score)
+        n_vac = 0 if vac is None else int(vac.sum())
+        if n_vac:
+            dens[vac] = 0.0
         n_clip = 0
         if drift_clip is not None:
             dens, n_clip = _clip_rows(dens, drift_clip)
-        total = dens - np.asarray(model.drift(model.horizon - s, Y), dtype=float)
+        total = dens - np.asarray(model.drift(t, Y), dtype=float)
         if not np.isfinite(total).all():
             bad = int(np.argwhere(~np.isfinite(total).all(axis=1))[0, 0])
             raise RuntimeError(f"non-finite drift for particle {bad} at step {k}")
@@ -161,7 +169,12 @@ def _run_loop(model, grid, Y, seed, density_fn, drift_clip):
 
 def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
                                drift_clip=None):
-    """Reversed run with the exact affine-model density drift.
+    """Reversed run with the exact affine-model score.
+
+    It refuses only a marginal of ``nu`` with no density
+    (``DegenerateDensityError``): sigma may be any (d, m) matrix.  The run
+    ends at the last grid node at or before T - eps (see
+    :class:`ReversalRun`).
 
     ``mu`` should be the forward marginal of ``nu`` at the horizon.  Every
     run checks this on its terminal draw (KS in 1-D, energy distance
@@ -172,7 +185,6 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     """
     if not isinstance(ou, OUModel):
         raise TypeError("analytic mode needs an affine-drift (OU) model")
-    _check_square(ou)
     run_grid, eps, Y = _launch(ou, mu, grid, n, epsilon_stop, drift_clip, seed)
     cache = analytic(ou, grid.n_steps)
     T = grid.t_end
@@ -186,11 +198,11 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
             stacklevel=2,
         )
 
-    def density_fn(k, s, X):
-        return cache.reversal_drift(nu, s, X), 0
+    def score_fn(k, s, X):
+        return cache.marginal(nu, T - s).score(X), None
 
     path, diag = _run_loop(ou.as_diffusion_model(), run_grid, Y, seed,
-                           density_fn, drift_clip)
+                           score_fn, drift_clip)
     return ReversalRun(mode="analytic", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag,
                        terminal_check_failed=failed)
@@ -234,7 +246,7 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
             warnings.warn("bandwidth override is as large as the cloud scale",
                           stacklevel=2)
 
-    def density_fn(k, s, X):
+    def score_fn(k, s, X):
         v = X.var(axis=0, ddof=1)
         field = KdeField(X, 0.5 * np.sqrt(v) if bandwidth is None else bandwidth)
         logp, score = field.log_density_and_score_at_sources()
@@ -247,12 +259,9 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
                 f"{n_vac}/{X.shape[0]} particles in vacuum at step {k}; "
                 f"the ensemble is too sparse for self-consistent estimation"
             )
-        score = score * ((v + field.bandwidth**2) / v)[None, :]
-        dens = _reversal_drift_from_score(model, model.horizon - s, X, score)
-        dens[vac] = 0.0
-        return dens, n_vac
+        return score * ((v + field.bandwidth**2) / v)[None, :], vac
 
-    path, diag = _run_loop(model, run_grid, Y, seed, density_fn, drift_clip)
+    path, diag = _run_loop(model, run_grid, Y, seed, score_fn, drift_clip)
     return ReversalRun(mode="self-consistent", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag)
 

@@ -18,11 +18,7 @@ from retrodiff import (
     substream,
 )
 from retrodiff import density
-from retrodiff.density import (
-    _interp_uniform,
-    _reversal_drift_from_score,
-    score_bandwidth,
-)
+from retrodiff.density import _interp_uniform, score_bandwidth
 from retrodiff.grids import TimeGrid
 from retrodiff.models import affine_model, heat_model, ou_model
 from retrodiff.reversal import simulate_reversal_selfconsistent
@@ -124,9 +120,9 @@ def test_scale_equivariance_of_score():
 
 
 def _drift_at(model, mix, t_reversed, x):
-    # the kernel-drift formula fed the exact score at forward time T - t
+    # the reversal's density term fed the exact score at forward time T - t
     t = model.horizon - t_reversed
-    return _reversal_drift_from_score(model, t, x, mix.score(x))
+    return model.density_drift(t, x, mix.score(x))
 
 
 def test_reversal_drift_constant_diffusion_is_score():
@@ -175,11 +171,12 @@ def _ou_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(_ou_cases())
 def test_reversal_drift_matches_ou_closed_form(case):
-    # the kernel-drift formula with the exact marginal score is the OU
-    # closed form Sigma grad log p (sigma constant, so no divergence term)
+    # the density term with the exact marginal score is the OU closed form
+    # Sigma grad log p (sigma constant, so no divergence term), written out
+    # here with the model's own Sigma rather than through density_drift
     ou, nu, t, x = case
-    a = _drift_at(ou.as_diffusion_model(), ou_marginal(ou, nu, 1.0 - t), t, x)
-    b = ou_reversal_drift(ou, nu, t, x)
+    a = ou_reversal_drift(ou, nu, t, x)
+    b = ou_marginal(ou, nu, 1.0 - t).score(x) @ ou.Sigma(1.0 - t).T
     assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
 
 

@@ -24,6 +24,25 @@ def test_weights_validation():
         DiracMixture([[0.0], [1.0]], [-0.5, 1.5])
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: DiracMixture([[0.0], [1.0]], [np.nan, np.nan]),
+                 "weights must be finite", id="dirac-nan-weights"),
+    pytest.param(lambda: DiracMixture([[0.0], [1.0]], [np.inf, -np.inf]),
+                 "weights must be finite", id="dirac-inf-weights"),
+    pytest.param(lambda: GaussianMixture([np.nan], [[0.0]], [np.eye(1)]),
+                 "weights must be finite", id="gaussian-nan-weight"),
+    pytest.param(lambda: DiracMixture(np.empty((0, 1))), r"shape \(0, 1\)",
+                 id="dirac-no-points"),
+    pytest.param(lambda: DiracMixture([]), r"shape \(1, 0\)",
+                 id="dirac-empty-list"),
+    pytest.param(lambda: DiracMixture(np.empty((0, 1)), np.empty(0)),
+                 r"shape \(0, 1\)", id="dirac-no-points-no-weights"),
+])
+def test_mixtures_refuse_nan_weights_and_empty_points(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_covariance_validation():
     with pytest.raises(ValueError, match="symmetric"):
         GaussianMixture([1.0], [[0.0, 0.0]], [np.array([[1.0, 0.5], [0.0, 1.0]])])

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     DiracMixture,
@@ -44,6 +47,34 @@ def test_sigma_sigma_T_rank_one():
     S = m.sigma_sigma_T(0.0, np.zeros(2))
     assert np.allclose(S, np.ones((2, 2)))
     assert np.linalg.matrix_rank(S) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), m=st.integers(1, 4),
+       n=st.integers(2, 300))
+def test_constant_Sigma_rows_are_the_one_point_product(data, d, m, n):
+    # Sigma is formed once for an x-independent sigma and broadcast; each of
+    # its rows carries the bits of the one-point value and of the per-row
+    # product of the broadcast sigma
+    finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+    s = data.draw(arrays(float, (d, m), elements=finite))
+    X = data.draw(arrays(float, (n, d), elements=finite))
+    model = DiffusionModel(d, m, lambda t, x: np.zeros_like(x),
+                           lambda t, x: s)
+    S = np.ascontiguousarray(model.sigma_sigma_T(0.5, X))
+    assert S.shape == (n, d, d)
+    one = model.sigma_sigma_T(0.5, X[0])
+    rows = model.sigma(0.5, X)
+    per_row = np.einsum("...ik,...jk->...ij", rows, rows)
+    assert S.tobytes() == np.broadcast_to(one, S.shape).tobytes()
+    assert S.tobytes() == per_row.tobytes()
+    # and the density term's rows do not depend on the row count
+    score = data.draw(arrays(float, (n, d), elements=finite))
+    dens = model.density_drift(0.5, X, score)
+    for i in range(n):
+        row = slice(i, i + 1)
+        one_row = model.density_drift(0.5, X[row], score[row])
+        assert dens[row].tobytes() == one_row.tobytes()
 
 
 def test_sigma_sigma_T_psd_random():
@@ -217,6 +248,29 @@ def test_ou_shapes_must_agree(C, sigma, message):
 def test_dimension_below_one_rejected(build):
     with pytest.raises(ValueError, match="dimension must be at least 1"):
         build()
+
+
+_HORIZON_FACTORIES = {
+    "heat": lambda T: heat_model(horizon=T),
+    "ou": lambda T: ou_model(-1.0, 1.0, horizon=T),
+    "affine": lambda T: affine_model(0.0, -1.0, horizon=T),
+    "sin-drift": lambda T: sin_drift_model(horizon=T),
+    "piecewise": lambda T: piecewise_model([0.0, 1.0], [1.0], [1.0],
+                                           horizon=T),
+    "DiffusionModel": lambda T: DiffusionModel(
+        1, 1, lambda t, x: x, lambda t, x: np.eye(1), horizon=T),
+    "OUModel": lambda T: OUModel(-np.eye(1), np.eye(1), 1, horizon=T),
+}
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), -float("inf"),
+                               0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("family", sorted(_HORIZON_FACTORIES))
+def test_horizon_must_be_positive_and_finite(family, T):
+    with pytest.raises(ValueError, match="horizon"):
+        _HORIZON_FACTORIES[family](T)
+    assert _HORIZON_FACTORIES[family](1).horizon == 1.0
 
 
 _COEFFICIENTS = [

@@ -22,14 +22,15 @@ from retrodiff import (
     ou_marginal,
     simulate_reversal_analytic,
     simulate_reversal_selfconsistent,
+    substream,
     verify_representation,
     export_diagnostics_csv,
 )
 from retrodiff import forward
 from retrodiff.density import KdeField
 from retrodiff.metrics import energy_distance_nd, wasserstein1
-from retrodiff.reversal import StepDiagnostics
-from retrodiff.models import heat_model, ou_model
+from retrodiff.reversal import StepDiagnostics, _launch, _run_loop
+from retrodiff.models import affine_model, heat_model, ou_model
 
 HEAT = heat_model(dim=1)
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -64,6 +65,63 @@ def test_gaussian_source_marginals_match():
     # spot-check the analytic variance law itself
     mid = run.path.snapshots[len(run.path.snapshots) // 2]
     assert abs(mid.positions.var() - (2.0 - mid.time)) < 0.06
+
+
+def test_run_stops_at_the_last_node_before_the_stop_gap():
+    # 150 steps with the default eps = 0.01 T: (T - eps) / dt = 148.5, so
+    # the run ends at node 148, a gap of 0.0133; the report keeps eps
+    grid = TimeGrid(0.0, 1.0, 150)
+    run = simulate_reversal_analytic(HEAT, dirac([0.0]), gaussian(0.0, 1.0),
+                                     grid, n=100, seed=1)
+    assert run.grid.t_end == 148 * grid.dt
+    assert run.epsilon_stop == 0.01
+    assert 1.0 - run.grid.t_end == pytest.approx(0.0133, abs=1e-4)
+
+
+@pytest.mark.parametrize("C, sigma, n_steps, n, eps", [
+    # KS reads 0.0099; 1-D KS needs the fine grid to stay below 0.02
+    pytest.param([[-1.0]], [[1.0, 0.5]], 1000, 2 * 10**4, None, id="1x2"),
+    # the Kolmogorov model, noise on the velocity only: energy 0.0043
+    pytest.param([[0.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], 60, 2000, 0.05,
+                 id="2x1"),
+])
+def test_non_square_dispersion_reverses_to_its_marginals(C, sigma, n_steps,
+                                                         n, eps):
+    # the drift sees sigma only through Sigma = sigma sigma^T
+    ou = ou_model(C, sigma)
+    nu = dirac(np.zeros(ou.dim_d))
+    mu = ou_marginal(ou, nu, 1.0, n_steps)
+    run = simulate_reversal_analytic(ou, nu, mu, TimeGrid(0.0, 1.0, n_steps),
+                                     n=n, epsilon_stop=eps, seed=7)
+    assert not run.terminal_check_failed
+    rep = verify_representation(
+        run, lambda t: ou_marginal(ou, nu, 1.0 - t, n_steps=n_steps))
+    assert rep.passed, rep.summary()
+
+
+def test_vacuum_rows_keep_only_minus_b():
+    # b = 0 and an x-dependent sigma (div Sigma != 0): with every row in
+    # vacuum the whole density term, div Sigma included, is dropped
+    model = affine_model(0.0, 0.0, sigma_spec=("sqrt1px2", 10.0))
+    Y = substream(3, 1).standard_normal((50, 1))
+
+    def score_fn(k, s, X):
+        return np.ones_like(X), np.ones(len(X), dtype=bool)
+
+    _, diag = _run_loop(model, TimeGrid(0.0, 0.5, 10), Y, 3, score_fn, None)
+    assert np.array_equal(diag.max_drift, np.zeros(10))
+    assert np.array_equal(diag.vacuums, np.full(10, 50))
+
+
+def test_nan_model_horizon_fails_the_horizon_check():
+    grid = TimeGrid(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_reversal_selfconsistent(heat_model(horizon=float("nan")),
+                                         gaussian(0.0, 1.0), grid, n=100)
+    # a model that bypasses its constructor's check meets the launch's
+    with pytest.raises(ValueError, match="grid horizon must match"):
+        _launch(SimpleNamespace(horizon=float("nan")), gaussian(0.0, 1.0),
+                grid, 100, None, None, 0)
 
 
 def test_degenerate_dispersion_rejected():
