@@ -274,6 +274,7 @@ class _Emitter:
         self.dir = directory
         self.force = force
         self.phase_seconds = {}
+        self.export_processes = None
 
     def path(self, name):
         os.makedirs(self.dir, exist_ok=True)
@@ -302,6 +303,7 @@ class _Emitter:
             "blas_threads": _blas_threads(),
             "command": command,
             "config": os.path.abspath(config_path),
+            "export_processes": self.export_processes,
             "phase_seconds": self.phase_seconds,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__,
@@ -346,7 +348,7 @@ def cmd_forward(cfg, emitter, grid, model, seed):
         path = euler_maruyama_path(model, init, grid, seed,
                                    store_every=1 if full else None)
     with emitter.phase("export"), open(emitter.path("snapshots.csv"), "w") as fh:
-        export_snapshots_csv(path, fh)
+        emitter.export_processes = export_snapshots_csv(path, fh)
     with emitter.phase("verify"):
         mean, cov = empirical_moments(path.terminal)
     return [], {
@@ -413,7 +415,7 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
 
     with emitter.phase("export"):
         with open(emitter.path("snapshots.csv"), "w") as fh:
-            export_snapshots_csv(run.path, fh)
+            emitter.export_processes = export_snapshots_csv(run.path, fh)
         with open(emitter.path("diagnostics.csv"), "w") as fh:
             export_diagnostics_csv(run, fh)
 

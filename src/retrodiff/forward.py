@@ -6,6 +6,10 @@ function of (model, initial ensemble, grid, seed).
 """
 
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +266,58 @@ def _write_csv_rows(fileobj, row_format, columns):
         fileobj.write(row_format * (b - a) % tuple(args))
 
 
+def _write_snapshot_rows(path, fileobj, lo, hi):
+    """Write rows ``lo..hi-1`` of ``path``'s snapshot table, without header.
+
+    Rows are numbered over all snapshots in time order, so a range may
+    start or end inside a snapshot.
+    """
+    coords = ",".join(["%.17g"] * path.snapshots[0].dim)
+    start = 0
+    for snap in path.snapshots:
+        a, b = max(lo - start, 0), min(hi - start, snap.n)
+        if a < b:
+            X = snap.positions[a:b]
+            _write_csv_rows(fileobj, f"{snap.time:.17g},%d,{coords}\n",
+                            [range(a, b), *X.T])
+        start += snap.n
+
+
+# Fewest snapshot rows for which the export forks.  A fork, its temp file and
+# the copy-back cost a few ms; on a 2-core host, two processes beat one from
+# 20 000-60 000 rows on (the break-even moves with the host's speed) and won
+# every alternated trial at 10^5.
+_FORK_MIN_ROWS = 1 << 16
+
+# Characters per read when a child's part is copied back; small, so the copy
+# adds little to the parent's peak memory.
+_COPY_BLOCK = 1 << 16
+
+
+def _export_processes(rows):
+    """How many processes format ``rows`` snapshot rows: one per usable CPU."""
+    if (rows < _FORK_MIN_ROWS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), rows)
+
+
+def _write_part_and_exit(path, part, lo, hi):
+    """In a forked child: write rows ``lo..hi-1`` to ``part``, then exit.
+
+    The child leaves by ``os._exit``, 0 on success and 1 on any exception,
+    so it never unwinds into the caller's code and never flushes a buffer
+    it inherited from the parent.
+    """
+    code = 1
+    try:
+        _write_snapshot_rows(path, part, lo, hi)
+        part.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def export_snapshots_csv(path, fileobj):
     """Write every snapshot of ``path`` to ``fileobj`` as CSV.
 
@@ -273,12 +329,52 @@ def export_snapshots_csv(path, fileobj):
     ``particle_id`` runs 0..n-1 as a decimal integer.  Rows are formatted
     ``_CSV_BLOCK`` at a time, so the memory the export needs beyond the
     path itself is bounded by that block size, not by n.
+
+    The rows are split into one contiguous part per CPU the process may
+    use (``os.sched_getaffinity``); a cut may fall inside a snapshot.  The
+    caller's process writes the header and part 0 to ``fileobj``.  Each
+    other part k is formatted by a child made with ``os.fork`` into an
+    unlinked ``tempfile.TemporaryFile``; the parent waits for every child,
+    then copies the parts into ``fileobj`` in order, ``_COPY_BLOCK``
+    characters at a time, so the bytes are those of one process writing
+    every row.  A child that fails makes the export raise ``RuntimeError``
+    naming its part and exit status; an exception in the parent kills and
+    reaps every child before it propagates, and the temp files are closed
+    either way.  The export stays in the caller's process when there is
+    one usable CPU, when ``os.fork`` or ``os.sched_getaffinity`` does not
+    exist, or when there are fewer than ``_FORK_MIN_ROWS`` rows.
+
+    Returns the number of processes that formatted rows.
     """
     d = path.snapshots[0].dim
     header = "t,particle_id," + ",".join(f"x{i + 1}" for i in range(d))
     fileobj.write(header + "\n")
-    coords = ",".join(["%.17g"] * d)
-    for snap in path.snapshots:
-        X = snap.positions
-        _write_csv_rows(fileobj, f"{snap.time:.17g},%d,{coords}\n",
-                        [range(snap.n), *(X[:, j] for j in range(d))])
+    rows = sum(snap.n for snap in path.snapshots)
+    parts = _export_processes(rows)
+    cuts = [rows * k // parts for k in range(parts + 1)]
+    files, pids = [], []
+    try:
+        for k in range(1, parts):
+            files.append(tempfile.TemporaryFile("w+"))
+            pid = os.fork()
+            if pid == 0:
+                _write_part_and_exit(path, files[-1], cuts[k], cuts[k + 1])
+            pids.append(pid)
+        _write_snapshot_rows(path, fileobj, cuts[0], cuts[1])
+        for k in range(1, parts):
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(f"snapshot export part {k} of {parts} "
+                                   f"exited with status {code}")
+        for part in files:
+            part.seek(0)
+            shutil.copyfileobj(part, fileobj, _COPY_BLOCK)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in files:
+            part.close()
+    return parts

@@ -46,6 +46,7 @@ import numpy as np
 import pytest
 
 import retrodiff as rd
+from retrodiff import forward
 from retrodiff.cli import main
 from retrodiff.models import affine_model, piecewise_model
 
@@ -348,6 +349,13 @@ def test_seeded_output_bits_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_csv_bytes_are_pinned(name):
+    assert _bytes_digest(*CLI_CASES[name]()) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_bytes_hold_when_every_export_forks(name, monkeypatch):
+    # the small pinned runs take the multi-process export path too
+    monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
     assert _bytes_digest(*CLI_CASES[name]()) == CLI_DIGESTS[name]
 
 

@@ -44,8 +44,15 @@ def assert_phase_seconds(out, names=("export", "simulate", "verify")):
     # the BLAS thread count in effect, None without a bundled OpenBLAS
     threads = meta["blas_threads"]
     assert threads is None or (type(threads) is int and threads >= 1)
+    # the processes that formatted snapshots.csv, on the commands that write it
+    procs = meta["export_processes"]
+    if "export" in names:
+        assert type(procs) is int and 1 <= procs <= os.cpu_count()
+    else:
+        assert procs is None
     report = (out / "report.json").read_text()
-    assert "phase_seconds" not in report and "blas_threads" not in report
+    assert all(key not in report for key in
+               ("phase_seconds", "blas_threads", "export_processes"))
 
 
 # the phases of ou-verify, invert, moment-check and injectivity

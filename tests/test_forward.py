@@ -1,6 +1,8 @@
 """Forward simulation: frozen-cloud cases, CLT/chi^2 oracles, coupling."""
 
 import io
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -314,6 +316,14 @@ def test_snapshot_csv_bytes_match_row_writer(d, n):
             == _oracle_snapshots_csv(path).split("\n"))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, forward._CSV_BLOCK + 3])
+def test_snapshot_csv_bytes_match_row_writer_when_every_export_forks(
+        d, n, monkeypatch):
+    monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
+    test_snapshot_csv_bytes_match_row_writer(d, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 3), block=st.integers(1, 8))
 def test_snapshot_csv_round_trips_bitwise(data, d, block):
@@ -336,6 +346,151 @@ def test_snapshot_csv_round_trips_bitwise(data, d, block):
         parsed = np.array([[float(v) for v in r[2:]] for r in snap])
         assert parsed.shape == (n, d)
         assert np.array_equal(parsed.view(np.uint64), X.view(np.uint64))
+
+
+def _cpus(k):
+    """A stand-in for ``os.sched_getaffinity`` that reports k usable CPUs."""
+    return lambda pid: set(range(k))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
+    reason="needs os.fork and /proc/self/fd")
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), parts=st.integers(1, 3),
+       sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_snapshot_csv_parts_concatenate_to_row_writer(data, d, parts, sizes):
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    clouds = [data.draw(arrays(np.float64, (n, d), elements=floats),
+                        label=f"cloud{i}") for i, n in enumerate(sizes)]
+    path = _path(np.linspace(0.0, 1.0, len(sizes)), clouds)
+    oracle = _oracle_snapshots_csv(path)
+    # the cut at any row: the first, the last, a snapshot boundary or inside
+    rows = sum(sizes)
+    cut = data.draw(st.integers(0, rows), label="cut")
+    head, tail = io.StringIO(), io.StringIO()
+    forward._write_snapshot_rows(path, head, 0, cut)
+    forward._write_snapshot_rows(path, tail, cut, rows)
+    assert oracle == oracle[:oracle.index("\n") + 1] + head.getvalue() \
+        + tail.getvalue()
+    # the export's own cuts, with 1-3 processes
+    with mock.patch.object(forward, "_FORK_MIN_ROWS", 1), \
+            mock.patch.object(forward.os, "sched_getaffinity", _cpus(parts)):
+        buf = io.StringIO()
+        assert export_snapshots_csv(path, buf) == min(parts, rows)
+    assert buf.getvalue() == oracle
+    _assert_no_child_left()
+
+
+# 9 rows over two snapshots, so a 2- or 3-way cut falls inside a snapshot
+SMALL = ([0.0, 0.5], [np.ones((4, 2)), np.arange(10.0).reshape(5, 2)])
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "no-affinity", "no-fork",
+                                  "few-rows"])
+def test_snapshot_csv_stays_serial(case, monkeypatch):
+    path = _path(*SMALL)
+    if case != "few-rows":
+        monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        _cpus(1 if case == "one-cpu" else 3), raising=False)
+    if case == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError),
+                            raising=False)
+    buf = io.StringIO()
+    assert export_snapshots_csv(path, buf) == 1
+    assert buf.getvalue() == _oracle_snapshots_csv(path)
+
+
+@needs_fork
+def test_failing_child_raises_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    write = forward._write_snapshot_rows
+
+    def write_or_fail(path, fileobj, lo, hi):
+        if os.getpid() != parent:
+            raise ValueError("child fails")
+        write(path, fileobj, lo, hi)
+
+    monkeypatch.setattr(forward, "_write_snapshot_rows", write_or_fail)
+    monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+    fds = _open_fds()
+    with pytest.raises(RuntimeError,
+                       match="part 1 of 3 exited with status 1"):
+        export_snapshots_csv(_path(*SMALL), io.StringIO())
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+class _FailingText(io.StringIO):
+    """A text sink whose first write after the header raises ``exc``."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        if self.tell():
+            raise self.exc
+        return super().write(text)
+
+
+@needs_fork
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt(),
+                                 SystemExit(143)],
+                         ids=["write-error", "interrupt", "sigterm-exit"])
+def test_parent_failure_kills_and_reaps_children(exc, monkeypatch):
+    parent = os.getpid()
+    write = forward._write_snapshot_rows
+
+    def write_slowly_in_child(path, fileobj, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)
+        write(path, fileobj, lo, hi)
+
+    monkeypatch.setattr(forward, "_write_snapshot_rows", write_slowly_in_child)
+    monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+    fds = _open_fds()
+    t0 = time.perf_counter()
+    with pytest.raises(type(exc)):
+        export_snapshots_csv(_path(*SMALL), _FailingText(exc))
+    # the sleeping children were killed, not waited for
+    assert time.perf_counter() - t0 < 30
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+def test_unflushed_text_before_the_export_is_written_once(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+    path = _path(*SMALL)
+    target = tmp_path / "snapshots.csv"
+    with open(target, "w") as fh:
+        fh.write("written before the export\n")
+        assert export_snapshots_csv(path, fh) == 3
+    assert target.read_text() == ("written before the export\n"
+                                  + _oracle_snapshots_csv(path))
+    _assert_no_child_left()
 
 
 def test_piecewise_dispersion_variance_composition():
