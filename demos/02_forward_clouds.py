@@ -24,7 +24,7 @@ from retrodiff.models import ou_model, sin_drift_model
 ou = ou_model(C=-1.0, sigma=1.0)
 grid = TimeGrid(0.0, 1.0, 500)
 init = sample_initial(DiracMixture([[2.0]]), 20000, seed=1)
-path = euler_maruyama_path(ou.as_diffusion_model(), init, grid, seed=1)
+path = euler_maruyama_path(ou, init, grid, seed=1)
 
 mean, cov = empirical_moments(path.terminal)
 exact = ou_marginal(ou, DiracMixture([[2.0]]), 1.0)

@@ -41,7 +41,7 @@ print(f"rotation: terminal mean {np.round(terminal_mean, 3)} -> "
 ou = ou_model(C=-1.0, sigma=1.0)
 grid = TimeGrid(0.0, 1.0, 400)
 init = sample_initial(DiracMixture([[2.0]]), 10**5, seed=7)
-cloud = euler_maruyama_path(ou.as_diffusion_model(), init, grid, seed=7,
+cloud = euler_maruyama_path(ou, init, grid, seed=7,
                             store_every=grid.n_steps).terminal
 xh, se = reconstruct_dirac_affine_mc(AffineDrift.constant([0.0], [[-1.0]]),
                                      1.0, cloud, grid)
@@ -49,7 +49,7 @@ print(f"Monte Carlo: x_hat {xh[0]:.4f} +- {se:.4f} (true 2.0, "
       f"error/stderr = {abs(xh[0] - 2.0) / se:.2f})")
 
 # grid search against a heat cloud
-model = heat_model(dim=1).as_diffusion_model()
+model = heat_model(dim=1)
 init = sample_initial(DiracMixture([[0.5]]), 20000, seed=8)
 target = euler_maruyama_path(model, init, TimeGrid(0.0, 1.0, 200), seed=8,
                              store_every=200).terminal

@@ -481,13 +481,11 @@ def cmd_invert(cfg, emitter, grid, model, seed):
     failures = []
 
     def affine_of(model):
-        if isinstance(model, OUModel):
-            return AffineDrift(b0=lambda t: np.zeros(d), b1=model.C, dim=d)
-        if getattr(model, "name", "") == "affine":
-            return AffineDrift(b0=lambda t: model.drift(t, np.zeros(d)),
-                               b1=lambda t: model.jac_drift_at(t, np.zeros(d)),
-                               dim=d)
-        raise ConfigError("mean-ode routes need an affine-drift model")
+        if model.name not in ("ou", "affine"):
+            raise ConfigError("mean-ode routes need an affine-drift model")
+        return AffineDrift(b0=lambda t: model.drift(t, np.zeros(d)),
+                           b1=lambda t: model.jac_drift_at(t, np.zeros(d)),
+                           dim=d)
 
     if route == "mean-ode":
         _require(cfg, "mean-ode route", "run.terminal_mean")

@@ -134,7 +134,6 @@ def euler_maruyama_path(model, init, grid, seed, store_every=None):
     thinned to roughly 200 unless ``store_every``, an integer >= 1, is
     given (1 stores every node).  See :func:`_em_loop`.
     """
-    model = model.as_diffusion_model()
     return _em_loop(
         init.positions.copy(), grid, seed, FORWARD_STEP,
         lambda k, t, X: np.asarray(model.drift(t, X), dtype=float),
@@ -193,7 +192,6 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     that must stay below ~0.567 for the small-horizon uniqueness regime.
     Past the float range both are inf, and the check passes vacuously.
     """
-    model = model.as_diffusion_model()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Xx = np.tile(x, (n, 1))

@@ -64,13 +64,19 @@ def wasserstein1(a, b):
     return float(_w1_sorted_rows(A, B)[0])
 
 
+def _cloud(X):
+    """``X`` as an (n, d) float array; a 1-d array is n points on the line."""
+    X = np.asarray(X, dtype=float)
+    return X.reshape(-1, 1) if X.ndim == 1 else np.atleast_2d(X)
+
+
 def sorted_projections(X, seed=0):
     """Sorted 1-d projections of a cloud, one row per direction.
 
-    A (n, 1) cloud gives one row, its sorted sample.  Otherwise each row is
-    ``X @ u`` for one of 32 seeded unit directions u, sorted.
+    A (n, 1) cloud or 1-d array gives one row, its sorted sample.  Otherwise
+    each row is ``X @ u`` for one of 32 seeded unit directions u, sorted.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _cloud(X)
     d = X.shape[1]
     if d == 1:
         return np.sort(X.T, axis=1)
@@ -90,7 +96,7 @@ def sliced_wasserstein1_sorted(PX, PY):
 def sliced_wasserstein1(X, Y, seed=0):
     """Mean 1-d Wasserstein-1 distance over 32 seeded random directions.
 
-    For d = 1 this is ``wasserstein1`` itself.
+    For d = 1, and for two 1-d arrays, this is ``wasserstein1`` itself.
     """
     return sliced_wasserstein1_sorted(
         sorted_projections(X, seed), sorted_projections(Y, seed))
@@ -118,7 +124,7 @@ _ENERGY_MAX_POINTS = 2000
 
 
 def energy_distance_nd(X, Y, seed=0):
-    """Energy distance between two clouds.
+    """Energy distance between two clouds (a 1-d array is a cloud on the line).
 
     A cloud of more than ``_ENERGY_MAX_POINTS`` (2000) points is replaced
     by a seeded subsample of that size, which bounds the O(n^2) cost.  Each
@@ -127,8 +133,8 @@ def energy_distance_nd(X, Y, seed=0):
     the peak memory is one (2000, 2000) block.
     """
     rng = substream(seed, PROJECTIONS, 1)
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
+    X = _cloud(X)
+    Y = _cloud(Y)
     if X.shape[0] > _ENERGY_MAX_POINTS:
         X = X[rng.choice(X.shape[0], _ENERGY_MAX_POINTS, replace=False)]
     if Y.shape[0] > _ENERGY_MAX_POINTS:

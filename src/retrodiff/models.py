@@ -5,8 +5,8 @@ optional analytic derivatives.  Evaluation is vectorized over particles:
 ``drift(t, x)`` takes x of shape (..., d) and returns (..., d), and
 ``dispersion(t, x)`` returns (..., d, m) (a constant (d, m) matrix is
 accepted and broadcast).  Models are immutable after construction and all
-evaluation is reentrant.  Every function that evaluates a model's
-coefficients takes either class and converts it with ``as_diffusion_model()``.
+evaluation is reentrant.  An :class:`OUModel` is a :class:`DiffusionModel`
+that also keeps its coefficients as functions of t for the closed forms.
 """
 
 import math
@@ -41,6 +41,8 @@ class DiffusionModel:
     name: str = ""
 
     def __post_init__(self):
+        _dimension(self.dim_d)
+        _dimension(self.dim_m)
         _horizon(self.horizon)
 
     def sigma(self, t, x):
@@ -59,7 +61,7 @@ class DiffusionModel:
         return self.div_sigma_rows_at(t, x) + dens
 
     def as_diffusion_model(self):
-        """The model itself; :class:`OUModel` converts to one."""
+        """The model itself, for callers written against a conversion."""
         return self
 
     # --- derivatives, analytic when given, central differences otherwise ---
@@ -138,65 +140,58 @@ def _dimension(d):
     return d
 
 
-class OUModel:
+class OUModel(DiffusionModel):
     """Affine-drift model b(t, x) = C(t) x with space-independent sigma(t).
 
-    Each coefficient is either a callable of t or a constant array, which is
-    reshaped once here.  When both are constant (``constant`` is true), the
-    resolvent and covariance paths of :class:`~retrodiff.ou_analytic.OUAnalytic`
-    are stepped exactly by the semigroup; callables are integrated by RK4.
+    A :class:`DiffusionModel` that keeps ``C`` and ``Sigma`` as functions
+    of t for the closed forms.  Each coefficient is either a callable of t
+    or a constant array, which is reshaped once here.  When both are
+    constant (``constant`` is true), the resolvent and covariance paths of
+    :class:`~retrodiff.ou_analytic.OUAnalytic` are stepped exactly by the
+    semigroup; callables are integrated by RK4.
     """
 
     def __init__(self, C_fn, sigma_fn, dim_d, dim_m=None, horizon=1.0):
-        self.dim_d = _dimension(dim_d)
-        self.dim_m = dim_d if dim_m is None else dim_m
-        self.horizon = _horizon(horizon)
+        d = _dimension(dim_d)
+        m = _dimension(d if dim_m is None else dim_m)
         if not callable(C_fn):
-            C_fn = _frozen(np.asarray(C_fn, dtype=float).reshape(dim_d, dim_d))
+            C_fn = _frozen(np.asarray(C_fn, dtype=float).reshape(d, d))
         if not callable(sigma_fn):
-            sigma_fn = _frozen(
-                np.asarray(sigma_fn, dtype=float).reshape(dim_d, self.dim_m))
-            self._Sigma = _frozen(sigma_fn @ sigma_fn.T)
-        self.C_fn = C_fn
-        self.sigma_fn = sigma_fn
-        self.constant = not (callable(C_fn) or callable(sigma_fn))
+            sigma_fn = _frozen(np.asarray(sigma_fn, dtype=float).reshape(d, m))
+
+        def sigma_of_t(t):
+            if not callable(sigma_fn):
+                return sigma_fn
+            return np.asarray(sigma_fn(t), dtype=float).reshape(d, m)
+
+        disp, jac_s, div_rows = _constant_dispersion(sigma_of_t, d, m)
+        super().__init__(
+            dim_d=d,
+            dim_m=m,
+            drift=lambda t, x: np.asarray(x, float) @ self.C(t).T,
+            dispersion=disp,
+            horizon=_horizon(horizon),
+            jac_drift=lambda t, x: self.C(t),
+            jac_dispersion=jac_s,
+            div_sigma_rows=div_rows,
+            name="ou",
+        )
+        # past the frozen dataclass's __setattr__: set once, like its fields
+        vars(self).update(
+            C_fn=C_fn, sigma_fn=sigma_fn,
+            constant=not (callable(C_fn) or callable(sigma_fn)),
+            _Sigma=None if callable(sigma_fn) else _frozen(sigma_fn @ sigma_fn.T))
 
     def C(self, t):
         if not callable(self.C_fn):
             return self.C_fn
         return np.asarray(self.C_fn(t), dtype=float).reshape(self.dim_d, self.dim_d)
 
-    def sigma(self, t):
-        if not callable(self.sigma_fn):
-            return self.sigma_fn
-        return np.asarray(self.sigma_fn(t), dtype=float).reshape(
-            self.dim_d, self.dim_m
-        )
-
     def Sigma(self, t):
         if not callable(self.sigma_fn):
             return self._Sigma
-        s = self.sigma(t)
+        s = self.dispersion(t, None)
         return s @ s.T
-
-    def as_diffusion_model(self):
-        d, m = self.dim_d, self.dim_m
-
-        def drift(t, x):
-            return np.asarray(x, float) @ self.C(t).T
-
-        disp, jac_s, div_rows = _constant_dispersion(self.sigma, d, m)
-        return DiffusionModel(
-            dim_d=d,
-            dim_m=m,
-            drift=drift,
-            dispersion=disp,
-            horizon=self.horizon,
-            jac_drift=lambda t, x: self.C(t),
-            jac_dispersion=jac_s,
-            div_sigma_rows=div_rows,
-            name="ou",
-        )
 
 
 @dataclass
@@ -214,7 +209,6 @@ def check_ellipticity(model, sample_points, epsilon):
     Passes when the sampled minimum is >= epsilon.  The sample must be
     non-empty.
     """
-    model = model.as_diffusion_model()
     pts = list(sample_points)
     if not pts:
         raise ValueError("sample_points must be non-empty")
@@ -255,11 +249,12 @@ def estimate_lipschitz(model, domain_box, t_samples, n_probes, seed):
     deterministic stream, so the evaluated set for n probes is a prefix of
     the set for n + k probes and the estimate is monotone in n_probes.
     """
-    model = model.as_diffusion_model()
     lo, hi = (np.asarray(v, dtype=float) for v in domain_box)
     if lo.shape != hi.shape or (hi <= lo).any():
         raise ValueError("domain_box must have positive volume")
     t_samples = list(t_samples)
+    if not t_samples:
+        raise ValueError("t_samples must be non-empty")
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     rng = substream(seed, LIPSCHITZ_PROBE)

@@ -157,7 +157,7 @@ class OUAnalytic:
         s = 0.5 * t * (nodes + 1.0)
         acc = np.zeros(eta2.shape[0])
         for si, wi in zip(s, weights):
-            v = eta2 @ self.D(si).T @ self.ou.sigma(si)
+            v = eta2 @ self.D(si).T @ self.ou.dispersion(si, None)
             acc += wi * np.sum(v * v, axis=1)
         out = 0.25 * t * acc
         return out[0] if np.ndim(eta) == 1 else out
@@ -301,7 +301,7 @@ def ou_reversal_drift(ou, nu, t_reversed, x, n_steps=1000):
                                      f"t_reversed={t_reversed} (requires "
                                      f"0 <= t < {T})")
     score = ou_marginal(ou, nu, T - t_reversed, n_steps).score(x)
-    return ou.as_diffusion_model().density_drift(T - t_reversed, x, score)
+    return ou.density_drift(T - t_reversed, x, score)
 
 
 def gaussian_bound_check(ou, nu, t_range, space_box, n_steps=1000):

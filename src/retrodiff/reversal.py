@@ -201,8 +201,7 @@ def simulate_reversal_analytic(ou, nu, mu, grid, n, epsilon_stop=None, seed=0,
     def score_fn(k, s, X):
         return cache.marginal(nu, T - s).score(X), None
 
-    path, diag = _run_loop(ou.as_diffusion_model(), run_grid, Y, seed,
-                           score_fn, drift_clip)
+    path, diag = _run_loop(ou, run_grid, Y, seed, score_fn, drift_clip)
     return ReversalRun(mode="analytic", grid=run_grid, horizon=T,
                        epsilon_stop=eps, path=path, diagnostics=diag,
                        terminal_check_failed=failed)
@@ -233,7 +232,6 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     The field chooses its evaluator at every step (see
     :meth:`KdeField.log_density_and_score_at_sources`).
     """
-    model = model.as_diffusion_model()
     run_grid, eps, Y = _launch(model, mu, grid, n, epsilon_stop, drift_clip,
                                seed)
     T = grid.t_end

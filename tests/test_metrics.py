@@ -143,6 +143,19 @@ def test_sliced_in_one_dimension_is_w1(a, b, seed):
         _bits(wasserstein1(a, b))
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=SAMPLES, b=SAMPLES, seed=st.integers(0, 100))
+def test_a_1d_array_is_a_cloud_on_the_line(a, b, seed):
+    # a 1-d array and its (n, 1) column give the same bits
+    x, y = np.array(a), np.array(b)
+    X, Y = x[:, None], y[:, None]
+    assert _bits(energy_distance_nd(x, y, seed=seed)) == \
+        _bits(energy_distance_nd(X, Y, seed=seed))
+    assert _bits(sliced_wasserstein1(x, y, seed=seed)) == \
+        _bits(sliced_wasserstein1(X, Y, seed=seed))
+    assert np.array_equal(sorted_projections(x, seed), sorted_projections(X, seed))
+
+
 def test_import_leaves_scipy_out():
     # scipy is imported where it is first called, never by importing
     code = ("import sys, retrodiff, retrodiff.cli; "

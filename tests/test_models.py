@@ -173,6 +173,15 @@ def test_lipschitz_fd_fallback_matches_analytic():
     assert abs(e1.K_b - e2.K_b) < 1e-6
 
 
+@pytest.mark.parametrize("t_samples, n_probes, message", [
+    ([], 5, "t_samples must be non-empty"),
+    ([0.0], 0, "n_probes must be >= 1"),
+])
+def test_lipschitz_settings_rejected(t_samples, n_probes, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_lipschitz(heat_model(), box(), t_samples, n_probes, seed=0)
+
+
 def test_lipschitz_degenerate_box_rejected():
     m = heat_model().as_diffusion_model()
     with pytest.raises(ValueError, match="volume"):
@@ -244,6 +253,19 @@ def test_ou_shapes_must_agree(C, sigma, message):
     pytest.param(lambda: OUModel(lambda t: np.zeros((0, 0)),
                                  lambda t: np.zeros((0, 0)), 0),
                  id="OUModel-0"),
+    pytest.param(lambda: OUModel(lambda t: -np.eye(1), lambda t: np.eye(1), 1,
+                                 dim_m=0), id="OUModel-m-0"),
+    pytest.param(lambda: OUModel(-np.eye(1), np.eye(1), 1, dim_m=-2),
+                 id="OUModel-m-negative"),
+    pytest.param(lambda: DiffusionModel(0, 1, lambda t, x: x,
+                                        lambda t, x: np.eye(1)),
+                 id="DiffusionModel-d-0"),
+    pytest.param(lambda: DiffusionModel(1, 0, lambda t, x: x,
+                                        lambda t, x: np.eye(1)),
+                 id="DiffusionModel-m-0"),
+    pytest.param(lambda: DiffusionModel(1, -2, lambda t, x: x,
+                                        lambda t, x: np.eye(1)),
+                 id="DiffusionModel-m-negative"),
 ])
 def test_dimension_below_one_rejected(build):
     with pytest.raises(ValueError, match="dimension must be at least 1"):
@@ -372,9 +394,26 @@ _ENTRY_POINTS = {
 }
 
 
+def _plain_ou(c, s):
+    """A plain DiffusionModel with the coefficients of a 1-d OU model."""
+    C, S = np.array([[c]]), np.array([[s]])
+    return DiffusionModel(
+        dim_d=1, dim_m=1,
+        drift=lambda t, x: np.asarray(x, float) @ C.T,
+        dispersion=lambda t, x: S,
+        jac_drift=lambda t, x: C,
+        jac_dispersion=lambda t, x: np.zeros((1, 1, 1)),
+        div_sigma_rows=lambda t, x: np.zeros(np.shape(x) if np.ndim(x) > 1
+                                             else (1,)),
+    )
+
+
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_entry_points_convert_the_ou_model(entry):
-    # an OUModel and its DiffusionModel give the same bits
+    # an OUModel is a DiffusionModel: every entry point takes it as it is,
+    # with the bits of a hand-built model with the same coefficients
     ou = make_model("ou", C=-0.7, sigma=0.9)
+    assert isinstance(ou, DiffusionModel)
+    assert ou.as_diffusion_model() is ou
     run = _ENTRY_POINTS[entry]
-    assert np.array_equal(run(ou), run(ou.as_diffusion_model()))
+    assert np.array_equal(run(ou), run(_plain_ou(-0.7, 0.9)))

@@ -254,7 +254,7 @@ def test_amplification_exponent_keeps_its_bits():
         acc = np.zeros(eta.shape[0])
         for si, wi in zip(s, weights):
             assert cache.grid.find_node(si) is None  # a quadrature node off the grid
-            v = eta @ spline(si).T @ ou.sigma(si)
+            v = eta @ spline(si).T @ ou.dispersion(si, None)
             acc += wi * np.sum(v * v, axis=1)
         assert _bits(cache.amplification_exponent(t, eta)) == _bits(0.25 * t * acc)
         assert (_bits(cache.amplification_exponent(t, eta[0]))
