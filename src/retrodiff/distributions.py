@@ -142,6 +142,15 @@ class GaussianMixture:
         z = (x[:, None] - self.means[:, 0][None, :]) / sd[None, :]
         return ndtr(z) @ self.weights
 
+    def project(self, u):
+        """The law of u.X, a 1-D mixture: means u.m_k, variances u^T S_k u."""
+        u = np.asarray(u, dtype=float)
+        var = np.einsum("i,kij,j->k", u, self.covariances, u)
+        out = GaussianMixture(self.weights, (self.means @ u)[:, None],
+                              var[:, None, None])
+        out.weights = self.weights  # not divided by their sum a second time
+        return out
+
     def char_transform(self, xi):
         """exp(-i<xi,.>) transform; xi of shape (d,) or (M, d)."""
         xi2 = np.atleast_2d(np.asarray(xi, dtype=float))

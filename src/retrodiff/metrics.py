@@ -70,6 +70,14 @@ def _cloud(X):
     return X.reshape(-1, 1) if X.ndim == 1 else np.atleast_2d(X)
 
 
+def _directions(d, seed=0):
+    """Unit directions to project d-dim clouds on: 1 in 1-D, else 32 seeded."""
+    if d == 1:
+        return np.ones((1, 1))
+    dirs = substream(seed, PROJECTIONS).standard_normal((32, d))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 def sorted_projections(X, seed=0):
     """Sorted 1-d projections of a cloud, one row per direction.
 
@@ -77,15 +85,12 @@ def sorted_projections(X, seed=0):
     each row is ``X @ u`` for one of 32 seeded unit directions u, sorted.
     """
     X = _cloud(X)
-    d = X.shape[1]
-    if d == 1:
+    if X.shape[1] == 1:
         return np.sort(X.T, axis=1)
-    rng = substream(seed, PROJECTIONS)
-    dirs = rng.standard_normal((32, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # one matrix-vector product per direction: a single X @ dirs.T may
     # round differently
-    return np.sort(np.stack([X @ u for u in dirs]), axis=1)
+    return np.sort(np.stack([X @ u for u in _directions(X.shape[1], seed)]),
+                   axis=1)
 
 
 def sliced_wasserstein1_sorted(PX, PY):

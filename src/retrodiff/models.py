@@ -176,9 +176,10 @@ class OUModel(DiffusionModel):
             div_sigma_rows=div_rows,
             name="ou",
         )
-        # past the frozen dataclass's __setattr__: set once, like its fields
+        # past the frozen dataclass's __setattr__: set once, like its fields;
+        # _analytic is ou_analytic.analytic's {n_steps: OUAnalytic}
         vars(self).update(
-            C_fn=C_fn, sigma_fn=sigma_fn,
+            C_fn=C_fn, sigma_fn=sigma_fn, _analytic={},
             constant=not (callable(C_fn) or callable(sigma_fn)),
             _Sigma=None if callable(sigma_fn) else _frozen(sigma_fn @ sigma_fn.T))
 

@@ -27,7 +27,6 @@ first called, so importing the package loads no scipy module.
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +221,12 @@ class GaussianBoundReport:
     passed: bool
 
 
-_CACHE = weakref.WeakKeyDictionary()
-
-
 def analytic(ou, n_steps=1000):
-    """Cached OUAnalytic for a model (built eagerly on first use)."""
-    per_model = _CACHE.setdefault(ou, {})
-    if n_steps not in per_model:
-        per_model[n_steps] = OUAnalytic(ou, n_steps)
-    return per_model[n_steps]
+    """The model's OUAnalytic on ``n_steps`` steps, built on first use and
+    kept in the model's own dict, so it is freed with the model."""
+    if n_steps not in ou._analytic:
+        ou._analytic[n_steps] = OUAnalytic(ou, n_steps)
+    return ou._analytic[n_steps]
 
 
 def _unit_transform(xi):

@@ -25,7 +25,6 @@ REVERSAL_STEP = 4
 LIPSCHITZ_PROBE = 5
 PROJECTIONS = 6
 CANDIDATE_SIM = 7
-REFERENCE_SAMPLE = 8
 
 
 def _splitmix64(z):

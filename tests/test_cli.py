@@ -490,12 +490,15 @@ directory = {out}
     assert rep["terminal_consistency_warning"] is True
 
 
-def test_reverse_1d_outputs_ignore_the_blas_thread_count(tmp_path):
-    # a 1-D analytic report has a KS statistic; a 2-D one has the energy
-    # distance, whose exact sums round with the thread count
-    cfg = write_config(tmp_path / "c.ini", """
+@pytest.mark.parametrize("dim, point", [(1, "0.2"), (2, "0.2 -0.1")],
+                         ids=["1d", "2d"])
+def test_reverse_outputs_ignore_the_blas_thread_count(tmp_path, dim, point):
+    # the projected KS statistic projects each row on its own, so neither
+    # report rounds with the thread count
+    cfg = write_config(tmp_path / "c.ini", f"""
 [model]
 family = heat
+dim = {dim}
 
 [grid]
 t_end = 1.0
@@ -505,8 +508,8 @@ n_steps = 100
 seed = 12
 particles = 4000
 mode = analytic
-nu = dirac:0.2
-mu = gaussian:0.2,1
+nu = dirac:{point}
+mu = gaussian:{point},1
 epsilon_stop = 0.05
 
 [thresholds]
@@ -526,6 +529,38 @@ ks_max = 0.05
         outputs.append([(out / name).read_bytes() for name in
                         ("report.json", "snapshots.csv", "diagnostics.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("variance, code", [("1.2", 1), ("1", 0)])
+def test_reverse_2d_fails_an_unreachable_terminal_law(tmp_path, variance,
+                                                      code):
+    # N(0, 1.2 I) is not the heat marginal N(0, I) of a point source at 0;
+    # the projected KS statistic sees it as the terminal check does
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+family = heat
+dim = 2
+
+[grid]
+t_end = 1.0
+n_steps = 200
+
+[run]
+seed = 2
+particles = 20000
+mode = analytic
+nu = dirac:0 0
+mu = gaussian:0 0,{variance}
+epsilon_stop = 0.05
+
+[output]
+directory = {tmp_path / "out"}
+""")
+    assert main(["reverse", "--config", cfg]) == code
+    (tmp_path / "out" / "snapshots.csv").unlink()  # 240 MB of rows
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (rep["representation_max_stat"] > 0.02) is bool(code)
+    assert rep["terminal_consistency_warning"] is bool(code)
 
 
 def test_reverse_selfconsistent(tmp_path):

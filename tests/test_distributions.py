@@ -124,6 +124,20 @@ def test_mixture_score_matches_central_differences(data):
     assert np.abs(score - fd).max() <= 1e-7 * (1.0 + np.abs(score).max())
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_projection_is_the_law_of_u_dot_x(data):
+    # the transform of u.X at s is the mixture's transform at s u
+    mix = data.draw(mixtures(kinds=("gaussian",)))
+    u = data.draw(arrays(np.float64, mix.dim, elements=st.floats(-1.0, 1.0)))
+    s = data.draw(arrays(np.float64, (4, 1), elements=st.floats(-3.0, 3.0)))
+    proj = mix.project(u)
+    assert proj.dim == 1
+    assert proj.weights is mix.weights
+    assert np.allclose(proj.char_transform(s), mix.char_transform(s * u),
+                       rtol=0.0, atol=1e-12)
+
+
 def test_mixture_cdf1d_against_quadrature():
     from scipy.integrate import quad
 

@@ -5,6 +5,9 @@ functions of the Gaussian marginals, central differences of log densities,
 and grid extrema.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -240,6 +243,18 @@ def test_off_node_lookups_read_one_spline_per_path(spline_builds):
         assert len(spline_builds) == k  # the second lookup reuses it
     assert _bits(cache.D_inv(0.437)) == _bits(cache.R(0.437).T)
     assert len(spline_builds) == 3
+
+
+def test_a_dropped_model_is_freed_with_its_paths():
+    # the model keeps its own OUAnalytic; no module-level cache holds it
+    ou = ou_model(-1.0, 1.0)
+    cache = analytic(ou, 100)
+    assert analytic(ou, 100) is cache
+    cache.marginal(dirac([0.5]), 0.5)
+    ref = weakref.ref(ou)
+    del ou, cache
+    gc.collect()
+    assert ref() is None
 
 
 def test_amplification_exponent_keeps_its_bits():
