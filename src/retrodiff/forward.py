@@ -7,6 +7,7 @@ function of (model, initial ensemble, grid, seed).
 
 import math
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -291,29 +292,92 @@ _FORK_MIN_ROWS = 1 << 16
 # adds little to the parent's peak memory.
 _COPY_BLOCK = 1 << 16
 
-
-def _export_processes(rows):
-    """How many processes format ``rows`` snapshot rows: one per usable CPU."""
-    if (rows < _FORK_MIN_ROWS or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), rows)
+# True in a child forked by _fork_shares, whose own calls stay serial.
+_IN_CHILD = False
 
 
-def _write_part_and_exit(path, part, lo, hi):
-    """In a forked child: write rows ``lo..hi-1`` to ``part``, then exit.
+def _run_child(work, lo, hi, out):
+    """In a forked child: run ``work(lo, hi, out)``, report to ``out``, exit.
 
-    The child leaves by ``os._exit``, 0 on success and 1 on any exception,
-    so it never unwinds into the caller's code and never flushes a buffer
-    it inherited from the parent.
+    A value other than None is pickled to ``out`` (status 0); an exception
+    is pickled in place of what the work wrote (status 1).  ``os._exit``
+    never unwinds into the caller or flushes a buffer the child inherited.
     """
+    global _IN_CHILD
+    _IN_CHILD = True
     code = 1
     try:
-        _write_snapshot_rows(path, part, lo, hi)
-        part.flush()
-        code = 0
+        try:
+            value = work(lo, hi, out)
+            if value is not None:
+                pickle.dump(value, out.buffer)
+            code = 0
+        except BaseException as exc:
+            out.seek(0)
+            out.truncate()
+            pickle.dump(exc, out.buffer)
+        out.flush()
     finally:
         os._exit(code)
+
+
+def _fork_shares(n, work, gather, min_n=2):
+    """Run ``work(lo, hi, out)`` on contiguous shares of ``range(n)``.
+
+    Each CPU the process may use (``os.sched_getaffinity``) takes one
+    share, at most n.  The caller runs share 0 with ``out=None``; each
+    other share runs in a child made by ``os.fork``, ``out`` an unlinked
+    text ``tempfile.TemporaryFile``.  The parent waits for the children in
+    order and returns share 0's value, then ``gather(out)`` of each
+    child's rewound file.  A child's exception is raised again with its
+    type and message; a child that exits without one raises
+    ``RuntimeError`` naming its part and status.  An exception in the
+    parent kills and reaps every child, and the files are closed either
+    way.  The work stays serial for n < ``min_n``, one usable CPU, no
+    ``os.fork`` or ``os.sched_getaffinity``, and in a forked child.
+    """
+    parts = 1
+    if (n >= min_n and not _IN_CHILD and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
+        parts = min(len(os.sched_getaffinity(0)), n)
+    cuts = [n * k // parts for k in range(parts + 1)]
+    files, pids = [], []
+    try:
+        for k in range(1, parts):
+            files.append(tempfile.TemporaryFile("w+"))
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, cuts[k], cuts[k + 1], files[-1])
+            pids.append(pid)
+        shares = [work(cuts[0], cuts[1], None)]
+        for k, part in enumerate(files, 1):
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            part.seek(0)
+            if code != 0:
+                try:
+                    exc = pickle.load(part.buffer)
+                except Exception:
+                    exc = None
+                if not isinstance(exc, BaseException):
+                    exc = RuntimeError(
+                        f"part {k} of {parts} exited with status {code}")
+                raise exc
+            shares.append(gather(part))
+        return shares
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in files:
+            part.close()
+
+
+def _fork_map(fn, n):
+    """``[fn(i) for i in range(n)]`` by :func:`_fork_shares`; keep each small."""
+    shares = _fork_shares(n, lambda lo, hi, out: [fn(i) for i in range(lo, hi)],
+                          lambda part: pickle.load(part.buffer))
+    return [value for share in shares for value in share]
 
 
 def export_snapshots_csv(path, fileobj):
@@ -328,51 +392,23 @@ def export_snapshots_csv(path, fileobj):
     ``_CSV_BLOCK`` at a time, so the memory the export needs beyond the
     path itself is bounded by that block size, not by n.
 
-    The rows are split into one contiguous part per CPU the process may
-    use (``os.sched_getaffinity``); a cut may fall inside a snapshot.  The
-    caller's process writes the header and part 0 to ``fileobj``.  Each
-    other part k is formatted by a child made with ``os.fork`` into an
-    unlinked ``tempfile.TemporaryFile``; the parent waits for every child,
-    then copies the parts into ``fileobj`` in order, ``_COPY_BLOCK``
-    characters at a time, so the bytes are those of one process writing
-    every row.  A child that fails makes the export raise ``RuntimeError``
-    naming its part and exit status; an exception in the parent kills and
-    reaps every child before it propagates, and the temp files are closed
-    either way.  The export stays in the caller's process when there is
-    one usable CPU, when ``os.fork`` or ``os.sched_getaffinity`` does not
-    exist, or when there are fewer than ``_FORK_MIN_ROWS`` rows.
+    From ``_FORK_MIN_ROWS`` rows on, the rows are split by
+    :func:`_fork_shares`, one contiguous part per usable CPU (a cut may
+    fall inside a snapshot).  The caller writes the header and part 0 to
+    ``fileobj``; each child streams its part's text into its temp file,
+    which the parent copies into ``fileobj`` in order, ``_COPY_BLOCK``
+    characters at a time, so the bytes are those of one process.
 
     Returns the number of processes that formatted rows.
     """
     d = path.snapshots[0].dim
     header = "t,particle_id," + ",".join(f"x{i + 1}" for i in range(d))
     fileobj.write(header + "\n")
-    rows = sum(snap.n for snap in path.snapshots)
-    parts = _export_processes(rows)
-    cuts = [rows * k // parts for k in range(parts + 1)]
-    files, pids = [], []
-    try:
-        for k in range(1, parts):
-            files.append(tempfile.TemporaryFile("w+"))
-            pid = os.fork()
-            if pid == 0:
-                _write_part_and_exit(path, files[-1], cuts[k], cuts[k + 1])
-            pids.append(pid)
-        _write_snapshot_rows(path, fileobj, cuts[0], cuts[1])
-        for k in range(1, parts):
-            status = os.waitpid(pids[0], 0)[1]
-            del pids[0]
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise RuntimeError(f"snapshot export part {k} of {parts} "
-                                   f"exited with status {code}")
-        for part in files:
-            part.seek(0)
-            shutil.copyfileobj(part, fileobj, _COPY_BLOCK)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in files:
-            part.close()
-    return parts
+
+    def rows(lo, hi, out):
+        _write_snapshot_rows(path, fileobj if out is None else out, lo, hi)
+
+    return len(_fork_shares(
+        sum(snap.n for snap in path.snapshots), rows,
+        lambda part: shutil.copyfileobj(part, fileobj, _COPY_BLOCK),
+        _FORK_MIN_ROWS))

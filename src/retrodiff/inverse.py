@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiracMixture
-from .forward import euler_maruyama_path, sample_initial
+from .forward import _fork_map, euler_maruyama_path, sample_initial
 from .grids import TimeGrid
 from .metrics import (
     sliced_wasserstein1,
     sliced_wasserstein1_sorted,
     sorted_projections,
-    wasserstein1,
 )
 from .ou_analytic import AmplificationWindowError, _window_exponent
 from .resolvents import _rk4_path
@@ -144,8 +143,6 @@ def _terminal_cloud(model, candidate, T, n, n_steps, seed, tag):
 def _cloud_distance(A, B, metric, seed):
     if metric == "mean":
         return float(np.linalg.norm(A.mean(axis=0) - B.mean(axis=0)))
-    if A.shape[1] == 1:
-        return wasserstein1(A, B)
     return sliced_wasserstein1(A, B, seed=seed)
 
 
@@ -173,7 +170,9 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     Each candidate is simulated forward; the verdict is "injective" when
     the smallest off-diagonal terminal distance exceeds three times the
     Monte Carlo noise floor (the largest split-half self-distance), and
-    "ambiguous" otherwise.
+    "ambiguous" otherwise.  The clouds, then the pairs, run on every
+    usable CPU (``forward._fork_map``); each result is a pure function of
+    (seed, index), so the report has the same bits for any CPU count.
     """
     candidates = list(candidates)
     if len(candidates) < 2:
@@ -183,26 +182,23 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     if metric not in ("wasserstein1", "mean"):
         raise ValueError(f"unknown metric {metric!r}: use 'wasserstein1' "
                          f"or 'mean'")
-    clouds = [_terminal_cloud(model, c, T, n, n_steps, seed, i)
-              for i, c in enumerate(candidates)]
-    floor = 0.0
-    for cl in clouds:
-        half = cl.shape[0] // 2
-        floor = max(floor, _cloud_distance(cl[:half], cl[half:], metric, seed))
-    if metric == "mean":
-        keys = clouds
 
-        def distance(A, B):
-            return _cloud_distance(A, B, metric, seed)
-    else:
+    def cloud(i):
+        cl = _terminal_cloud(model, candidates[i], T, n, n_steps, seed, i)
+        half = cl.shape[0] // 2
         # each cloud's projections are sorted once, for all of its pairs
-        keys = [sorted_projections(cl, seed=seed) for cl in clouds]
-        distance = sliced_wasserstein1_sorted
-    K = len(clouds)
+        key = cl if metric == "mean" else sorted_projections(cl, seed=seed)
+        return key, _cloud_distance(cl[:half], cl[half:], metric, seed)
+
+    keys, floors = zip(*_fork_map(cloud, len(candidates)))
+    floor = max(0.0, *floors)
+    distance = (sliced_wasserstein1_sorted if metric == "wasserstein1" else
+                lambda A, B: _cloud_distance(A, B, metric, seed))
+    K = len(keys)
+    I, J = np.triu_indices(K, 1)
     D = np.zeros((K, K))
-    for i in range(K):
-        for j in range(i + 1, K):
-            D[i, j] = D[j, i] = distance(keys[i], keys[j])
+    D[I, J] = D[J, I] = _fork_map(lambda p: distance(keys[I[p]], keys[J[p]]),
+                                  len(I))
     off = D[~np.eye(K, dtype=bool)]
     verdict = "injective" if off.min() > 3.0 * floor else "ambiguous"
     descr = [getattr(c, "points", getattr(c, "means", None)) for c in candidates]
@@ -234,10 +230,12 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
     """Nearest-candidate source search against a terminal ensemble.
 
     Candidates are point sources; each is simulated forward and scored by
-    the Wasserstein-1 distance (sliced for d >= 2) to the target terminal
-    ensemble.  Candidates within the Monte Carlo noise floor of the best
-    score are flagged as tied; the reported minimizer is the
-    lexicographically smallest tied candidate.
+    the sliced Wasserstein-1 distance (W1 itself in 1-D) to the target
+    terminal ensemble, whose projections are sorted once.  Candidates run
+    on every usable CPU (``forward._fork_map``), each score a pure function
+    of (seed, index), so the bits do not depend on the CPU count.
+    Candidates within the Monte Carlo noise floor of the best score are
+    flagged as tied; the minimizer is the lexicographically smallest tied one.
     """
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in candidate_grid]
     if not pts:
@@ -248,11 +246,15 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
                          f"got {target.shape[0]}")
     half = target.shape[0] // 2
     floor = _cloud_distance(target[:half], target[half:], "wasserstein1", seed)
+    key = sorted_projections(target, seed=seed)
 
-    scores = []
-    for i, p in enumerate(pts):
-        cloud = _terminal_cloud(model, DiracMixture([p]), T, n, n_steps, seed, i)
-        scores.append(_cloud_distance(cloud, target, "wasserstein1", seed))
+    def score(i):
+        cloud = _terminal_cloud(model, DiracMixture([pts[i]]), T, n, n_steps,
+                                seed, i)
+        return sliced_wasserstein1_sorted(sorted_projections(cloud, seed=seed),
+                                          key)
+
+    scores = _fork_map(score, len(pts))
     best = min(scores)
     tied = [s <= best + floor for s in scores]
     winners = sorted(tuple(p) for p, t in zip(pts, tied) if t)

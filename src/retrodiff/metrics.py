@@ -103,6 +103,8 @@ def sliced_wasserstein1(X, Y, seed=0):
 
     For d = 1, and for two 1-d arrays, this is ``wasserstein1`` itself.
     """
+    if _cloud(X).shape[1] == _cloud(Y).shape[1] == 1:
+        return wasserstein1(X, Y)
     return sliced_wasserstein1_sorted(
         sorted_projections(X, seed), sorted_projections(Y, seed))
 

@@ -347,6 +347,15 @@ def test_seeded_output_bits_are_pinned(name):
     assert _digest(*CASES[name]()) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["injectivity_probe_2d", "dirac_search_1d",
+                                  "dirac_search_2d"])
+def test_recovery_bits_hold_on_three_cpus(name, monkeypatch):
+    # the probe and the search share their clouds among 3 processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert _digest(*CASES[name]()) == DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_csv_bytes_are_pinned(name):
     assert _bytes_digest(*CLI_CASES[name]()) == CLI_DIGESTS[name]

@@ -432,9 +432,48 @@ def test_failing_child_raises_and_is_reaped(monkeypatch):
     monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
     fds = _open_fds()
-    with pytest.raises(RuntimeError,
-                       match="part 1 of 3 exited with status 1"):
+    # the child's own exception, whatever the CPU count
+    with pytest.raises(ValueError, match="^child fails$"):
         export_snapshots_csv(_path(*SMALL), io.StringIO())
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+def test_child_that_exits_without_a_report_names_its_status(monkeypatch):
+    parent = os.getpid()
+
+    def rows(lo, hi, out):
+        if os.getpid() != parent:
+            os._exit(3)
+        return [lo]
+
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="part 1 of 3 exited with status 3"):
+        forward._fork_shares(9, rows, lambda part: None)
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_keeps_the_order_and_nests_serially(cpus, monkeypatch):
+    parent = os.getpid()
+
+    def nested(i):
+        inner = forward._fork_map(lambda j: (os.getpid(), i * j), 4)
+        forked = os.getpid() != parent
+        # a child's own call stays in that child
+        assert not forked or {pid for pid, _ in inner} == {os.getpid()}
+        return forked, [v for _, v in inner]
+
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+    fds = _open_fds()
+    out = forward._fork_map(nested, 7)
+    assert [v for _, v in out] == [[i * j for j in range(4)] for i in range(7)]
+    # shares are contiguous: the caller's first, one per CPU
+    assert [forked for forked, _ in out] == [i >= 7 // cpus for i in range(7)]
     _assert_no_child_left()
     assert _open_fds() == fds
 

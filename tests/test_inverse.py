@@ -1,5 +1,8 @@
 """Source recovery: ODE-exactness oracles, matrix exponentials, searches."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,7 +23,9 @@ from retrodiff import (
     euler_maruyama_path,
     sample_initial,
 )
+from retrodiff import inverse
 from retrodiff.models import affine_model, heat_model, ou_model
+from test_forward import _assert_no_child_left, _cpus, _open_fds, needs_fork
 
 GRID = TimeGrid(0.0, 1.0, 1000)
 
@@ -231,3 +236,102 @@ def test_search_self_match_and_tie_break():
     assert res.x_hat[0] == 0.0
     with pytest.raises(ValueError, match="empty"):
         reconstruct_dirac_search(model, target, [], T=1.0, n=10, seed=0)
+
+
+def _probe_bits(metric, d):
+    model = heat_model(dim=d)
+    cands = [dirac([0.1 * k] * d) for k in range(5)]
+    rep = injectivity_probe(model, cands, T=0.5, n=60, seed=40, metric=metric,
+                            n_steps=10)
+    return rep.distances, np.array([rep.noise_floor]), rep.verdict
+
+
+def _search_bits(d):
+    model = heat_model(dim=d)
+    target = sample_initial(gaussian([0.2] * d, 0.5 * np.eye(d)), 80, seed=41)
+    res = reconstruct_dirac_search(model, target, [[0.1 * k] * d
+                                                   for k in range(5)],
+                                   T=0.5, n=60, seed=42, n_steps=10)
+    return (np.array([s for _, s, _ in res.table]), res.x_hat,
+            np.array([res.noise_floor]))
+
+
+REPORTS = {
+    "probe-w1-1d": lambda: _probe_bits("wasserstein1", 1),
+    "probe-w1-2d": lambda: _probe_bits("wasserstein1", 2),
+    "probe-mean-1d": lambda: _probe_bits("mean", 1),
+    "probe-mean-2d": lambda: _probe_bits("mean", 2),
+    "search-1d": lambda: _search_bits(1),
+    "search-2d": lambda: _search_bits(2),
+}
+
+
+def _raw(report):
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in report]
+
+
+@needs_fork
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_reports_have_the_same_bits_on_any_cpu_count(case, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(1))
+    want = _raw(REPORTS[case]())
+    assert forks == []
+    fds = _open_fds()
+    for cpus in (2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+        assert _raw(REPORTS[case]()) == want
+        _assert_no_child_left()
+    assert len(forks) > 0
+    assert _open_fds() == fds
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_candidate_that_blows_up_raises_its_own_error(cpus, monkeypatch):
+    # the last candidate's cloud overflows, in the third process on 3 CPUs
+    model = affine_model([0.0], [[10.0]])
+    cands = [[0.0], [0.5], [1e308]]
+    target = sample_initial(dirac([0.0]), 20, seed=43)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="non-finite position for particle "
+                                           "0 at step 1"):
+        reconstruct_dirac_search(model, target, cands, T=0.5, n=20, seed=43,
+                                 n_steps=5)
+    with pytest.raises(RuntimeError, match="non-finite position"):
+        injectivity_probe(model, [dirac(c) for c in cands], T=0.5, n=20,
+                          seed=43, n_steps=5)
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+def test_an_interrupted_probe_kills_and_reaps_its_children(monkeypatch):
+    parent = os.getpid()
+    cloud = inverse._terminal_cloud
+
+    def sleep_in_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return cloud(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(inverse, "_terminal_cloud", sleep_in_child)
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+    fds = _open_fds()
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        injectivity_probe(heat_model(), [dirac([0.0]), dirac([1.0]),
+                                         dirac([2.0])], T=0.5, n=20, seed=44)
+    # the sleeping children were killed, not waited for
+    assert time.perf_counter() - t0 < 30
+    _assert_no_child_left()
+    assert _open_fds() == fds
