@@ -4,9 +4,10 @@ Kernel density estimation with a Gaussian product kernel and a diagonal
 (per-dimension) bandwidth.  All kernel sums run through log-sum-exp, so
 densities never overflow and far-field queries degrade to an explicit
 "vacuum" error instead of silent zeros.  Fields are immutable snapshots;
-concurrent queries are safe.
+concurrent queries are safe (see :class:`KdeField`).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -69,15 +70,24 @@ def _checked_bandwidth(bandwidth, d):
 
 
 class KdeField:
-    """Gaussian-kernel estimate over a particle cloud."""
+    """Gaussian-kernel estimate over a particle cloud.
+
+    A field is built with the cloud, its bandwidth and the kernel's log
+    normalisation only.  What a single evaluator reads is built on that
+    evaluator's first call and kept: the exact sums' copy of the cloud in
+    bandwidth units (``_scaled_cloud``) and the 2-D binned path's tensor
+    grid (``_tensor_grid``).  The 1-D binned path keeps nothing.  Both are
+    ``functools.cached_property`` values computed from the cloud and the
+    bandwidth alone, so threads that race on a first call compute the same
+    bits, and whichever copy is stored gives every query the same answer:
+    concurrent queries are safe.
+    """
 
     def __init__(self, positions, bandwidth):
         X = np.atleast_2d(np.asarray(positions, dtype=float))
         h = _checked_bandwidth(bandwidth, X.shape[1])
         self.positions = X
         self.bandwidth = h.copy()
-        self._scaled = X / h
-        self._scaled_sq = np.sum(self._scaled * self._scaled, axis=1)
         self._log_norm = -math.log(X.shape[0]) - float(
             np.sum(np.log(h * math.sqrt(2.0 * math.pi)))
         )
@@ -90,12 +100,26 @@ class KdeField:
     def dim(self):
         return self.positions.shape[1]
 
+    @functools.cached_property
+    def _scaled_cloud(self):
+        # the exact sums' sources in bandwidth units and their squared norms
+        scaled = self.positions / self.bandwidth
+        return scaled, np.sum(scaled * scaled, axis=1)
+
     def _log_weights(self, xs):
         # (M, N) kernel log-weights for query rows xs: one squared-distance
         # block, scaled in place
-        lw = _sq_dist_block(xs / self.bandwidth, self._scaled, self._scaled_sq)
+        lw = _sq_dist_block(xs / self.bandwidth, *self._scaled_cloud)
         lw *= -0.5
         return lw
+
+    def _queries(self, x, exclude_self):
+        # query rows of x; leaving each particle's own kernel out needs the
+        # queries to be the source cloud, so at least its shape must match
+        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        if exclude_self and xs.shape != self.positions.shape:
+            raise ValueError("exclude_self requires querying the source cloud")
+        return xs
 
     def log_density_and_score(self, x, exclude_self=False):
         """Log density and score rows for queries x; vacuum entries are NaN.
@@ -107,9 +131,7 @@ class KdeField:
         and isolated particles stop feeling the pull of the bulk.
         """
         single = np.ndim(x) == 1
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        if exclude_self and xs.shape != self.positions.shape:
-            raise ValueError("exclude_self requires querying the source cloud")
+        xs = self._queries(x, exclude_self)
         M = xs.shape[0]
         logp = np.empty(M)
         score = np.empty_like(xs)
@@ -154,7 +176,7 @@ class KdeField:
         X = self.positions
         if self.n >= 256 and self.dim == 1:
             return self.binned_log_density_and_score(X, exclude_self=True)
-        if self.n >= 256 and self.dim == 2 and self._tensor_grid() is not None:
+        if self.n >= 256 and self.dim == 2 and self._tensor_grid is not None:
             return self._binned_2d(X, exclude_self=True)
         return self.log_density_and_score(X, exclude_self=True)
 
@@ -164,9 +186,11 @@ class KdeField:
         Sources are linearly binned, the kernel and its derivative are
         applied by FFT convolution, and queries are linearly interpolated:
         each query's cell is found by index on the uniform grid, not by a
-        search, and is shared by the density and the gradient, and the
-        interpolation is ``np.interp``'s arithmetic, so the values have its
-        bits (see ``_interp_uniform``).
+        search, and is shared by the density and the gradient, and each
+        grid gets one table of per-cell slopes, so a query costs a gather
+        of its slope and of its cell's value.  The interpolation is
+        ``np.interp``'s arithmetic, so the values have its bits (see
+        ``_interp_uniform``).
         The grid starts at 4096 points and doubles, up to 2^20, until a
         cell is at most a quarter bandwidth.  The error against the exact evaluation is
         about 1e-5 at the particles (relative density and absolute score
@@ -177,12 +201,13 @@ class KdeField:
         queries the particles only.  Cost is O(G log G + N) instead of
         O(N M), which is what makes kernel drifts affordable inside the
         reversal loop.  Semantics (floor, exclude_self) match the exact
-        evaluation.
+        evaluation: ``exclude_self`` with queries that are not the source
+        cloud raises ``ValueError``.
         """
         if self.dim != 1:
             raise ValueError("binned evaluation is one-dimensional only")
         single = np.ndim(x) == 1
-        xs = np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+        xs = self._queries(x, exclude_self)[:, 0]
         src = self.positions[:, 0]
         h = float(self.bandwidth[0])
         lo, hi = src.min() - 8.0 * h, src.max() + 8.0 * h
@@ -191,7 +216,7 @@ class KdeField:
             G *= 2  # keep the kernel resolved even for stretched clouds
         dg = (hi - lo) / (G - 1)
         pos = (src - lo) / dg
-        i0 = np.floor(pos).astype(int)
+        i0 = pos.astype(np.intp)  # the floor, since pos > 0
         w1 = pos - i0
         rho = (
             np.bincount(i0, weights=1.0 - w1, minlength=G + 1)
@@ -204,17 +229,19 @@ class KdeField:
         spec = np.fft.rfft(rho, n_fft)
 
         def conv(kernel):
-            kk = np.zeros(n_fft)
-            kk[: len(kernel)] = kernel
-            kk = np.roll(kk, -m)
+            # keep the kernel's transform a temporary: from 256 KiB on,
+            # numpy multiplies into it in place as ``kk * spec``, and the
+            # complex product's rounding depends on the operand order
+            kk = _centred(kernel, n_fft)
             return np.fft.irfft(spec * np.fft.rfft(kk), n_fft)[:G] * dg
 
         dens_g = np.maximum(conv(K), 0.0)
         grad_g = conv(-(u / h**2) * K)
         grid = lo + dg * np.arange(G)
         inside = (xs >= lo) & (xs <= hi)
-        dens, grad = _interp_uniform(np.where(inside, xs, lo), grid, dg,
-                                     (dens_g, grad_g))
+        if not inside.all():
+            xs = np.where(inside, xs, lo)
+        dens, grad = _interp_uniform(xs, grid, dg, (dens_g, grad_g))
         k_self = (1.0 / (self.n * h * math.sqrt(2.0 * math.pi))
                   if exclude_self else None)
         logp, score = self._binned_finish(inside, dens, grad[:, None], k_self)
@@ -222,13 +249,16 @@ class KdeField:
             return logp[0], score[0]
         return logp, score
 
+    @functools.cached_property
     def _tensor_grid(self):
         """Start, cell and point count per axis of the 2-D binned grid.
 
         The grid covers [min - 8h, max + 8h] on each axis with a cell of at
         most h/4, and two points more than it make an FFT length with no
-        prime factor above 5.  Returns None when it would have more than
-        ``_GRID_POINTS_2D`` points.
+        prime factor above 5.  None when it would have more than
+        ``_GRID_POINTS_2D`` points.  Computed once per field, for the
+        dispatch in ``log_density_and_score_at_sources`` and the evaluation
+        alike.
         """
         h = self.bandwidth
         lo = self.positions.min(axis=0) - 8.0 * h
@@ -251,8 +281,9 @@ class KdeField:
         convolution's zero padding: every source lies at least m - 1 cells
         inside them, m the kernel's half-width in cells, so with a period of
         two points more than the grid no kernel wraps onto a grid point.
-        Queries off the grid are vacuum; the floor and ``exclude_self`` are
-        those of the 1-D path.
+        Queries off the grid are vacuum; the floor and ``exclude_self``
+        (which raises ``ValueError`` unless the queries are the source
+        cloud) are those of the 1-D path.
 
         The kernel is narrowed by the variance dg^2 / 3 that bilinear
         binning and interpolation add on average.
@@ -268,12 +299,12 @@ class KdeField:
         G grid points instead of O(N M): 3.5 ms at N = 2000 against 35-58 ms
         for the exact sums.
         """
-        grid = self._tensor_grid()
+        grid = self._tensor_grid
         if grid is None:
             raise ValueError("2-D binned grid exceeds its point cap")
         lo, dg, G = grid
         h = self.bandwidth
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        xs = self._queries(x, exclude_self)
         pos = (self.positions - lo) / dg
         i = np.floor(pos).astype(np.intp)
         f0, f1 = (pos - i).T
@@ -294,9 +325,8 @@ class KdeField:
             he = math.sqrt(h[a] ** 2 - dg[a] ** 2 / 3.0)
             K = np.exp(-0.5 * (u / he) ** 2) / (he * math.sqrt(2.0 * math.pi))
             # kernel and its derivative, centred at index 0 of the period
-            kk = np.zeros((2, n_fft[a]))
-            kk[:, : 2 * m + 1] = K, -(u / he**2) * K
-            kernels.append(transform(np.roll(kk, -m, axis=1), axis=1))
+            kk = _centred(np.stack([K, -(u / he**2) * K]), n_fft[a])
+            kernels.append(transform(kk, axis=1))
         (k0, dk0), (k1, dk1) = kernels
         spec = np.fft.rfftn(rho, n_fft, axes=(0, 1))
         fields = np.stack([
@@ -307,7 +337,9 @@ class KdeField:
         np.maximum(fields[0], 0.0, out=fields[0])
         hi = lo + dg * (G - 1)
         inside = ((xs >= lo) & (xs <= hi)).all(axis=1)
-        q = (np.where(inside[:, None], xs, lo) - lo) / dg
+        if not inside.all():
+            xs = np.where(inside[:, None], xs, lo)
+        q = (xs - lo) / dg
         j = np.clip(np.floor(q), 0, G - 2).astype(np.intp)
         t0, t1 = (q - j).T
         k = j[:, 0] * G[1] + j[:, 1]
@@ -321,21 +353,29 @@ class KdeField:
     def _binned_finish(self, inside, dens, grad, k_self):
         """Log density and score rows from interpolated density and gradient.
 
-        Queries off the grid (``inside`` False) get zero density, so they
-        fall below the floor n * 1e-300 and are vacuum: -inf and NaN.  A
-        ``k_self`` value, each source's own kernel at itself, is subtracted
-        from the density first.
+        A ``k_self`` value, each source's own kernel at itself, is
+        subtracted from the density first.  Rows whose density is not at
+        least the floor n * 1e-300 (zero, negative, below it or NaN) and
+        queries off the grid (``inside`` False), whatever their
+        interpolated values, are vacuum: -inf and NaN.  Every other row gets
+        log(dens) and grad / dens.  The arithmetic runs once over all rows
+        on max(dens, 1e-300), which is dens itself on every row above the
+        floor, and one mask of the rows below it sets the vacuum values
+        afterwards, so no masked copy of either input is made.
         """
-        dens = np.where(inside, dens, 0.0)
-        grad = np.where(inside[:, None], grad, 0.0)
         if k_self is not None:
             dens = dens - k_self
-        floor = self.n * 1e-300
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-300)), -np.inf)
-            score = np.where((dens >= floor)[:, None],
-                             grad / np.maximum(dens, 1e-300)[:, None], np.nan)
-        logp[dens < floor] = -np.inf
+        low = ~(dens >= self.n * 1e-300)
+        if not inside.all():
+            low |= ~inside
+        safe = np.maximum(dens, 1e-300)
+        # the vacuum rows' quotients, overwritten below, may overflow
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logp = np.log(safe)
+            score = grad / safe[:, None]
+        if low.any():
+            logp[low] = -np.inf
+            score[low] = np.nan
         return logp, score
 
 
@@ -351,32 +391,62 @@ def _fft_length(n):
         n += 1
 
 
+def _centred(kernels, n):
+    """Kernels of odd length 2m + 1 (last axis) as periods of n points.
+
+    The centre sits at index 0 and the left half wraps to the end: the
+    zero-padded kernels rolled by -m, written straight into place.
+    """
+    m = kernels.shape[-1] // 2
+    out = np.zeros(kernels.shape[:-1] + (n,))
+    out[..., : m + 1] = kernels[..., m:]
+    out[..., n - m:] = kernels[..., :m]
+    return out
+
+
 def _interp_uniform(x, grid, dg, values):
     """``np.interp(x, grid, f)`` for each f in ``values``, found by index.
 
     ``grid`` is ``grid[0] + dg * np.arange(G)`` and every x lies at or
     above ``grid[0]``.  The cell j with grid[j] <= x < grid[j + 1], which
-    ``np.interp``'s binary search finds, is the floor of (x - grid[0]) / dg
-    corrected by one step against the rounded nodes; all outputs share it.
-    Each value is ``np.interp``'s own: f[j] on a node, f[-1] at or past the
-    last node, and otherwise
-    ``(f[j+1] - f[j]) / (grid[j+1] - grid[j]) * (x - grid[j]) + f[j]``.
+    ``np.interp``'s binary search finds, is the integer part of
+    (x - grid[0]) / dg, moved by one step for the few queries where the
+    rounded nodes disagree with it; all outputs share it.  Each value is
+    ``np.interp``'s own: f[j] on a node, f[-1] at or past the last node,
+    and otherwise ``slope[j] * (x - grid[j]) + f[j]`` from the per-cell
+    table ``slope = (f[1:] - f[:-1]) / (grid[1:] - grid[:-1])``, which
+    ``np.interp`` itself builds whenever the grid is no longer than the
+    query array.  A table costs G - 1 divisions, and then a query costs a
+    gather of its slope and of f[j], a product and a sum; the queries on a
+    node or at or past the last node are set afterwards, sparsely.
     """
     G = grid.size
-    j = np.floor((x - grid[0]) / dg)
-    np.clip(j, 0, G - 2, out=j)
-    j = j.astype(np.intp)
-    j -= grid[j] > x
-    j += grid[j + 1] <= x
-    take = (grid[j] == x) | (j == G - 1)
-    cell = np.minimum(j, G - 2)
-    g0 = grid[cell]
-    width = grid[cell + 1] - g0
-    dx = x - g0
+    t = x - grid[0]
+    t /= dg
+    np.clip(t, 0, G - 2, out=t)
+    j = t.astype(np.intp)  # the floor, since t >= 0
+    g = grid[j]
+    off = np.flatnonzero((g > x) | (grid[1:][j] <= x))
+    last = np.empty(0, np.intp)  # queries at or past the last node
+    if off.size:
+        k = j[off]
+        xo = x[off]
+        k -= grid[k] > xo
+        k += grid[k + 1] <= xo
+        last = off[k == G - 1]
+        j[off] = k = np.minimum(k, G - 2)
+        g[off] = grid[k]
+    dx = x - g
+    on = np.flatnonzero(dx == 0.0)  # x on node j
+    widths = np.diff(grid)
     out = []
     for f in values:
-        f0 = f[cell]
-        out.append(np.where(take, f[j], (f[cell + 1] - f0) / width * dx + f0))
+        v = (np.diff(f) / widths)[j]
+        v *= dx
+        v += f[j]
+        v[on] = f[j[on]]
+        v[last] = f[-1]
+        out.append(v)
     return out
 
 

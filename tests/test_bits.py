@@ -31,6 +31,12 @@ coefficient OU models moved from RK4 to exact semigroup steps; the
 constant-model ``fourier_ode_constant`` case, which stays RK4, was
 recorded before that change and pins the constant model's RK4 route.
 
+The ``kde_*`` cases hash the KDE evaluators' own outputs (the binned 1-D
+path below and above 4096 particles and on a doubled grid, plain and
+off-grid queries, the 2-D tensor-grid path and the exact sums), as
+recorded while the binned 1-D path still interpolated each grid with
+per-query slopes and ``np.roll``ed its kernels into place.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
@@ -219,6 +225,64 @@ def reversal_selfconsistent_piecewise():
     return _diag(run)
 
 
+def _bimodal(n, d, seed):
+    rng = rd.substream(seed, n)
+    return np.concatenate([rng.standard_normal((n // 2, d)) - 1.5,
+                           0.5 * rng.standard_normal((n - n // 2, d)) + 1.0])
+
+
+def kde_binned_1d_sources():
+    # clouds of fewer and of more particles than the 4096-point grid has,
+    # at their own particles with the self-kernel left out
+    out = []
+    for n in (1000, 20000):
+        X = _bimodal(n, 1, 31)
+        out += rd.KdeField(X, rd.score_bandwidth(X)).log_density_and_score_at_sources()
+    return tuple(out)
+
+
+def kde_binned_1d_stretched():
+    # spread over thousands of bandwidths: the grid doubles to 32768 points
+    X = np.concatenate([[0.0, 500.0],
+                        rd.substream(32, 0).uniform(0.0, 500.0, 2998)])[:, None]
+    return rd.KdeField(X, 0.1).log_density_and_score_at_sources()
+
+
+def kde_binned_1d_queries():
+    # plain queries: between and on grid nodes, at and past both grid ends,
+    # non-finite, and one single point
+    X = _bimodal(2000, 1, 33)
+    h = float(rd.score_bandwidth(X)[0])
+    f = rd.KdeField(X, h)
+    lo, hi = X.min() - 8.0 * h, X.max() + 8.0 * h
+    grid = lo + (hi - lo) / 4095 * np.arange(4096)
+    ends = np.array([lo, hi, grid[-1]])
+    q = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 3001), grid[::97],
+                        ends, np.nextafter(ends, -np.inf),
+                        np.nextafter(ends, np.inf), [np.nan, -np.inf, np.inf]])
+    logp, score = f.binned_log_density_and_score(q[:, None])
+    logp1, score1 = f.binned_log_density_and_score([0.25])
+    return logp, score, logp1, score1
+
+
+def kde_binned_2d():
+    # the 2-D tensor-grid path at the sources, and plain queries on and off
+    # the grid
+    X = _bimodal(2000, 2, 34)
+    f = rd.KdeField(X, 0.5 * X.std(axis=0, ddof=1))
+    q = np.concatenate([X[:200], [[-12.0, 0.0], [0.0, 12.0], [np.nan, 0.0]]])
+    return f.log_density_and_score_at_sources() + f._binned_2d(q)
+
+
+def kde_exact():
+    # the exact sums: a small cloud at its sources, plain queries, one point
+    X = _bimodal(200, 2, 35)
+    f = rd.KdeField(X, rd.score_bandwidth(X))
+    q = _bimodal(700, 2, 36)
+    return (f.log_density_and_score_at_sources() + f.log_density_and_score(q)
+            + f.log_density_and_score([0.1, -0.2]))
+
+
 CASES = {
     "em_ou_2d": em_ou_2d,
     "em_sqrt1px2": em_sqrt1px2,
@@ -236,6 +300,11 @@ CASES = {
     "em_piecewise": em_piecewise,
     "moment_bound_piecewise": moment_bound_piecewise,
     "reversal_selfconsistent_piecewise": reversal_selfconsistent_piecewise,
+    "kde_binned_1d_sources": kde_binned_1d_sources,
+    "kde_binned_1d_stretched": kde_binned_1d_stretched,
+    "kde_binned_1d_queries": kde_binned_1d_queries,
+    "kde_binned_2d": kde_binned_2d,
+    "kde_exact": kde_exact,
 }
 
 CLI_REVERSE_2D = """
@@ -339,6 +408,11 @@ DIGESTS = {
     "em_piecewise": "508635e3aad5d7041a1d63b17b03c722390ad589f11187694b73544315d94512",
     "moment_bound_piecewise": "bb13ece8ba7d002fd5a06eaa16619198e188045c37ae66e6dffb0c583ee92bd5",
     "reversal_selfconsistent_piecewise": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
+    "kde_binned_1d_sources": "10d0716e7202c412ae886f2942bbc8c775763dfb286302d3ae9ba9880d4a7978",
+    "kde_binned_1d_stretched": "190fd0426c481e87781b8a5f7c3058e409ff390b8d830ddbd1272446ab208ad0",
+    "kde_binned_1d_queries": "e38ef0d9c8c699032a48da4af9d182b78a2366943e6b5b7ea8282ad64d9b5f59",
+    "kde_binned_2d": "3c8867cdf5ca8e5c1395dec6e8ac66b37adb3dd7c8f6ccb73e43a66ec91271b3",
+    "kde_exact": "4aa930c4a4ae2f9292d3a4879ae9fe08838ad2d8c619437dc15a80b4ca9e969d",
 }
 
 

@@ -264,7 +264,7 @@ def test_binned_2d_matches_exact_on_the_cloud(n, rule):
 def test_binned_2d_is_vacuum_outside_its_grid():
     X = bimodal_2d(500, 62)
     f = KdeField(X, [0.3, 0.2])
-    lo, dg, G = f._tensor_grid()
+    lo, dg, G = f._tensor_grid
     hi = lo + dg * (G - 1)
     mid = 0.5 * (lo + hi)
     q = np.array([[lo[0] - 0.01, mid[1]], [hi[0] + 0.01, mid[1]],
@@ -280,11 +280,11 @@ def test_binned_2d_is_vacuum_outside_its_grid():
 
 def test_binned_2d_grid_has_a_point_cap():
     X = substream(3, 63).standard_normal((1000, 2))
-    lo, dg, G = KdeField(X, 0.5)._tensor_grid()
+    lo, dg, G = KdeField(X, 0.5)._tensor_grid
     assert (dg <= 0.5 / 4).all() and np.prod(G) <= density._GRID_POINTS_2D
     # a narrow kernel needs more than 2^16 points: no grid, and no binning
     f = KdeField(X, 0.1)
-    assert f._tensor_grid() is None
+    assert f._tensor_grid is None
     with pytest.raises(ValueError, match="cap"):
         f._binned_2d(X)
 
@@ -416,3 +416,101 @@ def test_exact_evaluation_builds_one_block_per_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block, f"peak {peak / 1e6:.1f} MB"
+
+
+def finish_oracle(n, inside, dens, grad, k_self):
+    # _binned_finish as first written: masked copies of both inputs, then
+    # three np.where selections and a second floor mask
+    dens = np.where(inside, dens, 0.0)
+    grad = np.where(inside[:, None], grad, 0.0)
+    if k_self is not None:
+        dens = dens - k_self
+    floor = n * 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logp = np.where(dens > 0.0, np.log(np.maximum(dens, 1e-300)), -np.inf)
+        score = np.where((dens >= floor)[:, None],
+                         grad / np.maximum(dens, 1e-300)[:, None], np.nan)
+    logp[dens < floor] = -np.inf
+    return logp, score
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 7, 2000]), d=st.integers(1, 2),
+       k_self=st.sampled_from([None, 0.0, 1e-300, 0.37]), data=st.data())
+def test_binned_finish_has_the_masked_formula_bits(n, d, k_self, data):
+    # densities at, one ulp above and one ulp below the floor (before and
+    # after the self-kernel), signed zeros, negatives, NaN and infinities;
+    # rows off the grid whatever their values
+    floor = n * 1e-300
+    edges = [floor, np.nextafter(floor, np.inf), np.nextafter(floor, -np.inf)]
+    edges += [e + (k_self or 0.0) for e in edges]
+    special = edges + [0.0, -0.0, -1.0, -floor, 1e-300, 5e-324, 1.0,
+                       np.nan, np.inf, -np.inf]
+    m = data.draw(st.integers(0, 24))
+    dens = data.draw(arrays(float, m, elements=st.one_of(
+        st.sampled_from(special), st.floats(allow_subnormal=True))))
+    grad = data.draw(arrays(float, (m, d), elements=st.floats()))
+    inside = data.draw(arrays(bool, m, elements=st.booleans()))
+    f = KdeField(np.arange(n, dtype=float)[:, None], 1.0)
+    got = f._binned_finish(inside, dens.copy(), grad.copy(), k_self)
+    for g, w in zip(got, finish_oracle(n, inside, dens, grad, k_self)):
+        assert g.shape == w.shape
+        assert_same_bits(g, w)
+
+
+def test_centred_kernel_is_the_rolled_padding():
+    K = np.arange(1.0, 12.0)
+    kk = np.zeros(32)
+    kk[: K.size] = K
+    assert_same_bits(density._centred(K, 32), np.roll(kk, -5))
+    both = np.stack([K, -K])
+    padded = np.zeros((2, 11))
+    padded[:, :11] = both
+    assert_same_bits(density._centred(both, 11), np.roll(padded, -5, axis=1))
+
+
+def arrays_held(field):
+    # every array the field keeps, also inside tuples
+    for v in vars(field).values():
+        for a in (v if isinstance(v, tuple) else (v,)):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+def test_binned_path_keeps_no_copy_of_the_cloud():
+    # the 1-D binned path reads the cloud itself; the exact sums build
+    # their scaled copy on their first query
+    X = substream(9, 57).standard_normal((500, 1))
+    f = KdeField(X, score_bandwidth(X))
+    f.log_density_and_score_at_sources()
+    f.binned_log_density_and_score(X[:7])
+    rows = [a for a in arrays_held(f) if a.shape[:1] == (f.n,)]
+    assert len(rows) == 1 and rows[0] is f.positions
+    f.log_density_and_score(X[:7])
+    assert sum(a.shape[:1] == (f.n,) for a in arrays_held(f)) == 3
+
+
+@pytest.mark.parametrize("d, path", [(1, "log_density_and_score"),
+                                     (1, "binned_log_density_and_score"),
+                                     (2, "log_density_and_score"),
+                                     (2, "_binned_2d")])
+def test_exclude_self_needs_the_source_cloud(d, path):
+    X = substream(d, 58).standard_normal((500, d))
+    method = getattr(KdeField(X, 0.3), path)
+    with pytest.raises(ValueError, match="exclude_self requires"):
+        method(X[:10], exclude_self=True)
+    # the cloud itself is accepted, and plain queries need no match
+    assert np.isfinite(method(X, exclude_self=True)[0]).all()
+    assert np.isfinite(method(X[:10])[0]).all()
+
+
+def test_2d_grid_is_built_once_per_field(monkeypatch):
+    calls = []
+    fft_length = density._fft_length
+    monkeypatch.setattr(density, "_fft_length",
+                        lambda n: calls.append(n) or fft_length(n))
+    X = bimodal_2d(500, 64)
+    f = KdeField(X, [0.3, 0.2])
+    f.log_density_and_score_at_sources()
+    f._binned_2d(X[:5])
+    assert len(calls) == 2  # one FFT length per axis
