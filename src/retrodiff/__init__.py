@@ -10,7 +10,6 @@ from terminal data.
 from .distributions import (
     DegenerateDensityError,
     DiracMixture,
-    Empirical,
     GaussianMixture,
     dirac,
     gaussian,

@@ -10,6 +10,9 @@ bytes (reruns of the same config are byte-identical); timestamps and the
 wall seconds of each phase live in a separate metadata file; bulk particle
 data goes to CSV.  The exit code is 0 iff every configured threshold
 passes, 1 on a threshold failure and 2 on usage or configuration errors.
+Each command reads all of its settings before its first phase, and that
+phase first refuses, with exit 2, every key the command did not read, so
+a configured threshold cannot go unchecked.
 All randomness derives from the mandatory ``seed`` key.  BLAS threads
 follow the standard ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``
 variables, which take effect only when set before launch.
@@ -92,6 +95,31 @@ class ConfigError(ValueError):
     pass
 
 
+class _Section(dict):
+    """One config section's values; it records each key a command reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _refuse_unread(cfg):
+    """Refuse the keys the command did not read: a key it ignores, such as a
+    threshold, would pass unchecked."""
+    unread = [f"{section}.{key}" for section, values in cfg.items()
+              for key in values if key not in values.read]
+    if unread:
+        raise ConfigError(f"this command does not read {', '.join(unread)}")
+
+
 def _parse_vector(text, key):
     try:
         v = [float(x) for x in text.replace(",", " ").split()]
@@ -149,7 +177,7 @@ def load_config(path):
     for section in parser.sections():
         if section not in _ALLOWED_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        cfg[section] = {}
+        cfg[section] = _Section()
         for key, value in parser.items(section):
             if key not in _ALLOWED_KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
@@ -267,12 +295,15 @@ class _Emitter:
     """Writes every artifact under the output directory, refusing clobbers.
 
     The directory is made on the first write, so a run that stops at a
-    configuration error leaves none behind.
+    configuration error leaves none behind.  Every command reads all of its
+    settings before its first phase, so that phase first refuses the keys
+    of ``cfg`` that were not read.
     """
 
-    def __init__(self, directory, force):
+    def __init__(self, directory, force, cfg):
         self.dir = directory
         self.force = force
+        self.cfg = cfg
         self.phase_seconds = {}
         self.export_processes = None
 
@@ -294,6 +325,8 @@ class _Emitter:
     @contextlib.contextmanager
     def phase(self, name):
         """Record the wall seconds of the enclosed block in metadata.json."""
+        if not self.phase_seconds:
+            _refuse_unread(self.cfg)
         t0 = time.perf_counter()
         yield
         self.phase_seconds[name] = time.perf_counter() - t0
@@ -641,8 +674,10 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.output or cfg.get("output", {}).get("directory", "out")
-        emitter = _Emitter(out_dir, args.force)
+        # read even when --output overrides it
+        out_dir = cfg.get("output", {}).get("directory", "out")
+        out_dir = args.output or out_dir
+        emitter = _Emitter(out_dir, args.force, cfg)
         grid = _grid(cfg)
         model = build_model(cfg, grid.t_end)
         failures, payload = _COMMANDS[args.command](cfg, emitter, grid, model,

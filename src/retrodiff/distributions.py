@@ -1,4 +1,9 @@
-"""Initial / terminal distributions: Dirac lists, Gaussian mixtures, samples.
+"""Initial and terminal laws: Gaussian mixtures, point masses among them.
+
+One class, :class:`GaussianMixture`, holds every law.  A point mass at x0
+is the degenerate Gaussian N(x0, 0), so :class:`DiracMixture` only checks
+its points and passes zero covariances: the sampler, the transform and
+the OU marginal (which carries N(x0, 0) to N(R x0, Q)) each have one rule.
 
 The characteristic transform convention used throughout is
 
@@ -71,15 +76,6 @@ class GaussianMixture:
     @property
     def n_components(self):
         return len(self.weights)
-
-    def mean(self):
-        return self.weights @ self.means
-
-    def cov(self):
-        m = self.mean()
-        c = np.einsum("k,kij->ij", self.weights, self.covariances)
-        dm = self.means - m
-        return c + np.einsum("k,ki,kj->ij", self.weights, dm, dm)
 
     def sample(self, n, rng):
         comp = rng.choice(self.n_components, size=n, p=self.weights)
@@ -160,8 +156,12 @@ class GaussianMixture:
         return out[0] if np.ndim(xi) == 1 else out
 
 
-class DiracMixture:
-    """Weighted list of point masses."""
+class DiracMixture(GaussianMixture):
+    """Weighted list of point masses: zero-covariance Gaussian components.
+
+    ``score``, ``logpdf`` and ``cdf1d`` raise :class:`DegenerateDensityError`,
+    as for any singular mixture; a -0.0 coordinate may be drawn as +0.0.
+    """
 
     def __init__(self, points, weights=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -170,49 +170,10 @@ class DiracMixture:
                              f"d >= 1, got shape {points.shape}")
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
+        K, d = points.shape
         if weights is None:
-            weights = np.full(points.shape[0], 1.0 / points.shape[0])
-        self.points = points
-        self.weights = _as_weights(weights, points.shape[0])
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def mean(self):
-        return self.weights @ self.points
-
-    def sample(self, n, rng):
-        idx = rng.choice(len(self.weights), size=n, p=self.weights)
-        return self.points[idx]
-
-    def char_transform(self, xi):
-        xi2 = np.atleast_2d(np.asarray(xi, dtype=float))
-        out = np.exp(-1j * (xi2 @ self.points.T)) @ self.weights
-        return out[0] if np.ndim(xi) == 1 else out
-
-
-class Empirical:
-    """Distribution given by a finite sample; sampling is bootstrap resampling."""
-
-    def __init__(self, sample):
-        sample = np.atleast_2d(np.asarray(sample, dtype=float))
-        if not np.isfinite(sample).all():
-            raise ValueError("sample must be finite")
-        if sample.shape[0] < 1:
-            raise ValueError("sample must be non-empty")
-        self.points = sample
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def mean(self):
-        return self.points.mean(axis=0)
-
-    def sample(self, n, rng):
-        idx = rng.integers(0, self.points.shape[0], size=n)
-        return self.points[idx]
+            weights = np.full(K, 1.0 / K)
+        super().__init__(weights, points, np.zeros((K, d, d)))
 
 
 def gaussian(mean, cov):

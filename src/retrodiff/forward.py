@@ -182,7 +182,7 @@ def _exp(x):
 
 
 def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
-    """Empirical sup_t E|X^x_t - X^y_t|^2 against |y-x|^2 e^{K T}.
+    """Sample estimate of sup_t E|X^x_t - X^y_t|^2 against |y-x|^2 e^{K T}.
 
     Both trajectories consume the same noise streams (synchronous coupling),
     the (seed, FORWARD_STEP, k) streams of one re-keyed generator.

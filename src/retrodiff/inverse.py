@@ -173,6 +173,7 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
     "ambiguous" otherwise.  The clouds, then the pairs, run on every
     usable CPU (``forward._fork_map``); each result is a pure function of
     (seed, index), so the report has the same bits for any CPU count.
+    The report describes each candidate by its component means.
     """
     candidates = list(candidates)
     if len(candidates) < 2:
@@ -201,11 +202,8 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
                                   len(I))
     off = D[~np.eye(K, dtype=bool)]
     verdict = "injective" if off.min() > 3.0 * floor else "ambiguous"
-    descr = [getattr(c, "points", getattr(c, "means", None)) for c in candidates]
-    descr = [np.asarray(p).ravel() if p is not None else np.array([])
-             for p in descr]
-    return InjectivityReport(candidates=descr, distances=D, noise_floor=floor,
-                             verdict=verdict)
+    return InjectivityReport(candidates=[c.means.ravel() for c in candidates],
+                             distances=D, noise_floor=floor, verdict=verdict)
 
 
 @dataclass

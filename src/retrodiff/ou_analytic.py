@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DegenerateDensityError, DiracMixture, GaussianMixture
+from .distributions import DegenerateDensityError, GaussianMixture
 from .grids import TimeGrid
 from .resolvents import (
     _rk4_path,
@@ -133,21 +133,12 @@ class OUAnalytic:
     # ------------------------------------------------------------------
 
     def marginal(self, init, t):
-        """Marginal law at time t from a Dirac list or Gaussian mixture."""
+        """Marginal law at time t of a Gaussian mixture (point masses are
+        zero-covariance components): means R m_k, covariances R V_k R^T + Q."""
         Rt, Qt = self.R(t), self.Q(t)
-        if isinstance(init, DiracMixture):
-            if t <= 0.0:
-                raise DegenerateDensityError(
-                    "no-density-at-0: a point source has no density at t=0"
-                )
-            means = init.points @ Rt.T
-            covs = np.broadcast_to(Qt, (len(init.weights),) + Qt.shape)
-            return GaussianMixture(init.weights, means, covs.copy())
-        if isinstance(init, GaussianMixture):
-            means = init.means @ Rt.T
-            covs = np.einsum("ij,kjl,ml->kim", Rt, init.covariances, Rt) + Qt
-            return GaussianMixture(init.weights, means, covs)
-        raise TypeError("init must be a DiracMixture or GaussianMixture")
+        means = init.means @ Rt.T
+        covs = np.einsum("ij,kjl,ml->kim", Rt, init.covariances, Rt) + Qt
+        return GaussianMixture(init.weights, means, covs)
 
     def amplification_exponent(self, t, eta):
         """1/2 * int_0^t |sigma(s)^T D(s) eta|^2 ds by Gauss-Legendre."""

@@ -37,6 +37,11 @@ off-grid queries, the 2-D tensor-grid path and the exact sums), as
 recorded while the binned 1-D path still interpolated each grid with
 per-query slopes and ``np.roll``ed its kernels into place.
 
+The ``dirac_*`` cases hash a weighted two-point 2-D source's sample, its
+OU marginal at a grid node and between nodes (means, covariances and the
+score) and its transform, as recorded while ``DiracMixture`` still had its
+own sampler and transform and the marginal its own point-source rule.
+
 The digests hold for one floating-point environment (CPU, numpy, BLAS);
 on another one, recompute them with ``python tests/test_bits.py`` at a
 known-good commit.
@@ -283,6 +288,32 @@ def kde_exact():
             + f.log_density_and_score([0.1, -0.2]))
 
 
+def _two_points():
+    # a weighted two-point 2-D source with no zero coordinate
+    return rd.DiracMixture([[0.7, -1.3], [-0.4, 0.9]], [0.3, 0.7])
+
+
+def dirac_sample_2d():
+    return (rd.sample_initial(_two_points(), 500, seed=41).positions,)
+
+
+def dirac_marginal_2d():
+    # at a grid node and between nodes: means, covariances and the score
+    ou = rd.make_model("ou", C=[[-0.5, 1.0], [-1.0, -0.2]],
+                       sigma=[[1.0, 0.3], [0.0, 0.8]])
+    x = rd.substream(42, 0).standard_normal((50, 2))
+    out = []
+    for t in (0.5, 0.537):
+        mix = rd.ou_marginal(ou, _two_points(), t, n_steps=40)
+        out += [mix.means, mix.covariances, mix.score(x)]
+    return tuple(out)
+
+
+def dirac_char_transform_2d():
+    xi = 3.0 * rd.substream(43, 0).standard_normal((50, 2))
+    return (_two_points().char_transform(xi),)
+
+
 CASES = {
     "em_ou_2d": em_ou_2d,
     "em_sqrt1px2": em_sqrt1px2,
@@ -305,6 +336,9 @@ CASES = {
     "kde_binned_1d_queries": kde_binned_1d_queries,
     "kde_binned_2d": kde_binned_2d,
     "kde_exact": kde_exact,
+    "dirac_sample_2d": dirac_sample_2d,
+    "dirac_marginal_2d": dirac_marginal_2d,
+    "dirac_char_transform_2d": dirac_char_transform_2d,
 }
 
 CLI_REVERSE_2D = """
@@ -413,6 +447,9 @@ DIGESTS = {
     "kde_binned_1d_queries": "e38ef0d9c8c699032a48da4af9d182b78a2366943e6b5b7ea8282ad64d9b5f59",
     "kde_binned_2d": "3c8867cdf5ca8e5c1395dec6e8ac66b37adb3dd7c8f6ccb73e43a66ec91271b3",
     "kde_exact": "4aa930c4a4ae2f9292d3a4879ae9fe08838ad2d8c619437dc15a80b4ca9e969d",
+    "dirac_sample_2d": "6324fd84f744dac68a837ea07ec7351136e4c205144e41b69a9544fca1e04b72",
+    "dirac_marginal_2d": "0ed86b2f9904bb41ce194c75d9892686c4e444682d74471f73e1606d7eebc2a9",
+    "dirac_char_transform_2d": "b371c8710e2fcf80f73b9867686778df98024764e1b4516856293906f90529c5",
 }
 
 

@@ -121,6 +121,46 @@ HEAT_2D = "family = heat\ndim = 2"
 PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 1"
 
 
+@pytest.mark.parametrize("command, model, run, extra, unread", [
+    pytest.param("forward", HEAT, "init = dirac:0",
+                 "\n[thresholds]\nks_max = 1e-9\n", ["thresholds.ks_max"],
+                 id="forward-threshold"),
+    pytest.param("forward", HEAT + "\nc = 1",
+                 "init = dirac:0", "", ["model.c"], id="heat-model.c"),
+    pytest.param("invert", HEAT,
+                 "route = mean-ode\nterminal_mean = 0",
+                 "\n[thresholds]\nsearch_tolerance = 0.1\n",
+                 ["thresholds.search_tolerance"], id="mean-ode-search-tolerance"),
+    # every allowed key here is one that forward does not read
+    pytest.param("forward", HEAT + "\nc = 1",
+                 "init = dirac:0\nmu = dirac:0\nbandwidth = 0.1",
+                 "\n[thresholds]\nks_max = 1e-9\ntriangle_max_error = 1e-30\n",
+                 ["model.c", "run.mu", "run.bandwidth", "thresholds.ks_max",
+                  "thresholds.triangle_max_error"], id="forward-five-keys"),
+])
+def test_unread_keys_exit_2_before_any_output(tmp_path, capsys, command, model,
+                                               run, extra, unread):
+    # an allowed key that the command ignores would pass unchecked: a
+    # threshold it never tests must not read as a passed threshold
+    cfg = write_config(tmp_path / "c.ini", f"""
+[model]
+{model}
+
+[grid]
+n_steps = 20
+
+[run]
+seed = 1
+{run}
+
+[output]
+directory = {tmp_path / "out"}
+""" + extra)
+    assert main([command, "--config", cfg]) == 2
+    assert f"does not read {', '.join(unread)}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, model, t_end, run, message", [
     pytest.param("invert", HEAT, 1, "route = mean-ode\nterminal_mean = 0 abc",
                  "run.terminal_mean", id="vector-literal"),
@@ -821,25 +861,23 @@ n_steps = 1000
 
 [run]
 seed = 9
-particles = 100
-x = 0
-y = 1
-route = mean-ode
-terminal_mean = 1
+{run}
 
 [output]
 directory = {out}
 """
     # K T = 720: the Gronwall bound overflows to inf, so it holds vacuously
     cfg = write_config(tmp_path / "m.ini",
-                       body.format(b1=-360, out=tmp_path / "m"))
+                       body.format(b1=-360, out=tmp_path / "m",
+                                   run="particles = 100\nx = 0\ny = 1"))
     assert main(["moment-check", "--config", cfg]) == 0
     rep = json.loads((tmp_path / "m" / "report.json").read_text(),
                      parse_constant=strict_json)
     assert rep["bound"] is None and rep["passed"] is True
     # an overflowing backward mean is an error, not a passing report
     cfg = write_config(tmp_path / "i.ini",
-                       body.format(b1=1e300, out=tmp_path / "i"))
+                       body.format(b1=1e300, out=tmp_path / "i",
+                                   run="route = mean-ode\nterminal_mean = 1"))
     with pytest.raises(RuntimeError, match="non-finite mean at node"):
         main(["invert", "--config", cfg])
     assert not (tmp_path / "i").exists()

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from retrodiff import (
     DegenerateDensityError,
     DiracMixture,
-    Empirical,
     GaussianMixture,
     dirac,
     gaussian,
@@ -56,8 +55,8 @@ def test_covariance_validation():
 
 def test_gaussian_moments_and_density():
     g = gaussian([1.0, -2.0], np.diag([2.0, 0.5]))
-    assert np.allclose(g.mean(), [1.0, -2.0])
-    assert np.allclose(g.cov(), np.diag([2.0, 0.5]))
+    assert np.array_equal(g.means, [[1.0, -2.0]])
+    assert np.array_equal(g.covariances, [np.diag([2.0, 0.5])])
     # peak density of N(m, V)
     oracle = 1.0 / (2 * np.pi * np.sqrt(2.0 * 0.5))
     assert abs(g.pdf(np.array([1.0, -2.0])) - oracle) < 1e-14
@@ -177,13 +176,6 @@ def test_dirac_sampling_copies():
     d = DiracMixture([[1.0, -1.0]])
     out = d.sample(5, substream(0, 1))
     assert np.array_equal(out, np.tile([1.0, -1.0], (5, 1)))
-
-
-def test_empirical_bootstrap_subset():
-    src = np.array([[0.0], [1.0], [2.0]])
-    e = Empirical(src)
-    out = e.sample(50, substream(3, 4))
-    assert set(out.ravel()).issubset(set(src.ravel()))
 
 
 def test_degenerate_density_raises():

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from retrodiff import (
     DiracMixture,
     EnsemblePath,
-    Empirical,
     ParticleEnsemble,
     TimeGrid,
     check_moment_bound,
@@ -38,12 +37,6 @@ def test_sample_dirac_copies():
 def test_sample_gaussian_clt():
     ens = sample_initial(gaussian(0.0, 1.0), 10**5, seed=1)
     assert abs(ens.positions.mean()) < 3.0 / np.sqrt(1e5)
-
-
-def test_sample_empirical_subset():
-    src = np.array([[0.0], [2.0], [4.0]])
-    ens = sample_initial(Empirical(src), 64, seed=2)
-    assert set(ens.positions.ravel()).issubset({0.0, 2.0, 4.0})
 
 
 def test_frozen_particles_without_coefficients():

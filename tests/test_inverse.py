@@ -201,7 +201,7 @@ def test_injectivity_rotation_grid_mean_metric():
     assert rep.verdict == "injective"
     # terminal means from the matrix exponential oracle
     R = expm(b1 * 0.5)
-    means = np.array([R @ p.points[0] for p in pts])
+    means = np.array([R @ p.means[0] for p in pts])
     oracle = min(
         np.linalg.norm(means[i] - means[j])
         for i in range(len(pts)) for j in range(i + 1, len(pts))

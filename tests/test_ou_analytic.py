@@ -70,9 +70,33 @@ def test_marginal_weights_preserved_and_normalized():
     assert mix.weights.sum() == 1.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), k=st.integers(1, 3))
+def test_point_source_marginal_is_the_flowed_point_with_covariance_q(data, d,
+                                                                     k):
+    # one marginal rule: a point mass is a zero-covariance component, so at
+    # every node its marginal has means x_k R^T and covariances Q, bit for bit
+    unit = st.floats(-1.0, 1.0)
+    C = 1.5 * data.draw(arrays(float, (d, d), elements=unit))
+    sigma = np.eye(d) + 0.3 * data.draw(arrays(float, (d, d), elements=unit))
+    points = data.draw(arrays(float, (k, d), elements=st.floats(-3.0, 3.0)))
+    w = data.draw(arrays(float, k, elements=st.floats(0.1, 1.0)))
+    nu = DiracMixture(points, w / w.sum())
+    cache = OUAnalytic(ou_model(C, sigma), n_steps=20)
+    for t in cache.grid.nodes:
+        mix = cache.marginal(nu, t)
+        Q = np.broadcast_to(cache.Q(t), (k, d, d))
+        assert mix.covariances.tobytes() == np.ascontiguousarray(Q).tobytes()
+        assert mix.means.tobytes() == (points @ cache.R(t).T).tobytes()
+
+
 def test_marginal_dirac_at_zero_rejected():
-    with pytest.raises(DegenerateDensityError, match="no-density-at-0"):
-        ou_marginal(HEAT, dirac([0.0]), 0.0)
+    # the marginal at t = 0 is the point mass itself, which has no score
+    mix = ou_marginal(HEAT, dirac([0.3]), 0.0)
+    assert np.array_equal(mix.means, [[0.3]])
+    assert np.array_equal(mix.covariances, [[[0.0]]])
+    with pytest.raises(DegenerateDensityError, match="singular"):
+        mix.score(np.array([0.3]))
 
 
 def test_fourier_forward_heat():
