@@ -76,7 +76,7 @@ _ALLOWED_KEYS = {
     "grid": {"t_end", "n_steps"},
     "run": {"seed", "particles", "init", "nu", "mu", "mode", "epsilon_stop",
             "drift_clip", "bandwidth", "route", "terminal_mean", "x0",
-            "candidates", "candidate_box", "x", "y", "metric", "store_full"},
+            "candidates", "candidate_box", "x", "y", "store_full"},
     "output": {"directory"},
     "thresholds": {"ks_max", "triangle_max_error", "mc_sigmas",
                    "search_tolerance", "fourier_tolerance",
@@ -399,10 +399,11 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
                    ("analytic", "self-consistent"))
     _require(cfg, "reverse", "run.mu")
     mu = _parse_distribution(run_cfg["mu"], "run.mu", model.dim_d)
+    # run.nu is read only where the run uses it: by the analytic score and by
+    # the check against the closed-form marginals, both of an ou/heat model
     nu = (_parse_distribution(run_cfg["nu"], "run.nu", model.dim_d)
-          if "nu" in run_cfg else None)
-    is_ou = isinstance(model, OUModel)
-    if mode == "analytic" and (not is_ou or nu is None):
+          if isinstance(model, OUModel) and "nu" in run_cfg else None)
+    if mode == "analytic" and nu is None:
         raise ConfigError("analytic mode needs an ou/heat model and run.nu")
     eps = _number(cfg, "run", "epsilon_stop", None)
     try:
@@ -428,7 +429,7 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
                                     (0.0, grid.t_end / 2, grid.t_end)])
     except ValueError as exc:
         raise ConfigError(f"{dispersion}: {exc}") from exc
-    ks_max = _threshold(cfg, "ks_max", 0.02)
+    ks_max = None if nu is None else _threshold(cfg, "ks_max", 0.02)
 
     with emitter.phase("simulate"):
         if mode == "analytic":
@@ -443,8 +444,13 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
                     raise ConfigError(f"{dispersion}: the marginal of run.nu "
                                       f"has no density ({exc})") from exc
         else:
-            run = simulate_reversal_selfconsistent(
-                model, mu, grid, n, epsilon_stop=eps, seed=seed, **options)
+            try:
+                run = simulate_reversal_selfconsistent(
+                    model, mu, grid, n, epsilon_stop=eps, seed=seed,
+                    **options)
+            except DegenerateDensityError as exc:
+                raise ConfigError(f"run.mu has no density, which the "
+                                  f"self-consistent mode needs ({exc})") from exc
 
     with emitter.phase("export"):
         with open(emitter.path("snapshots.csv"), "w") as fh:
@@ -467,7 +473,7 @@ def cmd_reverse(cfg, emitter, grid, model, seed):
             "terminal_consistency_warning": run.terminal_check_failed,
         }
         failures = []
-        if is_ou and nu is not None:
+        if nu is not None:
             # the run's own grid, so the cached OUAnalytic of the run is reused
             ref = lambda t: ou_marginal(model, nu, grid.t_end - t,  # noqa: E731
                                         n_steps=grid.n_steps)
@@ -636,12 +642,10 @@ def cmd_injectivity(cfg, emitter, grid, model, seed):
         raise ConfigError("injectivity needs run.candidates or run.candidate_box")
     expected = _choice(cfg, "thresholds", "expected_verdict", "injective",
                        ("injective", "ambiguous"))
-    metric = _choice(cfg, "run", "metric", "wasserstein1",
-                     ("wasserstein1", "mean"))
     cands = [DiracMixture([p]) for p in pts]
     with emitter.phase("compute"):
         rep = injectivity_probe(model, cands, grid.t_end, n, seed,
-                                metric=metric, n_steps=grid.n_steps)
+                                n_steps=grid.n_steps)
     with emitter.phase("check"):
         failures = [] if rep.verdict == expected else ["verdict"]
         payload = rep.to_json_dict()

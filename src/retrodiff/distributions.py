@@ -32,7 +32,7 @@ def _as_weights(w, count):
         raise ValueError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1 (within 1e-12)")
-    return w / w.sum()
+    return w
 
 
 class GaussianMixture:
@@ -40,7 +40,7 @@ class GaussianMixture:
 
     Parameters
     ----------
-    weights : (K,) non-negative, summing to 1.
+    weights : (K,) non-negative, summing to 1 within 1e-12; kept as given.
     means : (K, d)
     covariances : (K, d, d) symmetric positive semi-definite.
     """
@@ -84,11 +84,14 @@ class GaussianMixture:
         roots = self._vecs * np.sqrt(self._vals)[:, None, :]
         return self.means[comp] + np.einsum("nij,nj->ni", roots[comp], z)
 
+    def _require_density(self):
+        if self._vals.min() <= 0.0:
+            raise DegenerateDensityError("mixture has a singular component")
+
     def _log_component_densities(self, x):
+        self._require_density()
         x = np.atleast_2d(x)
         vals, vecs = self._vals, self._vecs
-        if vals.min() <= 0.0:
-            raise DegenerateDensityError("mixture has a singular component")
         out = np.empty((x.shape[0], self.n_components))
         for k in range(self.n_components):
             y = (x - self.means[k]) @ vecs[k]
@@ -131,21 +134,19 @@ class GaussianMixture:
 
         if self.dim != 1:
             raise ValueError("cdf1d requires a one-dimensional mixture")
+        self._require_density()
         x = np.atleast_1d(np.asarray(x, dtype=float))
         sd = np.sqrt(self.covariances[:, 0, 0])
-        if (sd <= 0).any():
-            raise DegenerateDensityError("mixture has a singular component")
         z = (x[:, None] - self.means[:, 0][None, :]) / sd[None, :]
-        return ndtr(z) @ self.weights
+        # the weights sum to 1 only within rounding; a cdf stays at most 1
+        return np.minimum(ndtr(z) @ self.weights, 1.0)
 
     def project(self, u):
         """The law of u.X, a 1-D mixture: means u.m_k, variances u^T S_k u."""
         u = np.asarray(u, dtype=float)
         var = np.einsum("i,kij,j->k", u, self.covariances, u)
-        out = GaussianMixture(self.weights, (self.means @ u)[:, None],
-                              var[:, None, None])
-        out.weights = self.weights  # not divided by their sum a second time
-        return out
+        return GaussianMixture(self.weights, (self.means @ u)[:, None],
+                               var[:, None, None])
 
     def char_transform(self, xi):
         """exp(-i<xi,.>) transform; xi of shape (d,) or (M, d)."""

@@ -140,12 +140,6 @@ def _terminal_cloud(model, candidate, T, n, n_steps, seed, tag):
     return path.terminal.positions
 
 
-def _cloud_distance(A, B, metric, seed):
-    if metric == "mean":
-        return float(np.linalg.norm(A.mean(axis=0) - B.mean(axis=0)))
-    return sliced_wasserstein1(A, B, seed=seed)
-
-
 @dataclass
 class InjectivityReport:
     candidates: list
@@ -163,13 +157,13 @@ class InjectivityReport:
         }
 
 
-def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
-                      n_steps=200):
+def injectivity_probe(model, candidates, T, n, seed, n_steps=200):
     """Pairwise terminal separation of candidate source distributions.
 
-    Each candidate is simulated forward; the verdict is "injective" when
-    the smallest off-diagonal terminal distance exceeds three times the
-    Monte Carlo noise floor (the largest split-half self-distance), and
+    Each candidate is simulated forward and scored by the sliced
+    Wasserstein-1 distance (W1 itself in 1-D); the verdict is "injective"
+    when the smallest off-diagonal terminal distance exceeds three times
+    the Monte Carlo noise floor (the largest split-half self-distance), and
     "ambiguous" otherwise.  The clouds, then the pairs, run on every
     usable CPU (``forward._fork_map``); each result is a pure function of
     (seed, index), so the report has the same bits for any CPU count.
@@ -180,26 +174,21 @@ def injectivity_probe(model, candidates, T, n, seed, metric="wasserstein1",
         raise ValueError("need at least two candidate sources")
     if n < 2:
         raise ValueError(f"the probe needs at least 2 particles, got n = {n}")
-    if metric not in ("wasserstein1", "mean"):
-        raise ValueError(f"unknown metric {metric!r}: use 'wasserstein1' "
-                         f"or 'mean'")
 
     def cloud(i):
         cl = _terminal_cloud(model, candidates[i], T, n, n_steps, seed, i)
         half = cl.shape[0] // 2
         # each cloud's projections are sorted once, for all of its pairs
-        key = cl if metric == "mean" else sorted_projections(cl, seed=seed)
-        return key, _cloud_distance(cl[:half], cl[half:], metric, seed)
+        return (sorted_projections(cl, seed=seed),
+                sliced_wasserstein1(cl[:half], cl[half:], seed=seed))
 
     keys, floors = zip(*_fork_map(cloud, len(candidates)))
     floor = max(0.0, *floors)
-    distance = (sliced_wasserstein1_sorted if metric == "wasserstein1" else
-                lambda A, B: _cloud_distance(A, B, metric, seed))
     K = len(keys)
     I, J = np.triu_indices(K, 1)
     D = np.zeros((K, K))
-    D[I, J] = D[J, I] = _fork_map(lambda p: distance(keys[I[p]], keys[J[p]]),
-                                  len(I))
+    D[I, J] = D[J, I] = _fork_map(
+        lambda p: sliced_wasserstein1_sorted(keys[I[p]], keys[J[p]]), len(I))
     off = D[~np.eye(K, dtype=bool)]
     verdict = "injective" if off.min() > 3.0 * floor else "ambiguous"
     return InjectivityReport(candidates=[c.means.ravel() for c in candidates],
@@ -243,7 +232,7 @@ def reconstruct_dirac_search(model, mu_ensemble, candidate_grid, T, n, seed,
         raise ValueError(f"the target ensemble needs at least 2 particles, "
                          f"got {target.shape[0]}")
     half = target.shape[0] // 2
-    floor = _cloud_distance(target[:half], target[half:], "wasserstein1", seed)
+    floor = sliced_wasserstein1(target[:half], target[half:], seed=seed)
     key = sorted_projections(target, seed=seed)
 
     def score(i):

@@ -1,7 +1,7 @@
 """Diffusion coefficient models and their empirical regularity checks.
 
 A model bundles a drift b(t, x) and a dispersion sigma(t, x) together with
-optional analytic derivatives.  Evaluation is vectorized over particles:
+their stated derivatives.  Evaluation is vectorized over particles:
 ``drift(t, x)`` takes x of shape (..., d) and returns (..., d), and
 ``dispersion(t, x)`` returns (..., d, m) (a constant (d, m) matrix is
 accepted and broadcast).  Models are immutable after construction and all
@@ -22,12 +22,13 @@ from .streams import LIPSCHITZ_PROBE, substream
 class DiffusionModel:
     """Coefficients of a forward diffusion on [0, horizon].
 
-    ``jac_drift(t, x) -> (d, d)`` and ``jac_dispersion(t, x) -> (d, m, d)``
-    (entry [i, j, l] = d sigma_ij / d x_l) are optional; finite differences
-    are used when absent, and every named family states its
-    sigma-derivatives.  ``div_sigma_rows(t, x) -> (..., d)`` is the row
-    divergence of sigma sigma^T, used by the reversal drift.  The horizon
-    must be positive and finite.
+    The derivatives are stated, never approximated: ``jac_drift(t, x) ->
+    (d, d)`` and ``jac_dispersion(t, x) -> (d, m, d)`` (entry [i, j, l] =
+    d sigma_ij / d x_l) feed the Lipschitz estimate, and ``div_sigma_rows(t,
+    x) -> (..., d)``, the row divergence of sigma sigma^T, the reversal
+    drift.  Each is optional, so a model without them still runs forward,
+    but its ``*_at`` accessor raises a ``ValueError`` that names it.  Every
+    named family states all three.  The horizon must be positive and finite.
     """
 
     dim_d: int
@@ -64,58 +65,30 @@ class DiffusionModel:
         """The model itself, for callers written against a conversion."""
         return self
 
-    # --- derivatives, analytic when given, central differences otherwise ---
+    # --- the stated derivatives, refused by name when absent ---
 
     def jac_drift_at(self, t, x):
-        if self.jac_drift is not None:
-            return np.asarray(self.jac_drift(t, x), dtype=float)
-        return _fd_jacobian(lambda y: self.drift(t, y), np.asarray(x, float))
+        return self._derivative("jac_drift", t, x)
 
     def jac_dispersion_at(self, t, x):
-        if self.jac_dispersion is not None:
-            return np.asarray(self.jac_dispersion(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = _fd_jacobian(lambda y: self.sigma(t, y), x)  # (d, m, d)
-        return cols
+        return self._derivative("jac_dispersion", t, x)
 
     def div_sigma_rows_at(self, t, x):
         """Row divergence of Sigma = sigma sigma^T, batched over x rows."""
-        if self.div_sigma_rows is not None:
-            return np.asarray(self.div_sigma_rows(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        out = np.zeros_like(x2)
-        for l in range(self.dim_d):
-            h = np.maximum(1e-6, 1e-6 * np.abs(x2[:, l]))
-            xp, xm = x2.copy(), x2.copy()
-            xp[:, l] += h
-            xm[:, l] -= h
-            dS = (self.sigma_sigma_T(t, xp) - self.sigma_sigma_T(t, xm)) / (
-                2.0 * h
-            )[:, None, None]
-            out += dS[:, :, l]
-        return out[0] if single else out
+        return self._derivative("div_sigma_rows", t, x)
+
+    def _derivative(self, name, t, x):
+        fn = getattr(self, name)
+        if fn is None:
+            raise ValueError(f"the model states no {name}, which this "
+                             f"computation needs")
+        return np.asarray(fn(t, x), dtype=float)
 
 
 def _over_rows(a, x):
     """``a`` broadcast over the rows of a batch x if it is one matrix."""
     rows = np.shape(x)[:-1]
     return np.broadcast_to(a, rows + a.shape) if rows and a.ndim == 2 else a
-
-
-def _fd_jacobian(fn, x):
-    """Central-difference Jacobian of fn at a single point x (shape (d,))."""
-    d = x.shape[0]
-    f0 = np.asarray(fn(x), dtype=float)
-    out = np.empty(f0.shape + (d,))
-    for l in range(d):
-        h = max(1e-6, 1e-6 * abs(x[l]))
-        xp, xm = x.copy(), x.copy()
-        xp[l] += h
-        xm[l] -= h
-        out[..., l] = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2 * h)
-    return out
 
 
 def _frozen(a):
@@ -397,9 +370,9 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
     """Scalar piecewise-homogeneous family: b = rate_k x, sigma = sigma_k.
 
     Interval k is ]t_{k-1}, t_k], except the first, which is [t_0, t_1]: at
-    a breakpoint the left interval applies.  The horizon is the last
-    breakpoint.  sigma's derivatives are exact zeros; the drift's
-    Jacobian is a finite difference.
+    a breakpoint the left interval applies, to the drift, its Jacobian
+    [[rate_k]] and sigma alike.  The horizon is the last breakpoint.
+    sigma's derivatives are exact zeros.
     """
     bp = _finite("breakpoints", breakpoints)
     if bp.ndim != 1 or len(bp) < 2:
@@ -427,8 +400,11 @@ def piecewise_model(breakpoints, rates, sigmas, horizon=None):
     disp, jac_s, div_rows = _constant_dispersion(
         lambda t: sigmas[interval(t)], 1, 1)
     return DiffusionModel(dim_d=1, dim_m=1, drift=drift, dispersion=disp,
-                          horizon=float(bp[-1]), jac_dispersion=jac_s,
-                          div_sigma_rows=div_rows, name="piecewise")
+                          horizon=float(bp[-1]),
+                          jac_drift=lambda t, x: np.array(
+                              [[rates[interval(t)]]], dtype=float),
+                          jac_dispersion=jac_s, div_sigma_rows=div_rows,
+                          name="piecewise")
 
 
 def make_model(family, **params):

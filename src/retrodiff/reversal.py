@@ -224,11 +224,15 @@ def simulate_reversal_selfconsistent(model, mu, grid, n, epsilon_stop=None,
     first-order bias and is exact for Gaussian clouds (v is the cloud
     variance, which the kernel does not smooth).  Pass an explicit
     ``bandwidth`` (or :func:`silverman_bandwidth` output) to override the
-    policy.  The dispersion must be elliptic to 1e-8 at probe particles.
+    policy.  The dispersion must be elliptic to 1e-8 at probe particles,
+    and ``mu`` must have a density: a singular component, such as a point
+    mass, raises ``DegenerateDensityError`` before any draw, as no kernel
+    estimate of it exists.
 
     The field chooses its evaluator at every step (see
     :meth:`KdeField.log_density_and_score_at_sources`).
     """
+    mu._require_density()
     run_grid, eps, Y = _launch(model, mu, grid, n, epsilon_stop, drift_clip,
                                seed)
     T = grid.t_end

@@ -16,10 +16,14 @@ The CLI cases hash the CSV files that ``retrodiff reverse`` and
 exports still formatted one row at a time.
 
 The piecewise cases (an Euler path across the breakpoint, the moment
-bound with its finite-difference Lipschitz estimate, a self-consistent
-reversal with its finite-difference divergence) were recorded while the
-piecewise family was still a class of its own that had to be converted
-before use; they now pass the model as ``piecewise_model`` returns it.
+bound, a self-consistent reversal) were recorded while the piecewise
+family was still a class of its own that had to be converted before use;
+they now pass the model as ``piecewise_model`` returns it.  The moment
+bound's case was recorded again when the family's drift Jacobian became
+the exact [[rate_k]] instead of a central difference: K and K_b moved from
+1.6000000002315617 and 0.8000000001157809 to 1.6 and 0.8, and with them
+the bound and ``small_horizon_margin``; the sampled supremum, its time and
+the margin kept their bits.
 
 The Fourier-route case hashes the errors of ``consistency_triangle``, the
 forward transform of ``make_fourier_solution`` at t = 0, at a grid node and
@@ -440,7 +444,7 @@ DIGESTS = {
     "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",
     "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",
     "em_piecewise": "508635e3aad5d7041a1d63b17b03c722390ad589f11187694b73544315d94512",
-    "moment_bound_piecewise": "bb13ece8ba7d002fd5a06eaa16619198e188045c37ae66e6dffb0c583ee92bd5",
+    "moment_bound_piecewise": "eb3b52dbd96f931f1fc671e4eb1ba6eb149e0224ff27e09b1a6d3ffd201fbc62",
     "reversal_selfconsistent_piecewise": "bbb08b0690f0394973ed4dd2c891e6fb780edec3b105bdb9a51178541a30308f",
     "kde_binned_1d_sources": "10d0716e7202c412ae886f2942bbc8c775763dfb286302d3ae9ba9880d4a7978",
     "kde_binned_1d_stretched": "190fd0426c481e87781b8a5f7c3058e409ff390b8d830ddbd1272446ab208ad0",

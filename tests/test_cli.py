@@ -137,6 +137,16 @@ PIECEWISE = "family = piecewise\nbreakpoints = 0 0.5 1\nrates = 0 0\nsigmas = 1 
                  "\n[thresholds]\nks_max = 1e-9\ntriangle_max_error = 1e-30\n",
                  ["model.c", "run.mu", "run.bandwidth", "thresholds.ks_max",
                   "thresholds.triangle_max_error"], id="forward-five-keys"),
+    # a self-consistent reverse checks its clouds against closed-form
+    # marginals only for an ou/heat model with a source: else it verifies
+    # nothing and reads neither run.nu nor thresholds.ks_max
+    pytest.param("reverse", "family = sin-drift",
+                 "mode = self-consistent\nnu = dirac:0.3\nmu = gaussian:0,1",
+                 "\n[thresholds]\nks_max = 0.0001\n",
+                 ["run.nu", "thresholds.ks_max"], id="reverse-non-ou-nu"),
+    pytest.param("reverse", HEAT, "mode = self-consistent\nmu = gaussian:0,1",
+                 "\n[thresholds]\nks_max = 0.0001\n", ["thresholds.ks_max"],
+                 id="reverse-ou-without-nu"),
 ])
 def test_unread_keys_exit_2_before_any_output(tmp_path, capsys, command, model,
                                                run, extra, unread):
@@ -226,8 +236,9 @@ directory = {tmp_path / "out"}
     *(pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\n"
                    f"mode = self-consistent\nbandwidth = {v}", "run.bandwidth",
                    id=f"bandwidth-{v}") for v in ("-0.1", "0")),
+    # the probe has one distance, sliced W1: no key chooses it
     pytest.param("injectivity", HEAT, 1, "candidates = 0 1\nmetric = energy",
-                 "run.metric", id="injectivity-metric"),
+                 "unknown key run.metric", id="injectivity-metric"),
     pytest.param("forward", HEAT, 1, "init = dirac:0\nstore_full = maybe",
                  "run.store_full", id="store-full-boolean"),
     # choices other than store_full's booleans are exact
@@ -280,6 +291,9 @@ directory = {tmp_path / "out"}
                  id="affine-sigma-value-0"),
     pytest.param("reverse", HEAT, 1, "mu = gaussian:0,1\nnu = dirac:0\n"
                  "bandwidth = 0.1", "run.bandwidth", id="bandwidth-analytic"),
+    # a kernel estimate of a point mass does not exist
+    pytest.param("reverse", HEAT, 1, "mu = dirac:0\nmode = self-consistent",
+                 "run.mu has no density", id="selfconsistent-point-mass-mu"),
 ])
 def test_configuration_errors_exit_2(tmp_path, capsys, command, model, t_end,
                                      run, message):

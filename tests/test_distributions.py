@@ -14,6 +14,8 @@ from retrodiff import (
     gaussian,
     substream,
 )
+from retrodiff.models import ou_model
+from retrodiff.ou_analytic import analytic
 
 
 def test_weights_validation():
@@ -135,6 +137,34 @@ def test_projection_is_the_law_of_u_dot_x(data):
     assert proj.weights is mix.weights
     assert np.allclose(proj.char_transform(s), mix.char_transform(s * u),
                        rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_weights_keep_their_bits_through_projection_and_marginal(data):
+    # weights are checked and stored as given, never divided by their sum,
+    # so those that sum to 1 only within rounding pass on with their bits
+    d, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    w = data.draw(arrays(np.float64, k, elements=st.floats(0.1, 1.0)))
+    w = w / w.sum()
+    means = data.draw(arrays(np.float64, (k, d), elements=st.floats(-3.0, 3.0)))
+    var = data.draw(st.sampled_from([0.0, 0.5]))
+    nu = GaussianMixture(w, means, var * np.tile(np.eye(d), (k, 1, 1)))
+    u = data.draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+    t = data.draw(st.sampled_from([0.0, 0.35, 1.0]))
+    ou = ou_model(-0.5 * np.eye(d), np.eye(d))
+    assert nu.weights.tobytes() == w.tobytes()
+    assert nu.project(u).weights.tobytes() == w.tobytes()
+    assert analytic(ou, 20).marginal(nu, t).weights.tobytes() == w.tobytes()
+
+
+def test_mixture_cdf1d_stays_at_most_one():
+    # thirteen weights of 1/13 pass the 1e-12 sum check, but the product
+    # that weighs the components summed them to 1 + 2^-52 (numpy 2.4):
+    # far in the tail the cdf must still read 1
+    w = np.full(13, 1.0 / 13.0)
+    mix = GaussianMixture(w, np.arange(13.0)[:, None], np.ones((13, 1, 1)))
+    assert mix.cdf1d(np.array([100.0, 1e300])).tolist() == [1.0, 1.0]
 
 
 def test_mixture_cdf1d_against_quadrature():

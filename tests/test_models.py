@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -60,7 +60,10 @@ def test_constant_Sigma_rows_are_the_one_point_product(data, d, m, n):
     s = data.draw(arrays(float, (d, m), elements=finite))
     X = data.draw(arrays(float, (n, d), elements=finite))
     model = DiffusionModel(d, m, lambda t, x: np.zeros_like(x),
-                           lambda t, x: s)
+                           lambda t, x: s,
+                           jac_drift=lambda t, x: np.zeros((d, d)),
+                           jac_dispersion=lambda t, x: np.zeros((d, m, d)),
+                           div_sigma_rows=lambda t, x: np.zeros_like(x))
     S = np.ascontiguousarray(model.sigma_sigma_T(0.5, X))
     assert S.shape == (n, d, d)
     one = model.sigma_sigma_T(0.5, X[0])
@@ -131,6 +134,8 @@ def test_lipschitz_constant_coefficients():
         dim_d=1, dim_m=1,
         drift=lambda t, x: np.zeros_like(np.asarray(x, float)),
         dispersion=lambda t, x: np.array([[2.0]]),
+        jac_drift=lambda t, x: np.zeros((1, 1)),
+        jac_dispersion=lambda t, x: np.zeros((1, 1, 1)),
     )
     est = estimate_lipschitz(m, box(), [0.0, 1.0], 20, seed=0)
     assert est.K_b == 0.0
@@ -161,16 +166,21 @@ def test_lipschitz_monotone_in_probes():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_lipschitz_fd_fallback_matches_analytic():
+def test_lipschitz_names_a_missing_jac_drift():
+    # derivatives are stated or absent, never approximated: a model without
+    # them still runs forward, and a computation that needs one names it
     ana = sin_drift_model(1.0, sigma_spec=1.0)
-    bare = DiffusionModel(
-        dim_d=1, dim_m=1,
-        drift=ana.drift,
-        dispersion=ana.dispersion,
-    )
-    e1 = estimate_lipschitz(ana, box(), [0.0], 50, seed=3)
-    e2 = estimate_lipschitz(bare, box(), [0.0], 50, seed=3)
-    assert abs(e1.K_b - e2.K_b) < 1e-6
+    bare = DiffusionModel(dim_d=1, dim_m=1, drift=ana.drift,
+                          dispersion=ana.dispersion)
+    init = sample_initial(DiracMixture([[0.5]]), 50, seed=3)
+    assert np.array_equal(
+        euler_maruyama_path(bare, init, _GRID, seed=3).terminal.positions,
+        euler_maruyama_path(ana, init, _GRID, seed=3).terminal.positions)
+    with pytest.raises(ValueError, match="states no jac_drift"):
+        estimate_lipschitz(bare, box(), [0.0], 50, seed=3)
+    for name in ("jac_dispersion", "div_sigma_rows"):
+        with pytest.raises(ValueError, match=f"states no {name}"):
+            getattr(bare, name + "_at")(0.0, np.zeros(1))
 
 
 @pytest.mark.parametrize("t_samples, n_probes, message", [
@@ -325,8 +335,10 @@ def test_factories_refuse_non_finite_coefficients(name, build, bad):
 
 _CONSTANT_SIGMA = {
     "heat": lambda: heat_model(dim=2, scale=0.5),
-    "ou": lambda: ou_model(-np.eye(2), [[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]]),
-    "affine": lambda: affine_model([0.0, 1.0], -np.eye(2), sigma_spec=2.0),
+    "ou": lambda: ou_model([[-1.0, 0.3], [0.2, -0.5]],
+                           [[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]]),
+    "affine": lambda: affine_model([0.0, 1.0], [[0.5, -1.0], [2.0, 0.1]],
+                                   sigma_spec=2.0),
     "sin-drift": lambda: sin_drift_model(0.5, sigma_spec=3.0),
     "piecewise": lambda: piecewise_model([0.0, 0.5, 1.0], rates=[-1.0, 2.0],
                                          sigmas=[1.0, 0.5]),
@@ -349,6 +361,47 @@ def test_constant_dispersion_derivatives_are_exact_zeros(family):
         S = m.sigma(t, X)
         assert S.shape == (5, d, k)
         assert np.array_equal(S, np.broadcast_to(m.sigma(t, x), S.shape))
+
+
+_CLIP = 3.0
+_STATED = {
+    **_CONSTANT_SIGMA,
+    "affine-sqrt1px2": lambda: affine_model([0.3], [[-0.7]],
+                                            sigma_spec=("sqrt1px2", _CLIP)),
+    "sin-drift-sqrt1px2": lambda: sin_drift_model(
+        1.5, sigma_spec=("sqrt1px2", _CLIP)),
+}
+
+
+def _central(fn, x, h):
+    """Central differences of fn at x along each axis, stacked last."""
+    return np.stack([(np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h)
+                     for e in h * np.eye(len(x))], axis=-1)
+
+
+@pytest.mark.parametrize("family", sorted(_STATED))
+@settings(max_examples=50, deadline=None)
+@given(xs=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2))
+@example(xs=[1.0, -2.0])  # inside the sqrt1px2 clip
+@example(xs=[-5.0, 0.5])  # outside it
+def test_stated_derivatives_match_central_differences(family, xs):
+    # each named family's jac_drift, jac_dispersion and div_sigma_rows
+    # against central differences of its drift, sigma and Sigma; the times
+    # straddle the piecewise breakpoint 0.5, which belongs to the left
+    m = _STATED[family]()
+    x = np.array(xs[:m.dim_d])
+    h = 1e-5
+    # sqrt(1 + min(x^2, c^2)) has a kink at |x| = c
+    assume(np.abs(np.abs(x) - _CLIP).min() > 1e3 * h)
+    for t in (0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0):
+        for stated, fn in (
+                (m.jac_drift_at(t, x), lambda y: m.drift(t, y)),
+                (m.jac_dispersion_at(t, x), lambda y: m.sigma(t, y))):
+            assert np.allclose(stated, _central(fn, x, h), rtol=1e-6,
+                               atol=1e-6)
+        dSigma = _central(lambda y: m.sigma_sigma_T(t, y), x, h)
+        assert np.allclose(m.div_sigma_rows_at(t, x),
+                           np.einsum("ill->i", dSigma), rtol=1e-6, atol=1e-6)
 
 
 def test_piecewise_sigma_across_a_breakpoint():

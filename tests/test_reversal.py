@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
+    DegenerateDensityError,
+    GaussianMixture,
     TimeGrid,
     check_integrability_proxy,
     dirac,
@@ -151,6 +153,22 @@ def test_degenerate_dispersion_rejected():
         simulate_reversal_selfconsistent(
             dead, gaussian(0.0, 1.0), TimeGrid(0.0, 1.0, 100), n=200, seed=0
         )
+
+
+@pytest.mark.parametrize("mu", [
+    pytest.param(dirac([0.0]), id="point-mass"),
+    pytest.param(GaussianMixture([0.5, 0.5], [[0.0], [1.0]],
+                                 [[[1.0]], [[0.0]]]), id="one-point-mass"),
+    pytest.param(gaussian([0.0, 0.0], np.diag([1.0, 0.0])), id="rank-one"),
+])
+def test_selfconsistent_refuses_a_terminal_law_without_density(mu):
+    # a kernel estimate of a singular law does not exist; the refusal comes
+    # before the terminal draw, which would raise a TypeError here
+    model = HEAT if mu.dim == 1 else heat_model(dim=2)
+    mu.sample = None
+    with pytest.raises(DegenerateDensityError, match="singular component"):
+        simulate_reversal_selfconsistent(model, mu, TimeGrid(0.0, 1.0, 20),
+                                         n=100, seed=0)
 
 
 def test_mismatched_terminal_warns_and_fails_verification():
