@@ -78,7 +78,12 @@ class GaussianMixture:
         return len(self.weights)
 
     def sample(self, n, rng):
+        """n i.i.d. rows.  With every covariance zero, each row is a copy of
+        its component's point and ``rng`` is left just after the component
+        draw: no normals are drawn."""
         comp = rng.choice(self.n_components, size=n, p=self.weights)
+        if not self._vals.any():
+            return self.means[comp]
         z = rng.standard_normal((n, self.dim))
         # (K, d, d) factors L with L L^T = V
         roots = self._vecs * np.sqrt(self._vals)[:, None, :]
@@ -114,19 +119,34 @@ class GaussianMixture:
         return np.exp(self.logpdf(x))
 
     def score(self, x):
-        """Gradient of log density, evaluated row-wise."""
-        from scipy.special import logsumexp
+        """Gradient of log density, evaluated row-wise.
 
+        Each component's gradient -V_k^{-1}(x - m_k) is weighted by its
+        responsibility, computed with ``logsumexp`` from exact log weights,
+        so a zero-weight component has responsibility 0 wherever it lies.
+        One component has responsibility exactly 1.0, so its score is the
+        gradient itself, with the same bits and without ``logsumexp``.  A
+        row whose squared Mahalanobis distance overflows (|x| beyond about
+        1e154) therefore gets that gradient, where the responsibility would
+        be -inf - (-inf) = nan; with two or more components it gets nan.
+        """
+        self._require_density()
         single = np.ndim(x) == 1
         x2 = np.atleast_2d(x)
-        lc = self._log_component_densities(x2)
-        lw = lc + np.log(np.maximum(self.weights, 1e-300))[None, :]
-        r = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
+        r = None
+        if self.n_components > 1:
+            from scipy.special import logsumexp
+
+            with np.errstate(divide="ignore"):
+                log_w = np.log(self.weights)
+            lw = self._log_component_densities(x2) + log_w[None, :]
+            r = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
         vals, vecs = self._vals, self._vecs
         g = np.zeros_like(x2)
         for k in range(self.n_components):
             y = (x2 - self.means[k]) @ vecs[k]
-            g += r[:, k : k + 1] * (-(y / vals[k]) @ vecs[k].T)
+            grad = -(y / vals[k]) @ vecs[k].T
+            g += grad if r is None else r[:, k : k + 1] * grad
         return g[0] if single else g
 
     def cdf1d(self, x):
@@ -161,7 +181,9 @@ class DiracMixture(GaussianMixture):
     """Weighted list of point masses: zero-covariance Gaussian components.
 
     ``score``, ``logpdf`` and ``cdf1d`` raise :class:`DegenerateDensityError`,
-    as for any singular mixture; a -0.0 coordinate may be drawn as +0.0.
+    as for any singular mixture.  ``sample`` returns copies of the points,
+    bit for bit (-0.0 included), and draws nothing after the component
+    draw.
     """
 
     def __init__(self, points, weights=None):

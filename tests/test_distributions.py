@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
 
 from retrodiff import (
     DegenerateDensityError,
@@ -70,6 +72,78 @@ def test_gaussian_score_is_exact():
     assert np.allclose(g.score(xs), -(xs - 0.5) / 2.0, atol=1e-14)
     x = np.array([0.3, -1.2])
     assert np.allclose(gaussian([0.0, 0.0], np.eye(2)).score(x), -x, atol=1e-14)
+
+
+def _responsibility_score(mix, x):
+    """The score as a responsibility-weighted sum of component gradients."""
+    lw = mix._log_component_densities(x) + np.log(mix.weights)[None, :]
+    r = np.exp(lw - scipy.special.logsumexp(lw, axis=1, keepdims=True))
+    g = np.zeros_like(x)
+    for k in range(mix.n_components):
+        y = (x - mix.means[k]) @ mix._vecs[k]
+        g += r[:, k : k + 1] * (-(y / mix._vals[k]) @ mix._vecs[k].T)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_component_score_is_the_responsibility_formula(data):
+    # one component has responsibility exactly 1.0, so skipping it keeps
+    # every bit, for covariances from 1e-3 to 1e3 and points 1e3 away
+    d = data.draw(st.integers(1, 3))
+    A = data.draw(arrays(np.float64, (d, d), elements=st.floats(-1.0, 1.0)))
+    q = np.linalg.qr(A)[0]
+    ev = 10.0 ** data.draw(arrays(np.float64, d, elements=st.floats(-3.0, 3.0)))
+    cov = (q * ev) @ q.T
+    mean = data.draw(arrays(np.float64, d, elements=st.floats(-10.0, 10.0)))
+    mix = gaussian(mean, 0.5 * (cov + cov.T))
+    offsets = data.draw(arrays(np.float64, (4, d),
+                               elements=st.floats(-1e3, 1e3)))
+    x = mean + offsets
+    assert_array_equal(mix.score(x), _responsibility_score(mix, x))
+    assert_array_equal(mix.score(x[0]), _responsibility_score(mix, x[:1])[0])
+
+
+def test_one_component_score_skips_logsumexp(monkeypatch):
+    calls = []
+    lse = scipy.special.logsumexp
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lse(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.special, "logsumexp", spy)
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    gaussian(0.5, 2.0).score(x)
+    gaussian([0.0, 1.0], np.eye(2)).score(np.ones(2))
+    assert calls == []
+    GaussianMixture([0.4, 0.6], [[0.0], [1.0]], [np.eye(1), 2.0 * np.eye(1)]
+                    ).score(x)
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_zero_weight_components_leave_the_score_alone(data):
+    # a zero weight is log 0 = -inf, not e^-690.8: near its own mean a
+    # zero-weight component must not take over
+    mix = data.draw(mixtures(kinds=("gaussian",)))
+    d = mix.dim
+    n_zero = data.draw(st.integers(1, 3))
+    means = data.draw(arrays(np.float64, (n_zero, d),
+                             elements=st.floats(-100.0, 100.0)))
+    var = data.draw(arrays(np.float64, n_zero, elements=st.floats(0.01, 4.0)))
+    w, m, c = list(mix.weights), list(mix.means), list(mix.covariances)
+    for mean, v in zip(means, var):
+        at = data.draw(st.integers(0, len(w)))
+        w.insert(at, 0.0)
+        m.insert(at, mean)
+        c.insert(at, v * np.eye(d))
+    padded = GaussianMixture(w, m, c)
+    near = data.draw(arrays(np.float64, (3, d), elements=st.floats(-4.0, 4.0)))
+    x = np.concatenate([near, means])
+    with np.errstate(divide="raise", invalid="raise"):
+        assert_array_equal(padded.score(x), mix.score(x))
 
 
 def test_mixture_score_matches_finite_difference():
@@ -206,9 +280,22 @@ def test_dirac_sampling_copies():
     d = DiracMixture([[1.0, -1.0]])
     out = d.sample(5, substream(0, 1))
     assert np.array_equal(out, np.tile([1.0, -1.0], (5, 1)))
+    # the points come back bit for bit, -0.0 included, and the generator is
+    # left just after the component draw
+    pts = np.array([[-0.0, 2.0], [3.0, -0.0]])
+    rng, ref = substream(0, 2), substream(0, 2)
+    out = DiracMixture(pts, [0.25, 0.75]).sample(50, rng)
+    comp = ref.choice(2, size=50, p=[0.25, 0.75])
+    assert out.tobytes() == pts[comp].tobytes()
+    assert_array_equal(rng.random(8), ref.random(8))
 
 
 def test_degenerate_density_raises():
     mix = GaussianMixture([1.0], [[0.0]], [np.array([[0.0]])])
     with pytest.raises(DegenerateDensityError):
         mix.logpdf(np.array([0.0]))
+    # a one-component score skips the log densities, not the refusal
+    for law in (mix, dirac([0.5, -1.0]),
+                gaussian([0.0, 0.0], np.diag([1.0, 0.0]))):
+        with pytest.raises(DegenerateDensityError):
+            law.score(np.zeros(law.dim))
