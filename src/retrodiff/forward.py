@@ -240,29 +240,181 @@ def check_moment_bound(model, x, y, grid, n, seed, lipschitz=None):
     )
 
 
-# Rows per formatting call in the CSV exports; bounds their transient memory.
-_CSV_BLOCK = 16384
+# Rows per block in the CSV exports; bounds their transient memory.
+_CSV_BLOCK = 4096
+
+# Bytes of one formatted float: the longest %.17g, "-1.2345678901234567e-308".
+_FLOAT_CELL = 24
 
 
-def _write_csv_rows(fileobj, row_format, columns):
-    """Write ``row_format % row`` for each row of ``columns``, a block at a time.
+def _split(a):
+    """Dekker's split: ``a == hi + lo`` with at most 26 bits in each half."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
-    ``columns`` are equal-length 1-D numpy arrays or ranges (a range
-    keeps a row counter from costing memory per row), one per conversion
-    in ``row_format``.  Each block of ``_CSV_BLOCK`` rows is one flat
-    argument tuple and one C-level ``%``, which gives the same bytes as
-    formatting row by row while the transient memory stays bounded by the
-    block size.
+
+# 10**k is an exact double for k <= 22; its halves feed the TwoProduct.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_U64 = np.array([10**k for k in range(20)], np.uint64)
+# the row index of a transposed (characters, values) cell block
+_ROW = np.arange(20, dtype=np.int8)[:, None]
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
+def _ascii_digits(u, width):
+    """The digits of uint64 ``u`` < 10**width, '0'-padded to ``width``.
+
+    Returns (width, len(u)) ASCII, one row per digit position.
     """
-    width = len(columns)
+    limbs = np.empty((-(-width // 4), len(u)), np.uint16)
+    for k in range(len(limbs) - 1, 0, -1):
+        q = u // 10000
+        limbs[k] = u - q * 10000
+        u = q
+    limbs[0] = u
+    out = np.empty((len(limbs), 4, len(u)), np.uint8)
+    for k in range(3, -1, -1):
+        q = limbs // 10
+        out[:, k] = limbs - q * 10
+        limbs = q
+    out += 48
+    return out.reshape(-1, len(u))[-width:]
+
+
+def _int_cells(v, cells):
+    """Write ``b"%d" % i`` for each i of integer array ``v`` into ``cells``.
+
+    ``cells`` is (len(v), 1 + the digits of the largest |i|); the sign
+    comes first and the digits are right-aligned, with NUL padding.
+    """
+    u = v.astype(np.uint64)
+    neg = v < 0
+    np.negative(u, out=u, where=neg)
+    width = cells.shape[1] - 1
+    block = np.empty((width + 1, len(v)), np.uint8)
+    np.multiply(neg, np.uint8(45), out=block[0])
+    block[1:] = _ascii_digits(u, width)
+    # |i| has 1 + #{k >= 1: 10**k <= |i|} digits; the zeros before them are NUL
+    n = np.searchsorted(_POW10_U64[1:width], u, side="right").astype(np.int8)
+    block[1:] *= _ROW[:width] >= width - 1 - n
+    cells[:] = block.T
+
+
+def _float_cells(x, cells):
+    """Write ``b"%.17g" % v`` for each v of float64 ``x`` into ``cells``.
+
+    ``cells`` is (len(x), 24); absent characters are NUL.
+
+    For 2**-13 <= |v| < 2**53, ``%.17g`` is fixed notation with the
+    17-digit significand D = round-half-even(|v| * 10**(16 - E)), E =
+    floor(log10 |v|) in [-4, 15].  The product is exact as p + e (Dekker's
+    TwoProduct; 10**(16 - E) is an exact double), p >= 1e16 is an even
+    integer, so D = p + rint(e) in int64.  Where log10 misjudged E, the
+    exact product falls below 1e16 or D reaches 1e17; those values, and all
+    outside the range (zeros, subnormals, nan, inf, ...), are formatted by
+    Python's ``%`` in one call.
+    """
+    a = np.abs(x)
+    fast = (a >= 2.0**-13) & (a < 2.0**53)
+    slow = np.flatnonzero(~fast)
+    if slow.size < len(x):
+        a[slow] = 1.0
+        E = np.floor(np.log10(a)).astype(np.int8)
+        k = (16 - E).astype(np.intp)
+        p = a * _POW10[k]
+        ah, al = _split(a)
+        bh, bl = _POW10_HI[k], _POW10_LO[k]
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        misjudged = (p < 1e16) | ((p == 1e16) & (e < 0)) | (D >= 10**17)
+        if (misjudged & fast).any():
+            slow = np.flatnonzero(~fast | misjudged)
+        digits = _ascii_digits(D.view(np.uint64), 17)
+        # digits 0..Ep are the integer part (none for E < 0, whose "0." is
+        # in the lead); the point follows unless no nonzero digit does
+        last = np.max((digits != 48) * _ROW[:17], axis=0)
+        Ep = np.where(E < 0, np.int8(-2), E)
+        point = np.where(last > Ep, Ep + 1, np.int8(-1))
+        # rows: the sign, the lead "0." and -E - 1 zeros for E < 0, then
+        # the integer digits, the point and the digits up to the last nonzero
+        block = np.empty((_FLOAT_CELL, len(x)), np.uint8)
+        np.multiply(np.signbit(x), np.uint8(45), out=block[0])
+        lead = np.where(E < 0, 1 - E, 0)
+        np.multiply(_ROW[:5] < lead, _LEAD, out=block[1:6])
+        body = block[6:]
+        np.multiply(_ROW[:17] <= Ep, digits, out=body[:17])
+        body[17] = 0
+        after = (_ROW[1:18] > Ep + 1) & (_ROW[1:18] <= last + 1)
+        body[1:] += after * digits
+        body += (_ROW[:18] == point) * np.uint8(46)
+        cells[:] = block.T
+    if slow.size:
+        text = ("%-24.17g" * slow.size) % tuple(x[slow].tolist())
+        text = text.encode("ascii").translate(_SPACE_TO_NUL)
+        cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, _FLOAT_CELL)
+
+
+def _csv_lines(prefix, columns):
+    """The CSV text of ``prefix`` and one row of ``columns`` per line.
+
+    Integer columns (and ranges) are written ``%d``, all others ``%.17g``,
+    by :func:`_int_cells` and :func:`_float_cells`; a None column is an
+    empty field.  Each value gets a fixed-width cell of bytes in one
+    (rows, width) array, with NUL for every absent character, and one
+    boolean mask drops the NULs.
+    """
+    prefix = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    parts = []
+    for col in columns:
+        if col is None:
+            parts.append((None, None, 0))
+            continue
+        if isinstance(col, range):
+            col = np.arange(col.start, col.stop, col.step)
+        col = np.asarray(col)
+        if col.dtype.kind in "biu":
+            high = max(int(col.max()), -int(col.min()))
+            parts.append((_int_cells, col, 1 + len(str(high))))
+        else:
+            parts.append((_float_cells, col.astype(float, copy=False),
+                          _FLOAT_CELL))
+    out = np.empty((len(columns[0]),
+                    prefix.size + sum(w + 1 for _, _, w in parts)), np.uint8)
+    out[:, :prefix.size] = prefix
+    start = prefix.size
+    for cells, col, w in parts:
+        if w:
+            cells(col, out[:, start:start + w])
+        out[:, start + w] = 44
+        start += w + 1
+    out[:, -1] = 10
+    out = out.ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
+def _write_csv_rows(fileobj, prefix, columns):
+    """Write ``prefix`` and one row of ``columns`` per line, a block at a time.
+
+    ``columns`` are equal-length 1-D numpy arrays or ranges (a range keeps
+    a row counter from costing memory per row); None after the first is an
+    empty field.  The bytes are those of ``prefix + ",".join(fields) +
+    "\\n"`` with ``"%d" % i`` for integer columns and ``"%.17g" % v`` for
+    the others.  numpy computes them (:func:`_csv_lines`): for 2**-13 <=
+    |v| < 2**53, %.17g is fixed notation whose 17-digit significand is
+    |v| * 10**(16 - E) rounded half to even, and Dekker's TwoProduct gives
+    that product exactly (:func:`_float_cells`); Python's ``%`` formats the
+    other values, in one call per block.  Each block of ``_CSV_BLOCK`` rows
+    is formatted and written at once, so the transient memory is bounded by
+    the block size.
+    """
     n = len(columns[0])
     for a in range(0, n, _CSV_BLOCK):
         b = min(a + _CSV_BLOCK, n)
-        args = [None] * ((b - a) * width)
-        for j, col in enumerate(columns):
-            part = col[a:b]
-            args[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        fileobj.write(row_format * (b - a) % tuple(args))
+        fileobj.write(_csv_lines(
+            prefix, [None if col is None else col[a:b] for col in columns]))
 
 
 def _write_snapshot_rows(path, fileobj, lo, hi):
@@ -271,14 +423,14 @@ def _write_snapshot_rows(path, fileobj, lo, hi):
     Rows are numbered over all snapshots in time order, so a range may
     start or end inside a snapshot.
     """
-    coords = ",".join(["%.17g"] * path.snapshots[0].dim)
     start = 0
     for snap in path.snapshots:
         a, b = max(lo - start, 0), min(hi - start, snap.n)
         if a < b:
-            X = snap.positions[a:b]
-            _write_csv_rows(fileobj, f"{snap.time:.17g},%d,{coords}\n",
-                            [range(a, b), *X.T])
+            t = _csv_lines("", [np.array([snap.time])])[:-1]
+            # no coordinates leave an empty field, as in the header
+            coords = list(snap.positions[a:b].T) or [None]
+            _write_csv_rows(fileobj, t + ",", [range(a, b), *coords])
         start += snap.n
 
 
@@ -389,8 +541,12 @@ def export_snapshots_csv(path, fileobj):
     written with ``%.17g`` (17 significant digits, so every float64 reads
     back bitwise; ``-0``, ``nan`` and ``inf`` as Python prints them) and
     ``particle_id`` runs 0..n-1 as a decimal integer.  Rows are formatted
-    ``_CSV_BLOCK`` at a time, so the memory the export needs beyond the
-    path itself is bounded by that block size, not by n.
+    ``_CSV_BLOCK`` at a time by :func:`_write_csv_rows`, so the memory the
+    export needs beyond the path itself is bounded by that block size, not
+    by n.  The digits are computed in numpy and are exactly Python's: for
+    2**-13 <= |v| < 2**53 the 17-digit significand is the round-half-even
+    integer nearest |v| * 10**(16 - E), whose product Dekker's TwoProduct
+    holds exactly; Python's ``%`` formats every other value.
 
     From ``_FORK_MIN_ROWS`` rows on, the rows are split by
     :func:`_fork_shares`, one contiguous part per usable CPU (a cut may

@@ -16,12 +16,21 @@ from .streams import PROJECTIONS, substream
 
 
 def ks_statistic(sample, cdf):
-    """One-sample Kolmogorov-Smirnov statistic against a cdf callable."""
+    """One-sample Kolmogorov-Smirnov statistic against a cdf callable.
+
+    The max of |i/n - F| and |(i/n - 1/n) - F| over the sorted sample, in
+    two n-sized buffers; (i/n - F) - 1/n would round differently.
+    """
     x = np.sort(np.asarray(sample, dtype=float).ravel())
     n = x.size
     F = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.abs(grid - F).max(), np.abs(grid - 1.0 / n - F).max()))
+    grid = np.arange(1.0, n + 1)
+    grid /= n
+    gap = np.subtract(grid, F)
+    above = np.abs(gap, out=gap).max()
+    np.subtract(grid, 1.0 / n, out=grid)
+    np.subtract(grid, F, out=grid)
+    return float(max(above, np.abs(grid, out=grid).max()))
 
 
 def ks_two_sample(a, b):

@@ -341,9 +341,12 @@ def export_diagnostics_csv(run, fileobj):
     """Write per-step diagnostics as ``step,t,max_drift,clips,vacuums``.
 
     One row per step in step order; ``t`` and ``max_drift`` use ``%.17g``
-    like :func:`retrodiff.forward.export_snapshots_csv`.
+    like :func:`retrodiff.forward.export_snapshots_csv`, through the same
+    writer: numpy computes the digits exactly (the 17-digit significand of
+    |v| * 10**(16 - E) from Dekker's error-free product) for 2**-13 <= |v|
+    < 2**53, and Python's ``%`` formats the other values, nan and inf
+    among them.
     """
     d = run.diagnostics
     fileobj.write("step,t,max_drift,clips,vacuums\n")
-    _write_csv_rows(fileobj, "%d,%.17g,%.17g,%d,%d\n",
-                    [d.step, d.t, d.max_drift, d.clips, d.vacuums])
+    _write_csv_rows(fileobj, "", [d.step, d.t, d.max_drift, d.clips, d.vacuums])

@@ -1,6 +1,7 @@
 """Forward simulation: frozen-cloud cases, CLT/chi^2 oracles, coupling."""
 
 import io
+import math
 import os
 import time
 from unittest import mock
@@ -293,7 +294,9 @@ SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, forward._CSV_BLOCK + 3])
+# a literal, so the test ids do not move with _CSV_BLOCK: 16 387 rows are
+# four 4096-row blocks and three rows
+@pytest.mark.parametrize("n", [1, 16387])
 def test_snapshot_csv_bytes_match_row_writer(d, n):
     rng = np.random.default_rng(d * 7 + n)
     clouds = []
@@ -310,7 +313,9 @@ def test_snapshot_csv_bytes_match_row_writer(d, n):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, forward._CSV_BLOCK + 3])
+# a literal, so the test ids do not move with _CSV_BLOCK: 16 387 rows are
+# four 4096-row blocks and three rows
+@pytest.mark.parametrize("n", [1, 16387])
 def test_snapshot_csv_bytes_match_row_writer_when_every_export_forks(
         d, n, monkeypatch):
     monkeypatch.setattr(forward, "_FORK_MIN_ROWS", 1)
@@ -339,6 +344,58 @@ def test_snapshot_csv_round_trips_bitwise(data, d, block):
         parsed = np.array([[float(v) for v in r[2:]] for r in snap])
         assert parsed.shape == (n, d)
         assert np.array_equal(parsed.view(np.uint64), X.view(np.uint64))
+
+
+def _float_of_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _ulps(x, k):
+    """``x`` moved by k units in the last place, away from zero for k > 0."""
+    return _float_of_bits(int(np.float64(x).view(np.uint64)) + k)
+
+
+_ULPS = st.integers(-4, 4)
+_SIGN = st.sampled_from([1.0, -1.0])
+# the values the exact range's checks and rounding turn on
+_KERNEL_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_of_bits),
+    st.builds(lambda e, k, s: s * _ulps(float(f"1e{e}"), k),
+              st.integers(-5, 17), _ULPS, _SIGN),
+    st.builds(lambda x, k, s: s * _ulps(x, k),
+              st.sampled_from([2.0**-13, 2.0**53]), _ULPS, _SIGN),
+    # k / 8 below 1e15 has 18 significant digits ending in 25 or 75: a
+    # tie at 17, which %.17g rounds half to even
+    st.builds(lambda k, s: s * k / 8.0, st.integers(2**52, 2**53 - 1), _SIGN),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_KERNEL_FLOATS, min_size=1, max_size=12))
+def test_float_cells_are_python_17g(values):
+    cells = np.zeros((len(values), forward._FLOAT_CELL), np.uint8)
+    forward._float_cells(np.array(values), cells)
+    assert [bytes(c[c != 0]) for c in cells] == [b"%.17g" % v for v in values]
+
+
+_POWERS = [s * (10**k + j) for k in range(19) for j in (-1, 0, 1) for s in (1, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0, 2**63 - 1, -2**63]
+                                                 + _POWERS),
+                                 st.integers(-2**63, 2**63 - 1)),
+                       min_size=1, max_size=12))
+def test_int_columns_are_python_d(values):
+    text = forward._csv_lines("", [np.array(values, dtype=np.int64)])
+    assert text == "".join("%d\n" % i for i in values)
+
+
+def test_snapshot_csv_without_coordinates_keeps_the_empty_field():
+    path = _path([0.0, 0.25], [np.zeros((3, 0)), np.zeros((3, 0))])
+    assert _export(path) == _oracle_snapshots_csv(path) == \
+        "t,particle_id,\n0,0,\n0,1,\n0,2,\n0.25,0,\n0.25,1,\n0.25,2,\n"
 
 
 def _cpus(k):

@@ -17,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 from scipy.stats import wasserstein_distance
 
 from retrodiff.metrics import (
     _sq_dist_block,
     energy_distance_nd,
+    ks_statistic,
     sliced_wasserstein1,
     sliced_wasserstein1_sorted,
     sorted_projections,
@@ -222,3 +224,28 @@ def test_energy_distance_builds_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block, f"peak {peak / 1e6:.1f} MB"
+
+
+def _temporaries_ks(sample, cdf):
+    """The formula ks_statistic ran before its two buffers: the bit oracle."""
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    n = x.size
+    F = np.asarray(cdf(x), dtype=float)
+    grid = np.arange(1, n + 1) / n
+    return float(max(np.abs(grid - F).max(), np.abs(grid - 1.0 / n - F).max()))
+
+
+_CDFS = [ndtr, lambda x: np.clip(x, 0.0, 1.0), lambda x: 0.5 + 0.5 * np.tanh(3.0 * x)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=arrays(np.float64, st.integers(1, 300),
+                     elements=st.floats(-1e3, 1e3) | st.just(math.nan)),
+       cdf=st.sampled_from(_CDFS))
+def test_ks_statistic_keeps_the_bits_of_its_temporaries(sample, cdf):
+    assert _bits(ks_statistic(sample, cdf)) == _bits(_temporaries_ks(sample, cdf))
+
+
+def test_ks_statistic_of_no_sample_raises_as_before():
+    with pytest.raises(ValueError):
+        ks_statistic(np.array([]), ndtr)

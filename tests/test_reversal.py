@@ -31,7 +31,6 @@ from retrodiff import (
     verify_representation,
     export_diagnostics_csv,
 )
-from retrodiff import forward
 from retrodiff.density import KdeField
 from retrodiff.metrics import energy_distance_nd, ks_statistic, wasserstein1
 from retrodiff.reversal import StepDiagnostics, _launch, _law_stat, _run_loop
@@ -375,7 +374,9 @@ def _oracle_diagnostics_csv(diag):
     return "".join(out)
 
 
-@pytest.mark.parametrize("n", [1, 5, forward._CSV_BLOCK + 3])
+# a literal, so the test ids do not move with _CSV_BLOCK: 16 387 rows are
+# four 4096-row blocks and three rows
+@pytest.mark.parametrize("n", [1, 5, 16387])
 def test_diagnostics_csv_bytes_match_row_writer(n):
     rng = np.random.default_rng(n)
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300,
