@@ -17,6 +17,8 @@ the package loads no scipy module.
 
 import numpy as np
 
+from .models import _row_products
+
 
 class DegenerateDensityError(ValueError):
     """Raised when a density (or its score) is requested from a singular law."""
@@ -144,8 +146,8 @@ class GaussianMixture:
         vals, vecs = self._vals, self._vecs
         g = np.zeros_like(x2)
         for k in range(self.n_components):
-            y = (x2 - self.means[k]) @ vecs[k]
-            grad = -(y / vals[k]) @ vecs[k].T
+            y = _row_products(x2 - self.means[k], vecs[k].T)
+            grad = _row_products(-(y / vals[k]), vecs[k])
             g += grad if r is None else r[:, k : k + 1] * grad
         return g[0] if single else g
 

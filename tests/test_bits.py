@@ -9,7 +9,10 @@ numerical kernels must keep the arithmetic (and its order) unchanged.
 The probe and search cases hash the pairwise distance matrix of
 ``injectivity_probe`` and the scores of ``reconstruct_dirac_search``, as
 recorded while every sliced distance still called
-``scipy.stats.wasserstein_distance`` once per projection.
+``scipy.stats.wasserstein_distance`` once per projection.  The probe case
+and the 1-D search case were recorded again when W1 between samples of
+equal size became the mean over matched order statistics; the 2-D search
+case kept its bits.
 
 The CLI cases hash the CSV files that ``retrodiff reverse`` and
 ``retrodiff forward`` write, byte for byte, as recorded while the CSV
@@ -440,8 +443,8 @@ DIGESTS = {
     "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
     "fourier_ode_constant": "85d3596b1807873ab8e0aea86c1b5fb0fb7865d6050016fef9e2010d14a9ef58",
     "fourier_routes": "8a7c9d8b09b27c1e63e833cf1dcc0f2ff06145f30dd923d7b2c39995bfc6fcca",
-    "injectivity_probe_2d": "a07680def8c1e5483eefd3c1ba0e94a9011800d316a262f4e1bb6f6f4ebe3248",
-    "dirac_search_1d": "9550dc9167cb9a6008f55e1a062325f77e896d4aaa0e7bb303070b6e2409ac4c",
+    "injectivity_probe_2d": "ac69d5d90015c9bf701e7788aa7dd50151a7161878e8e06ba11963a950a9dad9",
+    "dirac_search_1d": "e272534c2746727b5c8f4114d882e0cc4dba2dd8a23c0bc91787182779b0e253",
     "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",
     "em_piecewise": "508635e3aad5d7041a1d63b17b03c722390ad589f11187694b73544315d94512",
     "moment_bound_piecewise": "eb3b52dbd96f931f1fc671e4eb1ba6eb149e0224ff27e09b1a6d3ffd201fbc62",

@@ -1,8 +1,12 @@
 """Wasserstein-1 distances against scipy, compared bit for bit.
 
-``scipy.stats.wasserstein_distance`` is the oracle for ``wasserstein1``, and
-the per-direction scipy loop that ``sliced_wasserstein1`` used to run is
-kept here as the oracle for the sliced distance.  Floats are compared with
+For samples of unequal size, ``scipy.stats.wasserstein_distance`` is the
+oracle for ``wasserstein1``, and the per-direction scipy loop that
+``sliced_wasserstein1`` used to run is kept here as the oracle for the
+sliced distance.  For equal sizes the oracle is the mean gap of the order
+statistics, ``np.abs(np.sort(a) - np.sort(b)).mean()`` (per direction for
+the sliced distance), which must also lie within 1e-14 relative of the
+exact rational mean and of scipy.  Floats are compared with
 ``float.hex``, so a single differing bit fails.
 """
 
@@ -11,6 +15,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,15 +52,45 @@ def _bits(x):
     return float(x).hex()
 
 
-def _scipy_sliced(X, Y, n_projections=32, seed=0):
-    """The per-direction loop that sliced_wasserstein1 ran before."""
+def _order_statistic_w1(a, b):
+    """W1 between two samples of equal size: the mean gap of their order
+    statistics."""
+    return np.abs(np.sort(a) - np.sort(b)).mean()
+
+
+def _exact_w1(a, b):
+    """``_order_statistic_w1`` in exact rational arithmetic."""
+    gaps = (abs(Fraction(x) - Fraction(y)) for x, y in zip(sorted(a), sorted(b)))
+    return sum(gaps, Fraction(0)) / len(a)
+
+
+def _assert_w1(got, a, b):
+    """scipy's bits for unequal sizes.  For equal sizes the order-statistic
+    mean's bits, within 1e-14 relative of the exact mean and of scipy."""
+    want = float(wasserstein_distance(a, b))
+    if len(a) != len(b):
+        assert _bits(got) == _bits(want)
+        return
+    assert _bits(got) == _bits(_order_statistic_w1(a, b))
+    exact = _exact_w1(a, b)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+    assert abs(got - want) <= 1e-14 * want
+
+
+def _sliced_loop(X, Y, w1, n_projections=32, seed=0):
+    """The per-direction loop that sliced_wasserstein1 ran before, with the
+    1-d distance ``w1``."""
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
     rng = substream(seed, PROJECTIONS)
     dirs = rng.standard_normal((n_projections, X.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    vals = [float(wasserstein_distance(X @ u, Y @ u)) for u in dirs]
+    vals = [float(w1(X @ u, Y @ u)) for u in dirs]
     return float(np.mean(vals))
+
+
+def _scipy_sliced(X, Y, seed=0):
+    return _sliced_loop(X, Y, wasserstein_distance, seed=seed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -64,25 +99,55 @@ def _scipy_sliced(X, Y, n_projections=32, seed=0):
 @example(a=[0.0, -0.0, 0.0], b=[-0.0, 0.0])
 @example(a=[1.0, 1.0, 2.0], b=[1.0, 2.0, 2.0, 2.0])
 def test_w1_is_scipy_bit_for_bit(a, b):
-    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+    # scipy's bits for unequal sizes; equal draws take the equal-size oracle
+    _assert_w1(wasserstein1(a, b), a, b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 60))
-def test_w1_equal_sizes_is_scipy_bit_for_bit(data, n):
+def test_w1_equal_sizes_is_the_order_statistic_mean(data, n):
     a = data.draw(st.lists(VALUES, min_size=n, max_size=n))
     b = data.draw(st.lists(VALUES, min_size=n, max_size=n))
-    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+    _assert_w1(wasserstein1(a, b), a, b)
 
 
 @pytest.mark.parametrize("n, m", [(20000, 20000), (20000, 15001), (1, 5000)])
 def test_w1_large_samples_with_ties(n, m):
-    # long rows take BLAS's vectorised dot product, as scipy's do
+    # long unequal rows take BLAS's vectorised dot product, as scipy's do
     rng = substream(31, n, m)
     a = np.round(rng.standard_normal(n), 2)
     b = rng.standard_normal(m) * 1.3 + 0.1
     b[::7] = np.round(b[::7], 1)
-    assert _bits(wasserstein1(a, b)) == _bits(wasserstein_distance(a, b))
+    _assert_w1(wasserstein1(a, b), a, b)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("a, b", [
+    ([INF], [0.0]),
+    ([INF], [INF]),
+    ([-INF, 0.0], [0.0, 1.0]),
+    ([1.0, INF], [0.0, INF]),
+    ([-INF, 2.0, INF], [-1.0, 0.0, 1.0]),
+])
+def test_w1_equal_sizes_with_infinities_as_scipy(a, b):
+    with np.errstate(invalid="ignore"):
+        got, want = wasserstein1(a, b), wasserstein_distance(a, b)
+    assert got == want or math.isnan(got) and math.isnan(want)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # identical samples: no gap spans the values' range, whose merged delta
+    # overflows in scipy and meets a zero CDF difference
+    ([-1e308, 1e308], [-1e308, 1e308], 0.0),
+    # one sample's tied infinities: scipy's delta between them is nan
+    ([INF, INF], [0.0, 0.0], INF),
+])
+def test_w1_equal_sizes_differs_from_scipy_where_scipy_overflows(a, b, want):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(wasserstein_distance(a, b))
+    assert wasserstein1(a, b) == want
 
 
 @pytest.mark.parametrize("a, b", [
@@ -113,17 +178,25 @@ def test_w1_is_symmetric_and_zero_on_itself(a, b):
     assert wasserstein1(a, a) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 40),
        m=st.integers(1, 40), seed=st.integers(0, 2**16))
 def test_sliced_is_the_scipy_loop_bit_for_bit(data, d, n, m, seed):
+    # about half the draws compare clouds of equal size
+    if data.draw(st.booleans()):
+        m = n
     coords = st.one_of(st.floats(-100.0, 100.0),
                        st.sampled_from([0.0, -0.0, 1.0]))
     X = data.draw(arrays(np.float64, (n, d), elements=coords))
     Y = data.draw(arrays(np.float64, (m, d), elements=coords))
     got = sliced_wasserstein1(X, Y, seed=seed)
     want = _scipy_sliced(X, Y, seed=seed)
-    assert _bits(got) == _bits(want)
+    if n != m:
+        assert _bits(got) == _bits(want)
+        return
+    # equal sizes: the order-statistic mean per direction, close to scipy's
+    assert _bits(got) == _bits(_sliced_loop(X, Y, _order_statistic_w1, seed=seed))
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_sliced_from_sorted_projections_reuses_the_sort():

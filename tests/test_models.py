@@ -26,6 +26,7 @@ from retrodiff.models import (
     affine_model,
     heat_model,
     ou_model,
+    _row_products,
     piecewise_model,
     sin_drift_model,
 )
@@ -78,6 +79,25 @@ def test_constant_Sigma_rows_are_the_one_point_product(data, d, m, n):
         row = slice(i, i + 1)
         one_row = model.density_drift(0.5, X[row], score[row])
         assert dens[row].tobytes() == one_row.tobytes()
+
+
+# every float64 kind: signed zeros, subnormals, +-inf, nan, up to 1e+-308
+ANY_FLOAT = st.floats(width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 30000), st.just(1)),
+                elements=ANY_FLOAT, fill=ANY_FLOAT),
+       c=ANY_FLOAT)
+@example(x=np.array([[-0.0], [0.0], [5e-324], [-1e-308]]), c=-0.0)
+def test_one_dimensional_row_products_are_the_matmul(x, c):
+    # the elementwise product plus 0.0 has the bits of (n, 1) @ (1, 1),
+    # whose accumulator starts at +0.0; so has the d = 1 OU drift
+    C = np.array([[c]])
+    with np.errstate(all="ignore"):
+        want = (x @ C.T).tobytes()
+        assert _row_products(x, C).tobytes() == want
+        assert OUModel(C, 1.0, dim_d=1).drift(0.0, x).tobytes() == want
 
 
 def test_sigma_sigma_T_psd_random():
