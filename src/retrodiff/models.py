@@ -355,7 +355,7 @@ def affine_model(b0, b1, sigma_spec=1.0, horizon=1.0):
     return DiffusionModel(
         dim_d=d,
         dim_m=d,
-        drift=lambda t, x: b0 + np.asarray(x, float) @ b1.T,
+        drift=lambda t, x: b0 + _row_products(np.asarray(x, float), b1),
         dispersion=disp,
         horizon=horizon,
         jac_drift=lambda t, x: b1,

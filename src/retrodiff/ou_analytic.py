@@ -21,8 +21,8 @@ the backward problem; queries outside a configurable frequency window (or
 beyond a configurable amplification exponent) are refused rather than
 clipped.
 
-``scipy.interpolate`` and ``scipy.special`` are imported where they are
-first called, so importing the package loads no scipy module.
+Every time these functions take must be a node of the ``n_steps`` grid on
+[0, horizon]; a time off the grid raises a ``ValueError`` that names it.
 """
 
 import functools
@@ -45,12 +45,20 @@ class AmplificationWindowError(ValueError):
     """Raised for transform queries outside the regularized backward window."""
 
 
-@functools.cache
-def _gauss_legendre():
-    """64-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    from scipy.special import roots_legendre
-
-    return roots_legendre(64)
+def _node_weights(k):
+    """Weights on nodes 0..k of a unit-step grid: composite Simpson, with a
+    3/8 end panel for odd k >= 3 (both exact for cubics), the trapezoid for
+    k = 1 and no weight for k = 0."""
+    if k == 1:
+        return np.full(2, 0.5)
+    w = np.zeros(k + 1)
+    e = k - 3 if k % 2 else k  # Simpson on nodes 0..e, 3/8 on e..k
+    if e:
+        w[1:e:2], w[2:e:2] = 4.0 / 3.0, 2.0 / 3.0
+        w[[0, e]] += 1.0 / 3.0
+    if e < k:
+        w[e:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    return w
 
 
 def _window_exponent(xi, exponent, xi_max, exponent_cap):
@@ -76,12 +84,8 @@ class OUAnalytic:
 
     A model with constant C and sigma (``ou.constant``) has its paths
     stepped exactly by the semigroup, with no RK4 step; a model with
-    time-varying coefficients has them integrated by RK4.  A query at a grid
-    node reads the path; a query between nodes reads a cubic spline of it,
-    built on the path's first such query and kept.  A built instance can be
-    shared freely across threads: two threads may race to build the same
-    spline, but both copies have identical bits, and the first one stored
-    is the one every later query reads.
+    time-varying coefficients has them integrated by RK4.  Every lookup
+    reads the paths at a grid node.
     """
 
     def __init__(self, ou, n_steps=1000):
@@ -92,43 +96,30 @@ class OUAnalytic:
         self.resolvent = solve_resolvent(C, self.grid)
         self.adjoint = solve_adjoint_resolvent(C, self.grid)
         self.covariance = compute_ou_covariance(C, Sigma, self.grid)
-        self._splines = {}  # path -> its CubicSpline, built on first use
-
-    def _eval(self, path, t):
-        if not self.grid.t_start <= t <= self.grid.t_end + 1e-12:
-            raise ValueError(f"t={t} outside [0, {self.grid.t_end}]")
-        k = self.grid.find_node(t)
-        if k is not None:
-            return path.values[k]
-        spline = self._splines.get(path)
-        if spline is None:
-            from scipy.interpolate import CubicSpline
-
-            # setdefault is atomic: a racing thread's copy is dropped
-            spline = self._splines.setdefault(
-                path, CubicSpline(self.grid.nodes, path.values, axis=0))
-        return spline(t)
+        # S_j = D_j^T sigma(t_j): the exponent integrates |eta S_j|^2
+        sigma = np.stack([ou.dispersion(t, None) for t in self.grid.nodes])
+        self._adjoint_sigma = np.swapaxes(self.adjoint.values, 1, 2) @ sigma
 
     def R(self, t):
-        return self._eval(self.resolvent, t)
+        return self.resolvent.at(t)
 
     def D(self, t):
-        return self._eval(self.adjoint, t)
+        return self.adjoint.at(t)
 
     def D_inv(self, t):
         """Inverse of D(t), which is R(t)^T.
 
         (R^T)' = R^T C^T is the equation of D^-1, so
         :func:`~retrodiff.resolvents.solve_adjoint_resolvent_inverse`
-        returns the transposed resolvent path, and so does this lookup:
-        bitwise at the nodes, and R(t)^T D(t) = I to the path's own error
+        returns the transposed resolvent path, and so does this lookup,
+        bitwise; R(t)^T D(t) = I holds to the path's own error
         (rounding for exact steps, RK4's error otherwise).
         """
         return self.R(t).T
 
     def Q(self, t):
-        """Covariance at t; exactly symmetric, at a node or between nodes."""
-        return self._eval(self.covariance, t)
+        """Covariance at t; exactly symmetric."""
+        return self.covariance.at(t)
 
     # ------------------------------------------------------------------
 
@@ -141,15 +132,15 @@ class OUAnalytic:
         return GaussianMixture(init.weights, means, covs)
 
     def amplification_exponent(self, t, eta):
-        """1/2 * int_0^t |sigma(s)^T D(s) eta|^2 ds by Gauss-Legendre."""
-        nodes, weights = _gauss_legendre()
+        """1/2 int_0^t |sigma(s)^T D(s) eta|^2 ds by :func:`_node_weights`."""
+        k = self.grid.node_index(t)
         eta2 = np.atleast_2d(np.asarray(eta, dtype=float))
-        s = 0.5 * t * (nodes + 1.0)
-        acc = np.zeros(eta2.shape[0])
-        for si, wi in zip(s, weights):
-            v = eta2 @ self.D(si).T @ self.ou.dispersion(si, None)
-            acc += wi * np.sum(v * v, axis=1)
-        out = 0.25 * t * acc
+        v = eta2 @ self._adjoint_sigma[: k + 1]  # (k + 1, rows, m)
+        # one contiguous row of integrand values per eta, summed on its own,
+        # so a row's bits do not depend on the other rows of the batch
+        f = np.ascontiguousarray(np.sum(v * v, axis=2).T)
+        f *= _node_weights(k)
+        out = 0.5 * self.grid.dt * f.sum(axis=1)
         return out[0] if np.ndim(eta) == 1 else out
 
     def char_forward(self, init_transform, t, xi):
@@ -170,22 +161,24 @@ class OUAnalytic:
     def gaussian_bound_check(self, nu, t_range, space_box):
         """Two-sided density bounds and a gradient bound on a compact box.
 
-        Extrema of p and |grad p| over 7 times spanning [t_lo, t_hi] and a
-        grid of 41 points per axis of the box, inflated / deflated by a
-        safety factor of 1.1.  Passes when the lower constant is a strictly
-        positive finite number (degenerate dispersions fail).
+        Extrema of p and |grad p| over 7 grid nodes spanning [t_lo, t_hi]
+        (both must be nodes) and a grid of 41 points per axis of the box,
+        inflated / deflated by a safety factor of 1.1.  Passes when the
+        lower constant is a strictly positive finite number (degenerate
+        dispersions fail).
         """
         t_lo, t_hi = t_range
         if not 0.0 < t_lo <= t_hi <= self.ou.horizon:
             raise ValueError("time range must sit inside ]0, horizon]")
+        k_lo, k_hi = (self.grid.node_index(t) for t in t_range)
         lo, hi = (np.atleast_1d(np.asarray(v, float)) for v in space_box)
         axes = [np.linspace(a, b, 41) for a, b in zip(lo, hi)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
         p_min, p_max, g_max = math.inf, 0.0, 0.0
         ok = True
-        for t in np.linspace(t_lo, t_hi, 7):
+        for k in np.rint(np.linspace(k_lo, k_hi, 7)).astype(int):
             try:
-                mix = self.marginal(nu, t)
+                mix = self.marginal(nu, self.grid.node(k))
                 p = mix.pdf(mesh)
                 grad = mix.score(mesh) * p[:, None]
             except DegenerateDensityError:

@@ -163,7 +163,7 @@ def _ou_cases(draw):
     sigma = draw(arrays(float, (d, d), elements=entries))
     mean = draw(arrays(float, (d,), elements=entries))
     A = draw(arrays(float, (d, d), elements=entries))
-    t = draw(st.floats(0.0, 0.95))
+    t = draw(st.integers(0, 950)) / 1000.0  # a node of the 1000-step grid
     x = draw(arrays(float, (3, d), elements=st.floats(-3.0, 3.0)))
     return ou_model(C, sigma), gaussian(mean, A @ A.T + 0.1 * np.eye(d)), t, x
 

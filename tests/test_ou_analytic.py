@@ -6,16 +6,16 @@ and grid extrema.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
-import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from retrodiff import (
     AmplificationWindowError,
@@ -37,6 +37,7 @@ from retrodiff.distributions import GaussianMixture
 from retrodiff.models import OUModel, heat_model, ou_model
 from retrodiff.ou_analytic import OUAnalytic, analytic
 from test_distributions import assert_one_at_zero, mixtures
+from test_metrics import SRC
 
 
 HEAT = heat_model(dim=1)
@@ -120,7 +121,7 @@ def test_fourier_forward_normalization_and_modulus():
     assert sol(0.5, np.zeros(1)) == 1.0
     rng = np.random.default_rng(3)
     for _ in range(20):
-        t = rng.uniform(0.0, 1.0)
+        t = rng.integers(0, 1001) / 1000.0  # a node of the 1000-step grid
         xi = rng.uniform(-5.0, 5.0, size=1)
         assert abs(sol(t, xi)) <= 1.0 + 1e-12
 
@@ -148,7 +149,7 @@ def test_transform_is_one_at_zero_along_the_flow(data):
     # diagonally dominant, so Q(t) is positive definite for t > 0
     sigma = np.eye(d) + 0.3 * data.draw(arrays(float, (d, d), elements=unit))
     ou = ou_model(C, sigma)
-    t = data.draw(st.floats(0.01, 1.0))
+    t = data.draw(st.integers(1, 50)) / 50.0  # a node of the 50-step grid
     sol = make_fourier_solution(ou, nu, n_steps=50)
     for v in (ou_marginal(ou, nu, t, n_steps=50).char_transform(np.zeros(d)),
               sol(t, np.zeros(d)), sol(t, np.zeros((2, d))),
@@ -197,14 +198,10 @@ def test_adjoint_inverse_is_the_transposed_resolvent(data, d, varying):
     nodes = cache.grid.nodes
     E = solve_adjoint_resolvent_inverse(ou.C, cache.grid).values
     assert np.array_equal(np.stack([cache.D_inv(t) for t in nodes]), E)
-    # (k + u) dt with 0 < u < 1 lies strictly between nodes k and k + 1
-    between = data.draw(st.lists(
-        st.tuples(st.integers(0, 999), st.floats(0.05, 0.95)),
-        min_size=1, max_size=5))
-    off = [(k + u) * cache.grid.dt for k, u in between]
-    for t in [*nodes[::100], *off]:
+    drawn = data.draw(st.lists(st.integers(0, 1000), min_size=1, max_size=5))
+    for t in [*nodes[::100], *(cache.grid.node(k) for k in drawn)]:
         assert np.abs(cache.D(t) @ cache.D_inv(t) - np.eye(d)).max() <= 1e-8
-        Q = cache.Q(t)  # spline values of symmetric nodes stay symmetric
+        Q = cache.Q(t)
         assert np.array_equal(Q, Q.T)
 
 
@@ -226,49 +223,6 @@ def _varying_2d():
                    lambda t: np.array([[1.0, 0.0], [0.3, 1.0 + t]]), 2)
 
 
-def _bits(a):
-    return np.asarray(a).tobytes()
-
-
-@pytest.fixture
-def spline_builds(monkeypatch):
-    """Counts the CubicSplines that retrodiff builds while the test runs."""
-    builds = []
-
-    def counting(*args, **kwargs):
-        builds.append(args)
-        return CubicSpline(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
-    return builds
-
-
-def test_node_lookups_build_no_spline(spline_builds):
-    cache = OUAnalytic(_varying_2d(), n_steps=100)
-    for t in cache.grid.nodes:
-        cache.R(t), cache.D(t), cache.D_inv(t), cache.Q(t)
-    cache.marginal(dirac([0.5, -0.5]), cache.grid.node(40))
-    assert spline_builds == []
-    cache.R(0.437)  # between nodes 43 and 44
-    assert len(spline_builds) == 1
-
-
-def test_off_node_lookups_read_one_spline_per_path(spline_builds):
-    cache = OUAnalytic(_varying_2d(), n_steps=100)
-    ts = cache.grid.nodes
-    lookups = [(cache.R, cache.resolvent), (cache.D, cache.adjoint),
-               (cache.Q, cache.covariance)]
-    # 0.437 and 0.8125 lie strictly between nodes of the 100-step grid
-    for k, (lookup, path) in enumerate(lookups, start=1):
-        oracle = CubicSpline(ts, path.values, axis=0)
-        assert _bits(lookup(0.437)) == _bits(oracle(0.437))
-        assert len(spline_builds) == k
-        assert _bits(lookup(0.8125)) == _bits(oracle(0.8125))
-        assert len(spline_builds) == k  # the second lookup reuses it
-    assert _bits(cache.D_inv(0.437)) == _bits(cache.R(0.437).T)
-    assert len(spline_builds) == 3
-
-
 def test_a_dropped_model_is_freed_with_its_paths():
     # the model keeps its own OUAnalytic; no module-level cache holds it
     ou = ou_model(-1.0, 1.0)
@@ -281,23 +235,76 @@ def test_a_dropped_model_is_freed_with_its_paths():
     assert ref() is None
 
 
-def test_amplification_exponent_keeps_its_bits():
-    """The quadrature as it ran with module-level nodes and eager splines."""
-    ou = _varying_2d()
-    cache = OUAnalytic(ou, n_steps=100)
-    nodes, weights = roots_legendre(64)
-    spline = CubicSpline(cache.grid.nodes, cache.adjoint.values, axis=0)
-    eta = np.array([[0.7, -1.2], [2.0, 0.1], [0.0, 0.0]])
-    for t in (0.3, 0.55, 1.0):
-        s = 0.5 * t * (nodes + 1.0)
-        acc = np.zeros(eta.shape[0])
-        for si, wi in zip(s, weights):
-            assert cache.grid.find_node(si) is None  # a quadrature node off the grid
-            v = eta @ spline(si).T @ ou.dispersion(si, None)
-            acc += wi * np.sum(v * v, axis=1)
-        assert _bits(cache.amplification_exponent(t, eta)) == _bits(0.25 * t * acc)
-        assert (_bits(cache.amplification_exponent(t, eta[0]))
-                == _bits((0.25 * t * acc)[0]))
+_PTS = dirac([0.5, -0.5])
+_LOOKUPS = {
+    "R": lambda c, t: c.R(t),
+    "D": lambda c, t: c.D(t),
+    "D_inv": lambda c, t: c.D_inv(t),
+    "Q": lambda c, t: c.Q(t),
+    "marginal": lambda c, t: c.marginal(_PTS, t),
+    "amplification_exponent": lambda c, t: c.amplification_exponent(
+        t, np.ones(2)),
+    "char_forward": lambda c, t: c.char_forward(_PTS.char_transform, t,
+                                                np.ones(2)),
+    "invert_terminal": lambda c, t: c.invert_terminal(_PTS.char_transform, t,
+                                                      np.ones(2)),
+    "gaussian_bound_check": lambda c, t: c.gaussian_bound_check(
+        _PTS, (t, 1.0), ([-1.0, -1.0], [1.0, 1.0])),
+    "consistency_triangle": lambda c, t: consistency_triangle(
+        c.ou, _PTS, np.ones((1, 2)), [t], n_steps=c.grid.n_steps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKUPS))
+def test_off_node_lookups_are_refused(name):
+    # 0.437 lies strictly between nodes 43 and 44 of the 100-step grid
+    cache = OUAnalytic(_varying_2d(), n_steps=100)
+    with pytest.raises(ValueError, match=r"t=0\.437 is not a node"):
+        _LOOKUPS[name](cache, 0.437)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_node_quadrature_is_exact_for_cubic_integrands(k):
+    # C = 0 keeps D = I, so with sigma(s) = sqrt(p(s)) A the exponent's
+    # integrand is p(s) |A^T eta|^2: a cubic for Simpson and the 3/8 panel,
+    # a line for the trapezoid of k = 1
+    if k == 1:
+        p, P = (lambda s: 1.0 + 2.0 * s), (lambda s: s + s * s)
+    else:
+        p = lambda s: 1.0 + s - 2.0 * s**2 + 3.0 * s**3  # noqa: E731
+        P = lambda s: s + s**2 / 2.0 - 2.0 * s**3 / 3.0 + 0.75 * s**4  # noqa: E731
+    A = np.array([[1.0, 0.5], [0.0, 1.0]])
+    ou = OUModel(lambda t: np.zeros((2, 2)), lambda t: np.sqrt(p(t)) * A, 2)
+    cache = OUAnalytic(ou, n_steps=10)
+    t = cache.grid.node(k)
+    eta = np.array([[0.7, -0.2], [-1.5, 0.4], [0.3, 2.0]])
+    got = cache.amplification_exponent(t, eta)
+    exact = 0.5 * P(t) * np.sum((eta @ A) ** 2, axis=1)
+    assert np.allclose(got, exact, rtol=1e-13, atol=0.0)
+    # a row's bits do not depend on the rest of the batch
+    for row, value in zip(eta, got):
+        assert cache.amplification_exponent(t, row) == value
+
+
+def test_closed_form_routes_load_no_spline_or_special_module():
+    # the triangle and the inversion read paths at nodes and nothing else
+    code = "\n".join([
+        "import sys, numpy as np, retrodiff as rd",
+        "ou = rd.make_model('ou', C=[[-0.4, 1.0], [-1.0, 0.1]],",
+        "                   sigma=[[1.0, 0.2], [0.0, 0.7]])",
+        "nu = rd.gaussian([0.2, -0.1], 0.3 * np.eye(2))",
+        "xi = np.array([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.0]])",
+        "rd.consistency_triangle(ou, nu, xi, [0.25, 1.0], n_steps=100)",
+        "rd.fourier_invert_terminal(ou, nu.char_transform, 1.0, xi[1],",
+        "                           n_steps=100)",
+        "print(sorted(m for m in sys.modules",
+        "             if m.startswith(('scipy.interpolate', 'scipy.special'))))",
+    ])
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_invert_terminal_heat_round_trip():
