@@ -16,9 +16,6 @@ from .distributions import (
 )
 from .density import (
     KdeField,
-    VacuumError,
-    kde_density,
-    kde_score,
     score_bandwidth,
     silverman_bandwidth,
 )

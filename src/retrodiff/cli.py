@@ -522,9 +522,8 @@ def cmd_invert(cfg, emitter, grid, model, seed):
     def affine_of(model):
         if model.name not in ("ou", "affine"):
             raise ConfigError("mean-ode routes need an affine-drift model")
-        return AffineDrift(b0=lambda t: model.drift(t, np.zeros(d)),
-                           b1=lambda t: model.jac_drift_at(t, np.zeros(d)),
-                           dim=d)
+        return AffineDrift.constant(model.drift(0.0, np.zeros(d)),
+                                    model.jac_drift_at(0.0, np.zeros(d)))
 
     if route == "mean-ode":
         _require(cfg, "mean-ode route", "run.terminal_mean")

@@ -2,8 +2,9 @@
 
 Kernel density estimation with a Gaussian product kernel and a diagonal
 (per-dimension) bandwidth.  All kernel sums run through log-sum-exp, so
-densities never overflow and far-field queries degrade to an explicit
-"vacuum" error instead of silent zeros.  Fields are immutable snapshots;
+densities never overflow, and a query below the density floor 1e-300 * N
+is a "vacuum" row: log density -inf and a NaN score, not a silent zero
+with a meaningless gradient.  Fields are immutable snapshots;
 concurrent queries are safe (see :class:`KdeField`).
 """
 
@@ -27,10 +28,6 @@ _CHUNK = 512
 # h/4 grid of a 2000-point 3-D cloud (123^3 points) took 0.4 s in its FFTs
 # alone, against 45 ms exact.
 _GRID_POINTS_2D = 1 << 16
-
-
-class VacuumError(RuntimeError):
-    """Query point carries essentially no estimated mass."""
 
 
 def _cloud_std(ens):
@@ -122,7 +119,7 @@ class KdeField:
         return xs
 
     def log_density_and_score(self, x, exclude_self=False):
-        """Log density and score rows for queries x; vacuum entries are NaN.
+        """Log density and score rows for queries x; vacuum rows are -inf, NaN.
 
         With ``exclude_self`` the queries must be the source cloud itself
         and each particle's own kernel is left out (cross-validated form);
@@ -160,9 +157,6 @@ class KdeField:
         if single:
             return logp[0], score[0]
         return logp, score
-
-    def log_density(self, x):
-        return self.log_density_and_score(x)[0]
 
     def log_density_and_score_at_sources(self):
         """Log density and score at every source, its own kernel left out.
@@ -448,21 +442,3 @@ def _interp_uniform(x, grid, dg, values):
         v[last] = f[-1]
         out.append(v)
     return out
-
-
-def kde_density(field, x):
-    """Estimated density at x (>= 0, exact normalization by construction)."""
-    return np.exp(field.log_density(x))
-
-
-def kde_score(field, x):
-    """Estimated gradient of log density at x.
-
-    Raises :class:`VacuumError` when the estimated density at x falls below
-    the floor 1e-300 * N (the query sits outside the cloud's support).
-    """
-    logp, score = field.log_density_and_score(x)
-    if np.isnan(np.atleast_1d(score)).any():
-        raise VacuumError("query point is in the vacuum of the estimated density")
-    return score
-

@@ -2,9 +2,11 @@
 
 Three routes, matching what is actually identifiable at desk scale:
 
-* affine drift: the mean solves a linear ODE backwards from the terminal
-  mean, so a point source is read off exactly (plus a Monte Carlo variant
-  with propagated standard error);
+* affine drift: the mean solves E' = b0(t) + b1(t) E, which the augmented
+  generator [[b1(t), b0(t)], [0, 0]] makes linear in (E, 1); one
+  fundamental matrix of that generator maps the source to the terminal
+  mean, so a point source is read off by one solve (plus a Monte Carlo
+  variant with propagated standard error);
 * constant-coefficient heat flow: the terminal transform is divided by the
   explicit decay factor inside a frequency window (the backward heat map
   amplifies as exp(T |xi|^2), hence the window);
@@ -26,56 +28,77 @@ from .metrics import (
     sorted_projections,
 )
 from .ou_analytic import AmplificationWindowError, _window_exponent
-from .resolvents import _rk4_path
+from .resolvents import _checked, _fundamental_path
 from .streams import CANDIDATE_SIM, substream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineDrift:
-    """Drift b(t, y) = b0(t) + b1(t) y with continuous coefficients."""
+    """Drift b(t, y) = b0(t) + b1(t) y.
 
-    b0: callable
-    b1: callable
+    ``b0`` and ``b1`` are each a callable of t or a constant array; a
+    drift is equal only to itself, so array fields leave it hashable.
+    """
+
+    b0: object
+    b1: object
     dim: int
 
     @staticmethod
     def constant(b0, b1):
         b0 = np.atleast_1d(np.asarray(b0, dtype=float))
         b1 = np.atleast_2d(np.asarray(b1, dtype=float))
-        return AffineDrift(b0=lambda t: b0, b1=lambda t: b1, dim=b0.shape[0])
+        d = b0.shape[0]
+        if b0.ndim != 1 or b1.shape != (d, d):
+            raise ValueError(f"b1 has shape {b1.shape}, but b0 of shape "
+                             f"{b0.shape} needs ({d}, {d})")
+        return AffineDrift(b0=b0, b1=b1, dim=d)
 
-    def eval(self, t):
-        v0 = np.asarray(self.b0(t), dtype=float).reshape(self.dim)
-        v1 = np.asarray(self.b1(t), dtype=float).reshape(self.dim, self.dim)
-        if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
-            raise ValueError(f"non-finite affine coefficients at t={t}")
-        return v0, v1
+
+def _affine_flow(drift, grid):
+    """(Phi_11(T), phi(T)): the terminal mean is Phi_11(T) x0 + phi(T).
+
+    Phi is the fundamental matrix of the augmented generator
+    A(t) = [[b1(t), b0(t)], [0, 0]], built by ``_fundamental_path``: exact
+    semigroup steps when both coefficients are constant arrays, RK4
+    otherwise.  A path that overflows raises the builder's ``ValueError``
+    naming its first non-finite node.
+    """
+    d = drift.dim
+    b0, b1 = _checked(drift.b0, "b0"), _checked(drift.b1, "b1")
+
+    def A(t):
+        out = np.zeros((d + 1, d + 1))
+        out[:d, :d] = b1(t)
+        out[:d, d] = b0(t)
+        return out
+
+    exact = not (callable(drift.b0) or callable(drift.b1))
+    Phi = _fundamental_path(A, grid, exact).values[-1]
+    return Phi[:d, :d], Phi[:d, d]
+
+
+def _terminal_mean(m, dim):
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    if m.shape != (dim,):
+        raise ValueError(f"terminal mean has shape {m.shape}, but the drift "
+                         f"needs ({dim},)")
+    if not np.isfinite(m).all():
+        raise ValueError("terminal mean must be finite")
+    return m
 
 
 def reconstruct_dirac_affine(drift, terminal_mean, grid):
     """Source location from the terminal mean under an affine drift.
 
-    Integrates E'(t) = b0(t) + b1(t) E(t) backwards from E(T) =
-    terminal_mean with RK4 and returns E(0).  Exact in the limit for true
-    affine models, and bitwise equal to the terminal mean when the drift
-    vanishes.  A mean that overflows raises ``RuntimeError`` naming the
-    first node it reached.
+    Solves Phi_11(T) x0 = terminal_mean - phi(T) for the augmented flow of
+    ``_affine_flow`` (exact steps for constant coefficients, RK4 for
+    callables).  Exact in the limit for true affine models, and bitwise
+    equal to the terminal mean when the drift vanishes.
     """
-    m = np.atleast_1d(np.asarray(terminal_mean, dtype=float))
-    if not np.isfinite(m).all():
-        raise ValueError("terminal mean must be finite")
-
-    def rhs(t, y):
-        v0, v1 = drift.eval(t)
-        return v0 + v1 @ y
-
-    path = _rk4_path(rhs, m, grid, backward=True)
-    bad = np.flatnonzero(~np.isfinite(path).all(axis=1))
-    if bad.size:
-        # the steps run from node n down, so the first bad node is the last
-        k = int(bad[-1])
-        raise RuntimeError(f"non-finite mean at node {k} (t = {grid.node(k):g})")
-    return path[0]
+    m = _terminal_mean(terminal_mean, drift.dim)
+    P, phi = _affine_flow(drift, grid)
+    return np.linalg.solve(P, m - phi)
 
 
 def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):
@@ -83,7 +106,8 @@ def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):
 
     Returns (x_hat, stderr) where stderr propagates the CLT error of the
     mean through the backward flow:  ||M(0)||_2 * ||sd / sqrt(n)||_2 with
-    M the backward fundamental matrix.  ``sigma`` is the dispersion of the
+    M(0) = Phi_11(T)^-1 from the one augmented path of ``_affine_flow``;
+    one solve gives x_hat and M(0).  ``sigma`` is the dispersion of the
     generating model; it is not used by the estimator (the mean ODE does
     not see it) and is accepted for interface completeness.
     """
@@ -91,13 +115,11 @@ def reconstruct_dirac_affine_mc(drift, sigma, mu_ensemble, grid):
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least two particles for a standard error")
-    x_hat = reconstruct_dirac_affine(drift, X.mean(axis=0), grid)
-
-    def rhs(t, M):
-        _, v1 = drift.eval(t)
-        return v1 @ M
-
-    M0 = _rk4_path(rhs, np.eye(drift.dim), grid, backward=True)[0]
+    m = _terminal_mean(X.mean(axis=0), drift.dim)
+    P, phi = _affine_flow(drift, grid)
+    rhs = np.column_stack([m - phi, np.eye(drift.dim)])
+    sol = np.linalg.solve(P, rhs)
+    x_hat, M0 = sol[:, 0], sol[:, 1:]
     se_vec = X.std(axis=0, ddof=1) / math.sqrt(n)
     stderr = float(np.linalg.norm(M0, 2) * np.linalg.norm(se_vec))
     return x_hat, stderr

@@ -1,24 +1,24 @@
 """Matrix-valued ODEs behind the affine-drift Gaussian machinery.
 
 This module hosts the package's single RK4 integrator, ``_rk4_path``,
-which steps forwards from the start of a grid or backwards from its end;
-the per-frequency transform ODE and the backward mean ODE of the inverse
-routes run through it too.  Three fundamental-solution paths are
-computed on a uniform grid:
+which steps forwards from the start of a grid; the fundamental paths
+below, the covariance's Lyapunov ODE and the per-frequency transform ODE
+of :mod:`retrodiff.ou_analytic` run through it.  Three fundamental-solution
+paths are computed on a uniform grid:
 
 * the state resolvent   R(t) = I + integral_0^t C(s) R(s) ds,
 * its adjoint decay     D(t) = I - integral_0^t C(s)^T D(s) ds,
 * the adjoint inverse   E(t) = D(t)^-1 = R(t)^T,
 
-together with the Gaussian covariance accumulated along the flow,
+together with the Gaussian covariance accumulated along the flow, the
+solution of the Lyapunov ODE
 
-    Q(t) = R(t) [ integral_0^t R(s)^-1 Sigma(s) R(s)^-T ds ] R(t)^T.
+    Q'(t) = C(t) Q(t) + Q(t) C(t)^T + Sigma(t),   Q(0) = 0.
 
-R and D come from one builder for the generators C(t) and -C(t)^T, and
-E is R's path transposed.  Generators given as callables of t are
-integrated by RK4.  For the covariance, the inner integral is advanced
-jointly with R so no inverse path has to be stored; per-stage inverses
-are obtained by LU solves.
+R and D come from one builder, ``_fundamental_path``, for the generators
+C(t) and -C(t)^T, and E is R's path transposed; the affine inverse routes
+of :mod:`retrodiff.inverse` build their augmented flow with it too.
+Generators given as callables of t are integrated by RK4.
 
 Coefficients given as constant arrays are stepped exactly by the
 semigroup instead: R_{k+1} = e^{C dt} R_k, D_{k+1} = e^{-C^T dt} D_k and
@@ -45,26 +45,22 @@ def _checked(fn, what, symmetric=False):
     return wrapped
 
 
-def _rk4_path(rhs, y0, grid, backward=False):
-    """Integrate Y' = rhs(t, Y) with RK4; returns values at every node.
+def _rk4_path(rhs, y0, grid):
+    """Integrate Y' = rhs(t, Y) from Y(t_start) = ``y0`` with RK4.
 
-    ``y0`` is the value at ``t_start``, or at ``t_end`` when ``backward``
-    (then the steps run from node n down to node 0 with step -dt).  Entry k
-    of the result is the value at node k in either direction.
+    Entry k of the result is the value at node k.
     """
-    n = grid.n_steps
-    h, step, start = (-grid.dt, -1, n) if backward else (grid.dt, 1, 0)
-    out = np.empty((n + 1,) + y0.shape)
-    out[start] = y0
-    y = y0
-    for k in range(start, start + step * n, step):
+    h = grid.dt
+    out = np.empty((grid.n_steps + 1,) + y0.shape)
+    out[0] = y = y0
+    for k in range(grid.n_steps):
         t = grid.node(k)
         k1 = rhs(t, y)
         k2 = rhs(t + h / 2, y + (h / 2) * k1)
         k3 = rhs(t + h / 2, y + (h / 2) * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + step] = y
+        out[k + 1] = y
     return out
 
 
@@ -72,19 +68,26 @@ def _fundamental_path(A, grid, exact):
     """Path of M' = A(t) M, M(0) = I, at the nodes of ``grid``.
 
     With ``exact`` (A constant) the steps are the semigroup's,
-    M_{k+1} = e^{A dt} M_k; otherwise they are RK4's.
+    M_{k+1} = e^{A dt} M_k; otherwise they are RK4's.  A path that
+    overflows raises a ``ValueError`` naming its first non-finite node.
     """
     A0 = A(grid.t_start)
     d = A0.shape[0]
     if not exact:
-        return MatrixPath(grid, _rk4_path(lambda t, y: A(t) @ y, np.eye(d), grid))
-    from scipy.linalg import expm  # here, so that importing the package skips it
+        out = _rk4_path(lambda t, y: A(t) @ y, np.eye(d), grid)
+    else:
+        from scipy.linalg import expm  # here, so that importing the package skips it
 
-    E = expm(A0 * grid.dt)
-    out = np.empty((grid.n_steps + 1, d, d))
-    out[0] = np.eye(d)
-    for k in range(grid.n_steps):
-        np.matmul(E, out[k], out=out[k + 1])
+        E = expm(A0 * grid.dt)
+        out = np.empty((grid.n_steps + 1, d, d))
+        out[0] = np.eye(d)
+        for k in range(grid.n_steps):
+            np.matmul(E, out[k], out=out[k + 1])
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"non-finite fundamental matrix at node {k} "
+                         f"(t = {grid.node(k):g})")
     return MatrixPath(grid, out)
 
 
@@ -121,29 +124,23 @@ def compute_ou_covariance(C_fn, Sigma_fn, grid):
     """Covariance path Q(t) of the affine-drift Gaussian flow.
 
     Q(0) = 0; every Q(t) is exactly symmetric; with uniformly elliptic
-    Sigma, Q(t) is strictly positive definite for t > 0.  ``C_fn`` and
-    ``Sigma_fn`` are both callables of t (RK4) or both constant arrays
-    (exact steps).
+    Sigma, Q(t) is strictly positive definite for t > 0.  When ``C_fn`` or
+    ``Sigma_fn`` is a callable of t, RK4 integrates the Lyapunov ODE
+    Q' = C Q + Q C^T + Sigma; when both are constant arrays the steps are
+    exact.
     """
     C = _checked(C_fn, "C_fn")
     Sigma = _checked(Sigma_fn, "Sigma_fn", symmetric=True)
     if not (callable(C_fn) or callable(Sigma_fn)):
         return MatrixPath(grid, _exact_covariance(C(grid.t_start),
                                                   Sigma(grid.t_start), grid))
-    d = C(grid.t_start).shape[0]
 
-    def rhs(t, y):
-        R, J = y
-        G = np.linalg.solve(R, Sigma(t))
-        return np.stack([C(t) @ R, np.linalg.solve(R, G.T).T])
+    def rhs(t, Q):
+        CQ = C(t) @ Q
+        return CQ + CQ.T + Sigma(t)
 
-    y0 = np.stack([np.eye(d), np.zeros((d, d))])
-    path = _rk4_path(rhs, y0, grid)
-    R, J = path[:, 0], path[:, 1]
-    Q = np.einsum("kij,kjl,kml->kim", R, J, R)
-    Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
-    Q[0] = 0.0
-    return MatrixPath(grid, Q)
+    Q = _rk4_path(rhs, np.zeros_like(C(grid.t_start)), grid)
+    return MatrixPath(grid, 0.5 * (Q + np.transpose(Q, (0, 2, 1))))
 
 
 def _exact_covariance(C, Sigma, grid):

@@ -35,7 +35,18 @@ amplification exponent moved from 64 Gauss-Legendre points on a cubic
 spline of the adjoint path to composite Simpson on the path's own nodes,
 and the transform between nodes left the case with the spline: those
 errors moved by at most 1.6e-11, the transforms at t = 0.5 by 1.1e-10
-and the inverted values by 3.2e-10 (on the case's 100-step grid).
+and the inverted values by 3.2e-10 (on the case's 100-step grid).  It
+was recorded again (``24e5fdc4…`` to ``9aa84f04…``) when the time-varying
+covariance became RK4 on its own Lyapunov ODE Q' = CQ + QC^T + Sigma
+instead of a joint (R, J) state: the errors against the marginal moved
+by at most 3.2e-11 (marginal vs ODE 5.9e-11 to 3.8e-11) and the inverted
+values by 3.7e-10; the transforms kept their bits.
+
+The ``dirac_affine_mc`` case, whose coefficients are callables of t, was
+recorded again (``9f0a99ce…`` to ``c08886da…``) when both affine inverse
+routes moved from two backward RK4 systems to one forward RK4 path of the
+augmented generator [[b1, b0], [0, 0]]: x_hat moved by 1.3e-10 and the
+standard error by 5.1e-12.
 
 The two analytic-reversal cases were recorded again when constant-
 coefficient OU models moved from RK4 to exact semigroup steps; the
@@ -443,10 +454,10 @@ DIGESTS = {
     "reversal_analytic_2d": "f0080ec8a0f7d05c5ce7add7934ea81631593c864c83eeba2d90ebe5e63da4da",
     "reversal_selfconsistent_1d_binned": "951a170d6183f07cb791861293610fa9890d63424f38903907b5c344dc9824a3",
     "reversal_selfconsistent_2d_exact": "f4157fc5e62b55ef619bd24c76bd57c7f52abf7db990964580afad167263ff42",
-    "dirac_affine_mc": "9f0a99ce4d42981cfff402d2ae8079715333c349def5360d082feb3c4438e33c",
+    "dirac_affine_mc": "c08886da30ca85b1a1f39a117d5f8e5611a230bdc04695efcdaf92087cd34a7d",
     "fourier_ode": "85710d37271de835435dfaa901f8bd138573a4b5c0c1bd79c30dc39e332d9e22",
     "fourier_ode_constant": "85d3596b1807873ab8e0aea86c1b5fb0fb7865d6050016fef9e2010d14a9ef58",
-    "fourier_routes": "24e5fdc4abcfbca827317a491d84a76406c2df7c77b98aaf40eb3a83eca0c691",
+    "fourier_routes": "9aa84f04f2a2b3dcd0db9774f3e3681bd5aed5484b94fd252fc6a4fe633e554d",
     "injectivity_probe_2d": "ac69d5d90015c9bf701e7788aa7dd50151a7161878e8e06ba11963a950a9dad9",
     "dirac_search_1d": "e272534c2746727b5c8f4114d882e0cc4dba2dd8a23c0bc91787182779b0e253",
     "dirac_search_2d": "ef5f4689782e1f0188c62bc4f7150ff73ee4debeadca34ab2e9ac049b1f6b5a2",

@@ -892,7 +892,8 @@ directory = {out}
     cfg = write_config(tmp_path / "i.ini",
                        body.format(b1=1e300, out=tmp_path / "i",
                                    run="route = mean-ode\nterminal_mean = 1"))
-    with pytest.raises(RuntimeError, match="non-finite mean at node"):
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            ValueError, match="non-finite fundamental matrix at node 1 "):
         main(["invert", "--config", cfg])
     assert not (tmp_path / "i").exists()
 

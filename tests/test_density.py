@@ -10,10 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from retrodiff import (
     KdeField,
-    VacuumError,
     gaussian,
-    kde_density,
-    kde_score,
     silverman_bandwidth,
     substream,
 )
@@ -23,6 +20,14 @@ from retrodiff.grids import TimeGrid
 from retrodiff.models import affine_model, heat_model, ou_model
 from retrodiff.reversal import simulate_reversal_selfconsistent
 from retrodiff.ou_analytic import ou_marginal, ou_reversal_drift
+
+
+def kde_density(field, x):
+    return np.exp(field.log_density_and_score(x)[0])
+
+
+def kde_score(field, x):
+    return field.log_density_and_score(x)[1]
 
 
 def test_single_particle_peak():
@@ -74,16 +79,19 @@ def test_score_cloud_close_to_gaussian_score():
     assert np.abs(s[:, 0] + xs[:, 0]).max() < 0.1
 
 
-def test_vacuum_error():
+def test_vacuum_rows_are_minus_inf_and_nan():
     f = KdeField([[0.0]], 0.01)
-    with pytest.raises(VacuumError):
-        kde_score(f, np.array([50.0]))
+    logp, s = f.log_density_and_score(np.array([[0.0], [50.0]]))
+    assert np.isfinite(logp[0]) and np.isfinite(s[0]).all()
+    assert logp[1] == -np.inf and np.isnan(s[1]).all()
+    logp, s = f.log_density_and_score(np.array([50.0]))
+    assert logp == -np.inf and np.isnan(s).all()
 
 
 def test_no_overflow_far_field():
     f = KdeField([[0.0]], 1.0)
     assert kde_density(f, np.array([1e6])) == 0.0
-    logp = f.log_density(np.array([1e6]))
+    logp = f.log_density_and_score(np.array([1e6]))[0]
     assert logp == -np.inf
 
 

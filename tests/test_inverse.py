@@ -5,12 +5,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from retrodiff import (
     AffineDrift,
     AmplificationWindowError,
     DiracMixture,
+    ParticleEnsemble,
     TimeGrid,
     dirac,
     extract_source_location,
@@ -70,10 +74,75 @@ def test_reconstruction_is_affine_in_terminal_mean():
 
 
 def test_overflowing_mean_names_the_node():
-    # the first backward step from node 10 overflows
-    drift = AffineDrift.constant([0.0], [[1e300]])
-    with pytest.raises(RuntimeError, match=r"non-finite mean at node 9 "):
-        reconstruct_dirac_affine(drift, np.array([1.0]), TimeGrid(0.0, 1.0, 10))
+    # the first step of the augmented flow overflows, exact or RK4
+    grid = TimeGrid(0.0, 1.0, 10)
+    for drift in (AffineDrift.constant([0.0], [[1e300]]),
+                  AffineDrift(b0=lambda t: np.zeros(1),
+                              b1=lambda t: np.array([[1e300]]), dim=1)):
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                ValueError, match=r"non-finite fundamental matrix at node 1 "):
+            reconstruct_dirac_affine(drift, np.array([1.0]), grid)
+
+
+def test_constant_drift_refuses_a_b1_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"b1 has shape \(1, 3\), but b0 of "
+                                         r"shape \(2,\) needs \(2, 2\)"):
+        AffineDrift.constant([0.0, 0.0], [[1.0, 2.0, 3.0]])
+
+
+def test_a_constant_drift_is_hashable_and_equal_only_to_itself():
+    a, b = (AffineDrift.constant([0.0], [[1.0]]) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
+
+
+def test_terminal_mean_of_the_wrong_length_is_refused():
+    drift = AffineDrift.constant([0.0, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match=r"terminal mean has shape \(3,\), "
+                                         r"but the drift needs \(2,\)"):
+        reconstruct_dirac_affine(drift, [1.0, 2.0, 3.0], GRID)
+
+
+@st.composite
+def affine_coefficients(draw):
+    """Constant (b0, b1) with d = 1-3 and a horizon T in (0, 2]."""
+    d = draw(st.integers(1, 3))
+    b0 = draw(arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    b1 = draw(arrays(float, (d, d), elements=st.floats(-1.0, 1.0)))
+    T = draw(st.floats(0.01, 2.0))
+    return b0, b1, T
+
+
+def _augmented(b0, b1):
+    d = b0.shape[0]
+    return np.block([[b1, b0[:, None]], [np.zeros((1, d + 1))]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=affine_coefficients(),
+       x0=arrays(float, 3, elements=st.floats(-2.0, 2.0)))
+def test_affine_routes_invert_the_augmented_exponential(coef, x0):
+    b0, b1, T = coef
+    d = b0.shape[0]
+    x0 = x0[:d]
+    # RK4's relative error at h = 1e-3 and |b1| <= 3 is below 1e-11
+    grid = TimeGrid(0.0, T, 2000)
+    m = (expm(_augmented(b0, b1) * T) @ np.append(x0, 1.0))[:d]
+    exact = AffineDrift.constant(b0, b1)
+    x_hat = reconstruct_dirac_affine(exact, m, grid)
+    assert np.abs(x_hat - x0).max() <= 1e-10 * max(1.0, np.abs(x0).max())
+    # M(0) of the standard error is expm(-b1 T); a two-point ensemble whose
+    # per-coordinate standard error is e_0 reads its 2-norm
+    M0 = np.linalg.inv(inverse._affine_flow(exact, grid)[0])
+    oracle = expm(-b1 * T)
+    assert np.abs(M0 - oracle).max() <= 1e-10 * np.abs(oracle).max()
+    X = np.tile(m, (2, 1))
+    X[:, 0] += [-1.0, 1.0]
+    ens = ParticleEnsemble(time=T, positions=X)
+    _, se = reconstruct_dirac_affine_mc(exact, None, ens, grid)
+    assert abs(se - np.linalg.norm(oracle, 2)) <= 1e-10 * se
+    rk4 = AffineDrift(b0=lambda t: b0, b1=lambda t: b1, dim=d)
+    assert (np.abs(reconstruct_dirac_affine(rk4, m, grid) - x_hat).max()
+            <= 1e-10 * max(1.0, np.abs(x_hat).max()))
 
 
 def test_mc_reconstruction_with_forward_data():
@@ -91,8 +160,6 @@ def test_mc_reconstruction_with_forward_data():
 
 
 def test_mc_reconstruction_exact_for_constant_ensemble():
-    from retrodiff import ParticleEnsemble
-
     ens = ParticleEnsemble(time=1.0, positions=np.full((50, 1), 0.75))
     drift = AffineDrift.constant([0.0], [[0.0]])
     x_hat, se = reconstruct_dirac_affine_mc(drift, 1.0, ens, GRID)

@@ -134,20 +134,6 @@ def test_rk4_order_on_step_halving():
     assert errs[0] / errs[1] >= 8.0
 
 
-def test_rk4_backward_direction_matches_expm():
-    # M' = C M from M(T) = I backwards: M(t) = expm(C (t - T)) at every node
-    rng = np.random.default_rng(9)
-    C = rng.uniform(-2.0, 2.0, size=(3, 3))
-    g = TimeGrid(0.0, 1.5, 300)
-    values = _rk4_path(lambda t, y: C @ y, np.eye(3), g, backward=True)
-    assert np.array_equal(values[-1], np.eye(3))
-    rel = []
-    for k in range(g.n_steps + 1):
-        oracle = expm(C * (g.node(k) - g.t_end))
-        rel.append(np.linalg.norm(values[k] - oracle) / np.linalg.norm(oracle))
-    assert max(rel) < 1e-8
-
-
 def integral_defect(path, rhs_fn):
     """Max Frobenius defect of Y(t) = Y(0) + integral of rhs_fn(s, Y(s)).
 
@@ -195,6 +181,19 @@ def test_covariance_scalar_quadrature_oracle():
         lambda t: np.array([[1.0]]), lambda t: np.array([[1.0]]), grid()
     )
     assert abs(Q.at(1.0)[0, 0] - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("C, T", [
+    (lambda t: np.array([[-3.0 - 0.1 * t]]), 6.0),
+    (lambda t: np.array([[-8.0, 1.0], [0.0, -5.0 - t]]), 1.0),
+], ids=["scalar-long", "stiff-2d"])
+def test_covariance_of_a_stiff_or_long_generator_converges(C, T):
+    # the Lyapunov ODE at 100 steps against a 20 000-step run of it
+    d = C(0.0).shape[0]
+    Sigma = lambda t: np.eye(d)  # noqa: E731
+    coarse = compute_ou_covariance(C, Sigma, grid(T, 100)).at(T)
+    fine = compute_ou_covariance(C, Sigma, grid(T, 20000)).at(T)
+    assert np.abs(coarse - fine).max() <= 1e-8
 
 
 def test_covariance_degenerate_sigma_flagged():
